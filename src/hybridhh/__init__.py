@@ -23,7 +23,6 @@ from .client import (
     build_report_model,
     denoise_query,
     denoise_record,
-    estimate_client_probabilities,
     local_privatize,
 )
 from .optin import (
@@ -53,7 +52,6 @@ __all__ = [
     "create_head_list",
     "denoise_query",
     "denoise_record",
-    "estimate_client_probabilities",
     "estimate_optin_probabilities",
     "local_privatize",
     "optin_variance",

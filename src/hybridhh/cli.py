@@ -38,8 +38,6 @@ def _load_config(args) -> harness.ExperimentConfig:
         config = replace(config, seed=args.seed)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
-    if getattr(args, "no_projection", False):
-        config = replace(config, projection=False)
     return config
 
 
@@ -109,16 +107,7 @@ def _read_prob_csv(path: str) -> dict[Record, float]:
 
 
 def _cmd_metrics(args) -> int:
-    est = _read_prob_csv(args.blended)
-    truth = _read_prob_csv(args.truth)
-    star_free = [r for r in est if r.query != STAR and r.url != STAR]
-    l1 = metrics.l1_distance(
-        {r: est[r] for r in star_free},
-        {r: truth.get(r, 0.0) for r in star_free},
-    )
-    est_ranked = metrics.strip_stars_and_rescale(est)
-    truth_ranked = metrics.strip_stars_and_rescale(truth)
-    ndcg = metrics.generalized_ndcg(est_ranked, truth_ranked)
+    l1, ndcg = metrics.score(_read_prob_csv(args.blended), _read_prob_csv(args.truth))
     print(f"L1 = {l1:.6f}")
     print(f"NDCG = {ndcg:.6f}")
     return 0
@@ -138,13 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one full pipeline run")
     common(p_run)
-    p_run.add_argument("--no-projection", action="store_true",
-                       help="skip the simplex projection of the blended estimate")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the configured parameter grid")
     common(p_sweep)
-    p_sweep.add_argument("--no-projection", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic power-law log")

@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .core import (
-    STAR,
     WILDCARD,
     EstimateVector,
     HeadList,
@@ -91,25 +90,25 @@ def local_privatize(
 
     Branch probabilities: other-query (1-t) with uniform (q', u') over
     q' != q and u' in hl[q']; same-query-other-url t*(1-t_q) uniform over
-    u' != u; truthful otherwise.
+    u' != u; truthful otherwise. "Other" draws take an index j below the
+    list length minus one and shift it past the true entry's index.
     """
     q, u = canonicalize(record, hl)
-    queries = hl.queries
     if model.k == 1:
         return WILDCARD
     if rng.random() < 1.0 - model.t:
-        idx = int(rng.integers(model.k - 1))
-        q_prime = [qq for qq in queries if qq != q][idx]
+        queries = hl.queries
+        j = int(rng.integers(model.k - 1))
+        q_prime = queries[j + (j >= queries.index(q))]
         urls = hl.urls(q_prime)
-        u_prime = urls[int(rng.integers(len(urls)))]
-        return Record(q_prime, u_prime)
+        return Record(q_prime, urls[int(rng.integers(len(urls)))])
     kq = model.k_q[q]
+    urls = hl.urls(q)
     if kq == 1:
-        return Record(q, hl.urls(q)[0])
+        return Record(q, urls[0])
     if rng.random() < 1.0 - model.t_q[q]:
-        idx = int(rng.integers(kq - 1))
-        u_prime = [uu for uu in hl.urls(q) if uu != u][idx]
-        return Record(q, u_prime)
+        j = int(rng.integers(kq - 1))
+        return Record(q, urls[j + (j >= urls.index(u))])
     return Record(q, u)
 
 
@@ -194,9 +193,7 @@ def client_estimates_from_counts(
 ) -> EstimateVector:
     """Denoised estimates from aggregated report counts.
 
-    Counts must be keyed by members of the client-augmented head list;
-    this is the single-pass aggregation core shared by the streaming
-    entry point and by simulation harnesses.
+    Counts must be keyed by members of the client-augmented head list.
     """
     if hl.stage is not Stage.CLIENT_AUGMENTED:
         raise ParamError("client estimation requires a client-augmented head list")
@@ -243,24 +240,3 @@ def client_estimates_from_counts(
                     r_hat, query_vars[q], n, model.t, tq, model.k, kq
                 )
     return EstimateVector(record_probs, record_vars, query_probs, query_vars, n)
-
-
-def estimate_client_probabilities(
-    params: PrivacyParams,
-    reports: Iterable[Record],
-    hl: HeadList,
-    model: ReportModel,
-) -> EstimateVector:
-    """Aggregate privatized reports and denoise them.
-
-    Streaming single pass over the reports; only head-list-keyed integer
-    counters are kept in memory.
-    """
-    counts: Counter[Record] = Counter()
-    n = 0
-    for r in reports:
-        if r not in hl:
-            raise ParamError(f"report {r} is not in the head list")
-        counts[r] += 1
-        n += 1
-    return client_estimates_from_counts(counts, n, model, hl)

@@ -49,17 +49,15 @@ class Dataset:
         return len(self.users)
 
 
-def parse_log(stream: IO[str] | str, on_error: str = "abort") -> Dataset:
+def parse_log(stream: IO[str] | str) -> Dataset:
     """Parse a TSV log into per-user record collections.
 
     Lines starting with '#' are comments. Malformed or empty-field rows
-    abort with the offending line number, or are skipped when
-    on_error="skip". Rows are grouped by user id in first-seen order.
+    abort with the offending line number. Rows are grouped by user id in
+    first-seen order.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    if on_error not in ("abort", "skip"):
-        raise ParamError("on_error must be 'abort' or 'skip'")
     by_user: dict[str, list[Record]] = {}
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
@@ -67,13 +65,9 @@ def parse_log(stream: IO[str] | str, on_error: str = "abort") -> Dataset:
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            if on_error == "skip":
-                continue
             raise ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
         user, q, u = (p.strip() for p in parts)
         if not user or not q or not u:
-            if on_error == "skip":
-                continue
             raise ParseError(f"line {lineno}: empty field")
         by_user.setdefault(user, []).append(Record(decode_star(q), decode_star(u)))
     users = tuple(UserLog(uid, tuple(recs)) for uid, recs in by_user.items())

@@ -186,16 +186,7 @@ def run_blender(
     )
 
     truth = _truth_on_head_list(dataset, s_records + t_records, hl_final)
-    # L1 compares the star-stripped vectors directly; only the NDCG
-    # relevance scores are renormalized after discarding the wildcard.
-    star_free = [r for r in hl_final.records() if r.query != STAR and r.url != STAR]
-    l1 = metrics.l1_distance(
-        {r: blended.probs[r] for r in star_free},
-        {r: truth.get(r, 0.0) for r in star_free},
-    )
-    est_ranked = metrics.strip_stars_and_rescale(blended.probs)
-    truth_ranked = metrics.strip_stars_and_rescale(truth)
-    ndcg = metrics.generalized_ndcg(est_ranked, truth_ranked)
+    l1, ndcg = metrics.score(blended.probs, truth)
 
     n_regular_queries = sum(1 for q in hl_final.queries if q != STAR)
     row = MetricsRow(
@@ -284,7 +275,7 @@ def sweep(
                     try:
                         result = run_blender(cell_config, ds, seed=run_seed)
                         rows.append(result.row)
-                    except (ParamError, ValueError) as exc:
+                    except (ParamError, client.DegenerateChannelError) as exc:
                         rows.append(
                             MetricsRow(
                                 epsilon=eps,

@@ -150,3 +150,24 @@ def generalized_ndcg(
         for i, q in enumerate(true_top)
     )
     return numer / denom if denom > 0 else 0.0
+
+
+def score(
+    estimate: Mapping[Record, float],
+    truth: Mapping[Record, float],
+) -> tuple[float, float]:
+    """(L1, generalized NDCG) of an estimate against the truth.
+
+    L1 compares the star-free records of the estimate directly, with
+    missing truth counted as zero; only the NDCG relevance scores are
+    renormalized after discarding the wildcard.
+    """
+    star_free = [r for r in estimate if r.query != STAR and r.url != STAR]
+    l1 = l1_distance(
+        {r: estimate[r] for r in star_free},
+        {r: truth.get(r, 0.0) for r in star_free},
+    )
+    ndcg = generalized_ndcg(
+        strip_stars_and_rescale(estimate), strip_stars_and_rescale(truth)
+    )
+    return l1, ndcg

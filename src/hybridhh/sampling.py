@@ -1,4 +1,4 @@
-"""Seeded randomness: Laplace noise, uniform draws, per-client substreams.
+"""Seeded randomness: Laplace noise and per-client substreams.
 
 All randomness flows through numpy Generators derived from a single
 master seed via SeedSequence spawn keys, so any component can be given
@@ -9,11 +9,8 @@ real deployment would need a CSPRNG on the client side.
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence, TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
 
 
 def substream(master_seed: int, stream_id: int) -> np.random.Generator:
@@ -37,7 +34,7 @@ def laplace_sample(scale: float, rng: np.random.Generator) -> float:
     if not scale > 0:
         raise ValueError("laplace scale must be positive")
     u = rng.random() - 0.5
-    return -scale * np.sign(u) * np.log1p(-2.0 * abs(u))
+    return float(-scale * np.sign(u) * np.log1p(-2.0 * abs(u)))
 
 
 def laplace_samples(scale: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -45,10 +42,3 @@ def laplace_samples(scale: float, n: int, rng: np.random.Generator) -> np.ndarra
         raise ValueError("laplace scale must be positive")
     u = rng.random(n) - 0.5
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-
-
-def uniform_choice(items: Sequence[T], rng: np.random.Generator) -> T:
-    """Uniformly random element of a non-empty sequence."""
-    if len(items) == 0:
-        raise ValueError("cannot choose from an empty sequence")
-    return items[int(rng.integers(len(items)))]

@@ -12,7 +12,6 @@ from hybridhh.client import (
     client_estimates_from_counts,
     denoise_query,
     denoise_record,
-    estimate_client_probabilities,
     local_privatize,
     query_variance,
     record_variance,
@@ -106,6 +105,44 @@ class TestLocalPrivatize:
         other_share = (1 - t) / (k - 1) / model.k_q["q1"]
         assert counts[Record("q1", STAR)] / n == pytest.approx(other_share, abs=0.004)
 
+    @pytest.mark.parametrize("rec", [
+        Record("q0", "q0/u1"),   # true query first in the list
+        Record("q2", "q2/u1"),   # true query in the middle
+        WILDCARD,                # true query last
+        Record("q1", "q1/u0"),   # true url first in its list
+        Record("q1", "q1/u1"),   # true url in the middle
+        Record("q1", STAR),      # true url last
+    ])
+    def test_index_draw_matches_filtered_list_draw(self, rec):
+        def reference(record, model, hl, rng):
+            # The draw as first written: index into the list without the
+            # true entry, rebuilt on every call.
+            q, u = record
+            if rng.random() < 1.0 - model.t:
+                q_prime = [qq for qq in hl.queries if qq != q][int(rng.integers(model.k - 1))]
+                urls = hl.urls(q_prime)
+                return Record(q_prime, urls[int(rng.integers(len(urls)))])
+            if model.k_q[q] == 1:
+                return Record(q, hl.urls(q)[0])
+            if rng.random() < 1.0 - model.t_q[q]:
+                idx = int(rng.integers(model.k_q[q] - 1))
+                return Record(q, [uu for uu in hl.urls(q) if uu != u][idx])
+            return record
+
+        hl = make_augmented_head_list(5, 4)
+        model = ReportModel(
+            k=hl.k,
+            t=0.3,
+            k_q={q: hl.k_q(q) for q in hl.queries},
+            t_q={q: 0.3 for q in hl.queries},
+            budgets=(1.0, 0.0, 1.0, 0.0),
+        )
+        rng_a, rng_b = substream(4, 0), substream(4, 0)
+        got = [local_privatize(rec, model, hl, rng_a) for _ in range(3000)]
+        want = [reference(rec, model, hl, rng_b) for _ in range(3000)]
+        assert got == want
+        assert len(set(got)) > 1
+
 
 class TestDenoise:
     def test_query_roundtrip(self):
@@ -173,16 +210,6 @@ class TestAggregation:
             if other != rec:
                 assert est.record_probs[other] == pytest.approx(0.0)
         assert est.query_probs["q0"] == pytest.approx(1.0)
-
-    def test_streaming_wrapper_matches_counts_core(self, default_params):
-        hl = make_augmented_head_list(3, 2)
-        model = build_report_model(default_params, hl)
-        reports = [Record("q0", "q0/u0")] * 40 + [Record("q1", STAR)] * 25 + [WILDCARD] * 35
-        a = estimate_client_probabilities(default_params, reports, hl, model)
-        b = client_estimates_from_counts(Counter(reports), len(reports), model, hl)
-        assert a.record_probs == b.record_probs
-        assert a.record_vars == b.record_vars
-        assert a.query_probs == b.query_probs
 
     def test_rejects_foreign_reports_and_tiny_n(self, default_params):
         hl = make_augmented_head_list(3, 2)

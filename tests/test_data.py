@@ -44,14 +44,6 @@ class TestParseLog:
         with pytest.raises(ParseError, match="line 1"):
             parse_log("u1\t\tu\n")
 
-    def test_skip_mode_drops_bad_rows(self):
-        ds = parse_log("u1\tq\tu\nbadline\nu2\tq2\tu2\n", on_error="skip")
-        assert len(ds) == 2
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ParamError):
-            parse_log(LOG, on_error="ignore")
-
     def test_round_trip(self):
         ds = parse_log(LOG)
         buf = io.StringIO()

@@ -137,6 +137,17 @@ class TestRunBlender:
         }
         assert any(r["query"] == "*" and r["url"] == "*" for r in rows)
 
+    def test_estimate_cells_are_plain_floats(self, tmp_path):
+        config = small_config()
+        run_blender(config, load_dataset(config), out_dir=tmp_path)
+        for name in ("optin_estimates.csv", "blended.csv"):
+            with open(tmp_path / name, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for row in rows:
+                for column, cell in row.items():
+                    if column not in ("query", "url"):
+                        float(cell)
+
 
 class TestMetricsRow:
     def test_flags_column(self):
@@ -166,6 +177,15 @@ class TestSweep:
             read = list(csv.reader(fh))
         assert read[0] == list(MetricsRow.FIELDS)
         assert len(read) == 5
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("not a domain failure")
+
+        monkeypatch.setattr(harness, "run_blender", broken)
+        config = small_config(sweep=SweepAxes(seeds=1))
+        with pytest.raises(ValueError, match="not a domain failure"):
+            sweep(config, load_dataset(config))
 
     def test_distinct_seeds_per_repetition(self):
         config = small_config(sweep=SweepAxes(seeds=3))

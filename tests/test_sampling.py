@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from scipy import stats
 
 from hybridhh.sampling import (
     client_stream_id,
     laplace_sample,
     laplace_samples,
     substream,
-    uniform_choice,
 )
 
 N = 10**6
@@ -38,36 +36,18 @@ class TestLaplace:
     def test_ks_against_analytic_cdf(self):
         b = 0.7
         draws = laplace_samples(b, N, substream(14, 0))
-        cdf = lambda x: np.where(x < 0, 0.5 * np.exp(x / b), 1 - 0.5 * np.exp(-x / b))
-        stat = stats.kstest(draws, cdf).statistic
+        x = np.sort(draws)
+        cdf = np.where(x < 0, 0.5 * np.exp(x / b), 1 - 0.5 * np.exp(-x / b))
+        # Two-sided KS statistic: the largest gap between the empirical
+        # CDF (on either side of each jump) and the analytic one.
+        i = np.arange(1, N + 1)
+        stat = max((i / N - cdf).max(), (cdf - (i - 1) / N).max())
         assert stat < 0.002
 
     def test_scalar_matches_vector_path(self):
         a = [laplace_sample(0.5, substream(15, i)) for i in range(4)]
         b = [float(laplace_samples(0.5, 1, substream(15, i))[0]) for i in range(4)]
         assert a == b
-
-
-class TestUniformChoice:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            uniform_choice([], substream(0, 0))
-
-    def test_singleton_is_forced(self):
-        assert uniform_choice(["x"], substream(0, 0)) == "x"
-
-    def test_two_items_balanced(self):
-        rng = substream(21, 0)
-        draws = rng.integers(2, size=N)  # same primitive uniform_choice uses
-        hits = sum(uniform_choice("ab", rng) == "a" for _ in range(200_000))
-        assert hits / 200_000 == pytest.approx(0.5, abs=0.005)
-
-    def test_five_items_chi_square(self):
-        rng = substream(22, 0)
-        counts = np.zeros(5, dtype=int)
-        for _ in range(N):
-            counts[uniform_choice(range(5), rng)] += 1
-        assert stats.chisquare(counts).pvalue > 0.001
 
 
 class TestSubstream:

@@ -54,9 +54,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    dataset = harness.load_dataset(config) if config.dataset_path else None
     out_path = Path(config.out_dir) / "sweep.csv"
-    rows = harness.sweep(config, dataset, out_path=out_path)
+    rows = harness.sweep(config, out_path=out_path)
     ok = sum(1 for r in rows if r.status == "ok")
     print(f"{len(rows)} runs ({ok} ok); results in {out_path}")
     return 0

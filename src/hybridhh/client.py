@@ -1,5 +1,6 @@
-"""Local-model side: the per-client two-stage randomizer and server-side
-aggregation with denoising.
+"""Local-model side: the per-client two-stage randomizer, its aggregate
+simulation over a client population, and server-side aggregation with
+denoising.
 
 A client first decides whether to report its true query (probability t)
 or a uniformly random other query; if truthful at the query stage, it
@@ -110,6 +111,62 @@ def local_privatize(
         j = int(rng.integers(kq - 1))
         return Record(q, urls[j + (j >= urls.index(u))])
     return Record(q, u)
+
+
+def _uniform(n: int) -> np.ndarray:
+    return np.full(n, 1.0 / n)
+
+
+def simulate_reports(
+    true_counts: Mapping[Record, int],
+    model: ReportModel,
+    hl: HeadList,
+    rng: np.random.Generator,
+) -> dict[Record, int]:
+    """Report counts of a whole client population, drawn in aggregate.
+
+    `true_counts[r]` clients hold record r, canonicalized first as in
+    `local_privatize`. The server sees only how many reports land on each
+    record, and the n clients holding r report independently, so their
+    counts are one multinomial draw of size n from r's row of the
+    channel; it is drawn stage by stage. Per row: Binomial(n, t) keep the
+    query, Binomial(that, t_q) of those keep the url, and the rest spread
+    uniformly over the other urls. The other-query reports are pooled per
+    true query, spread uniformly over the k-1 other queries, and what
+    lands on a query spreads uniformly over its urls. The result has the
+    law of summing one `local_privatize` call per client.
+    """
+    records = list(hl.records())
+    index = {r: i for i, r in enumerate(records)}
+    held = np.zeros(len(records), dtype=np.int64)
+    for rec, n in true_counts.items():
+        held[index[canonicalize(rec, hl)]] += n
+
+    queries = hl.queries
+    starts = np.cumsum([0] + [model.k_q[q] for q in queries]).tolist()
+    reports = np.zeros_like(held)
+    other_query = np.zeros(model.k, dtype=np.int64)   # by true-query index
+    for qi, q in enumerate(queries):
+        start, kq = starts[qi], model.k_q[q]
+        for ui in np.flatnonzero(held[start:start + kq]).tolist():
+            n = int(held[start + ui])
+            n_q = int(rng.binomial(n, model.t))
+            n_u = int(rng.binomial(n_q, model.t_q[q]))
+            other_query[qi] += n - n_q
+            reports[start + ui] += n_u
+            if n_q > n_u:
+                j = np.arange(kq - 1)
+                reports[start + j + (j >= ui)] += rng.multinomial(n_q - n_u, _uniform(kq - 1))
+
+    landed = np.zeros(model.k, dtype=np.int64)
+    j = np.arange(model.k - 1)
+    for qi in np.flatnonzero(other_query).tolist():
+        landed[j + (j >= qi)] += rng.multinomial(int(other_query[qi]), _uniform(model.k - 1))
+    for qi in np.flatnonzero(landed).tolist():
+        start, kq = starts[qi], model.k_q[queries[qi]]
+        reports[start:start + kq] += rng.multinomial(int(landed[qi]), _uniform(kq))
+
+    return {r: c for r, c in zip(records, reports.tolist()) if c}
 
 
 def denoise_query(r_hat_q: float, t: float, k: int) -> float:

@@ -80,22 +80,26 @@ def serialize_log(dataset: Dataset, stream: IO[str]) -> None:
             stream.write(f"{user.user_id}\t{encode_star(rec.query)}\t{encode_star(rec.url)}\n")
 
 
-def sample_per_user(
-    dataset: Dataset | Iterable[UserLog],
-    m: int,
-    rng: np.random.Generator,
-) -> list[Record]:
-    """Uniformly sample min(m, |records|) records per user, no replacement."""
-    users = dataset.users if isinstance(dataset, Dataset) else tuple(dataset)
-    out: list[Record] = []
-    for user in users:
-        recs = user.records
-        if len(recs) <= m:
-            out.extend(recs)
-        else:
-            idx = rng.choice(len(recs), size=m, replace=False)
-            out.extend(recs[i] for i in sorted(idx))
-    return out
+# Users per `rng.integers` call in `sample_per_user`. The draws are the
+# same as one call over every user; batching bounds the temporary arrays.
+_PICK_BATCH = 1 << 14
+
+
+def sample_per_user(users: Iterable[UserLog], rng: np.random.Generator) -> list[Record]:
+    """One uniformly chosen record per user, in user order.
+
+    Picks are `rng.integers` draws over the users' record counts; a user
+    with one record consumes no randomness.
+    """
+    # Each user's records are replaced by the pick in place, so no second
+    # list the size of the population is built.
+    picks = [user.records for user in users]
+    for start in range(0, len(picks), _PICK_BATCH):
+        batch = picks[start:start + _PICK_BATCH]
+        draws = rng.integers(np.fromiter(map(len, batch), dtype=np.int64, count=len(batch)))
+        for j, (records, i) in enumerate(zip(batch, draws), start):
+            picks[j] = records[i]
+    return picks
 
 
 def partition_users(

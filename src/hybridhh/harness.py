@@ -1,18 +1,18 @@
 """End-to-end orchestration: partition, estimate, privatize, blend, score.
 
 A run consumes a dataset and a seeded config, executes the trusted-
-curator stage on the opt-in partitions, the local randomizer for every
-client, the denoising aggregation, and the variance-weighted blend, and
-writes the head list, the estimate tables, and a metrics row. Sweeps
-repeat runs over a Cartesian product of parameter axes with derived
-seeds.
+curator stage on the opt-in partitions, simulates the clients'
+randomized reports in aggregate, denoises them, applies the
+variance-weighted blend, and writes the head list, the estimate tables,
+and a metrics row. Sweeps repeat runs over a Cartesian product of
+parameter axes with derived seeds.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional
@@ -30,7 +30,8 @@ from .core import (
     canonicalize,
     encode_star,
 )
-from .sampling import client_stream_id, substream
+# client_stream_id has no caller here; perfbench/tracing.py wraps it by name on this module.
+from .sampling import client_stream_id, substream  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,8 @@ def run_blender(
     s_users, t_users, c_users = data.partition_users(
         dataset, params.optin_fraction, params.f_O, substream(run_seed, 0)
     )
-    s_records = data.sample_per_user(s_users, params.m_O, substream(run_seed, 1))
-    t_records = data.sample_per_user(t_users, params.m_O, substream(run_seed, 2))
+    s_records = data.sample_per_user(s_users, substream(run_seed, 1))
+    t_records = data.sample_per_user(t_users, substream(run_seed, 2))
 
     hl_initial = optin.create_head_list(params, s_records, substream(run_seed, 3))
     if hl_initial.k <= 1:
@@ -169,17 +170,12 @@ def run_blender(
     hl_aug = hl_final.augment_for_clients()
     model = client.build_report_model(params, hl_aug)
 
-    # Each client samples and privatizes with its own substream keyed by
-    # a stable hash of its user id, so iteration order is irrelevant.
-    counts: dict[Record, int] = {}
-    n_reports = 0
-    for user in c_users:
-        crng = substream(run_seed ^ 0x5EED, client_stream_id(user.user_id))
-        for rec in data.sample_per_user([user], params.m_C, crng):
-            report = client.local_privatize(rec, model, hl_aug, crng)
-            counts[report] = counts.get(report, 0) + 1
-            n_reports += 1
-    client_est = client.client_estimates_from_counts(counts, n_reports, model, hl_aug)
+    # Only the report counts reach the server, so the clients' picks are
+    # counted and pushed through the channel in aggregate.
+    crng = substream(run_seed, 5)
+    picks = Counter(data.sample_per_user(c_users, crng))
+    counts = client.simulate_reports(picks, model, hl_aug, crng)
+    client_est = client.client_estimates_from_counts(counts, len(c_users), model, hl_aug)
 
     blended = blend.blend_probabilities(
         optin_out.estimates, client_est, hl_final, project=config.projection
@@ -260,6 +256,9 @@ def sweep(
     eps_axis = axes.epsilon or (config.params.epsilon,)
     optin_axis = axes.optin_fraction or (config.params.optin_fraction,)
     m_axis = axes.M or (config.params.M,)
+    if dataset is None:
+        # No axis changes the data, so it is loaded once for every cell.
+        dataset = load_dataset(config)
     rows: list[MetricsRow] = []
     cell = 0
     for eps in eps_axis:
@@ -271,9 +270,8 @@ def sweep(
                 cell_config = replace(config, params=params)
                 for rep in range(axes.seeds):
                     run_seed = derive_seed(config.seed, cell, rep)
-                    ds = dataset if dataset is not None else load_dataset(cell_config)
                     try:
-                        result = run_blender(cell_config, ds, seed=run_seed)
+                        result = run_blender(cell_config, dataset, seed=run_seed)
                         rows.append(result.row)
                     except (ParamError, client.DegenerateChannelError) as exc:
                         rows.append(

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -15,8 +16,19 @@ from hybridhh.client import (
     local_privatize,
     query_variance,
     record_variance,
+    simulate_reports,
 )
-from hybridhh.core import STAR, WILDCARD, ParamError, PrivacyParams, Record
+from hybridhh.core import (
+    STAR,
+    WILDCARD,
+    HeadList,
+    ParamError,
+    PrivacyParams,
+    Record,
+    Stage,
+    canonicalize,
+)
+from hybridhh.oracle import enumerate_report_distribution, forward_report_map
 from hybridhh.sampling import substream
 
 from conftest import make_augmented_head_list
@@ -142,6 +154,60 @@ class TestLocalPrivatize:
         want = [reference(rec, model, hl, rng_b) for _ in range(3000)]
         assert got == want
         assert len(set(got)) > 1
+
+
+class TestSimulateReports:
+    # Mixed url-list lengths: k_q = 2 and 4, and the star query with k_q = 1.
+    HL = HeadList(
+        {
+            "a": ("a1", STAR),
+            "b": ("b1", "b2", "b3", STAR),
+            "c": ("c1", STAR),
+            "d": ("d1", "d2", "d3", STAR),
+            STAR: (STAR,),
+        },
+        Stage.CLIENT_AUGMENTED,
+    )
+    # Unlisted inputs are canonicalized first: ("zz", "zz") to the
+    # wildcard and ("b", "nope") to ("b", star).
+    TRUE_COUNTS = {
+        Record("a", "a1"): 300, Record("a", STAR): 50, Record("b", "b1"): 400,
+        Record("b", "b2"): 150, Record("b", STAR): 100, Record("c", "c1"): 200,
+        Record("d", "d2"): 100, WILDCARD: 100, Record("zz", "zz"): 100,
+        Record("b", "nope"): 50,
+    }
+    REPS = 2000
+    Z_BOUND = 4.5   # per cell, over 13 cells
+
+    def test_mean_counts_match_forward_map(self):
+        hl = self.HL
+        model = build_report_model(PrivacyParams(epsilon=2.0), hl)
+        n = sum(self.TRUE_COUNTS.values())
+        held = Counter()
+        for rec, c in self.TRUE_COUNTS.items():
+            held[canonicalize(rec, hl)] += c
+        r_rec, _ = forward_report_map({r: c / n for r, c in held.items()}, model, hl)
+        outputs = list(hl.records())
+        var = np.zeros(len(outputs))
+        for rec, c in held.items():
+            row = enumerate_report_distribution(rec, model, hl).as_float()
+            var += [c * row[r] * (1 - row[r]) for r in outputs]
+
+        rng = substream(0x51A, 0)
+        total = np.zeros(len(outputs))
+        for _ in range(self.REPS):
+            counts = simulate_reports(self.TRUE_COUNTS, model, hl, rng)
+            assert sum(counts.values()) == n
+            assert all(c > 0 and r in hl for r, c in counts.items())
+            total += [counts.get(r, 0) for r in outputs]
+        mean = total / self.REPS
+        z = (mean - n * np.array([r_rec[r] for r in outputs])) / np.sqrt(var / self.REPS)
+        assert np.abs(z).max() <= self.Z_BOUND, dict(zip(outputs, z.round(2)))
+
+    def test_noiseless_channel_is_identity(self):
+        hl = make_augmented_head_list(4, 3)
+        counts = {Record("q1", "q1/u0"): 7, Record("q2", STAR): 3, WILDCARD: 5}
+        assert simulate_reports(counts, noiseless_model(hl), hl, substream(1, 0)) == counts
 
 
 class TestDenoise:

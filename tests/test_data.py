@@ -70,23 +70,30 @@ class TestDataset:
 
 
 class TestSamplePerUser:
-    def test_small_users_keep_everything(self):
-        users = [UserLog("u", (Record("a", "1"), Record("b", "2")))]
-        assert sorted(sample_per_user(users, 5, substream(0, 0))) == sorted(users[0].records)
-
-    def test_samples_exactly_m_without_replacement(self):
-        recs = tuple(Record(f"q{i}", f"u{i}") for i in range(10))
-        users = [UserLog("u", recs)]
-        out = sample_per_user(users, 3, substream(0, 0))
-        assert len(out) == 3
-        assert len(set(out)) == 3
-
     def test_m1_is_uniform(self):
         recs = tuple(Record(f"q{i}", f"u{i}") for i in range(4))
         users = [UserLog("u", recs)]
         rng = substream(51, 0)
-        hits = sum(sample_per_user(users, 1, rng)[0] == recs[0] for _ in range(40_000))
+        hits = sum(sample_per_user(users, rng)[0] == recs[0] for _ in range(40_000))
         assert hits / 40_000 == pytest.approx(0.25, abs=0.01)
+
+    def test_picks_match_per_user_choice(self):
+        # Reference: one `rng.choice(n, 1, replace=False)` per user with
+        # more than one record, as the sampler was first written. There are
+        # more users than one `rng.integers` batch, so a boundary is crossed.
+        sizes = [1, 3, 1, 2, 7, 1, 40, 5, 1, 4] * 2000 + [12_000, 2]
+        users = [
+            UserLog(f"u{i}", tuple(Record(f"q{i}", f"u{j}") for j in range(n)))
+            for i, n in enumerate(sizes)
+        ]
+        rng_a, rng_b = substream(52, 0), substream(52, 0)
+        want = [
+            user.records[int(rng_b.choice(len(user.records), 1, replace=False)[0])]
+            if len(user.records) > 1 else user.records[0]
+            for user in users
+        ]
+        assert sample_per_user(users, rng_a) == want
+        assert rng_a.random() == rng_b.random()
 
 
 class TestPartitionUsers:

@@ -187,6 +187,19 @@ class TestSweep:
         with pytest.raises(ValueError, match="not a domain failure"):
             sweep(config, load_dataset(config))
 
+    def test_dataset_is_loaded_once(self, monkeypatch):
+        loads = []
+        real = harness.load_dataset
+
+        def counting(config):
+            loads.append(config)
+            return real(config)
+
+        monkeypatch.setattr(harness, "load_dataset", counting)
+        config = small_config(sweep=SweepAxes(epsilon=(2.0, 4.0), seeds=2))
+        rows = sweep(config)
+        assert len(rows) == 4 and len(loads) == 1
+
     def test_distinct_seeds_per_repetition(self):
         config = small_config(sweep=SweepAxes(seeds=3))
         dataset = load_dataset(config)

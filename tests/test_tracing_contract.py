@@ -45,7 +45,7 @@ def test_bound_argument_names_exist():
             assert name in params, f"{fn.__qualname__} lacks {name!r}"
 
 
-def test_traced_run_reaches_privatize_and_metrics(tmp_path):
+def test_traced_run_reaches_client_layer_and_metrics(tmp_path):
     tracer = load_tracing().Tracer()
     tracer.begin_op("op")
     tracer.install()
@@ -59,6 +59,11 @@ def test_traced_run_reaches_privatize_and_metrics(tmp_path):
     finally:
         tracer.uninstall()
     layers = tracer.layer_metrics("op")
-    assert layers["client.local_privatize_calls"] > 0
+    # The population is simulated in aggregate: no per-client randomizer
+    # call, one per-user pick for each of S, T and the clients.
+    assert layers["client.local_privatize_calls"] == 0
+    assert layers["data.sample_per_user_calls"] == 3
+    assert layers["client.denoise_s"] > 0
+    assert layers["client.star_report_share"] > 0
     for name in ("metrics.l1_s", "metrics.ndcg_s", "metrics.strip_s"):
         assert layers[name] > 0, name

@@ -26,7 +26,6 @@ from .core import (
 )
 from .data import ParseError
 from .harness import ConfigError
-from .sampling import substream
 
 
 def _load_config(args) -> harness.ExperimentConfig:
@@ -62,8 +61,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    rng = substream(args.seed, 0xDA7A)
-    dataset = data.synth_zipf(args.users, args.queries, args.urls, args.exponent, rng)
+    spec = harness.SynthSpec(args.users, args.queries, args.urls, args.exponent)
+    dataset = harness.load_dataset(harness.ExperimentConfig(seed=args.seed, synth=spec))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:

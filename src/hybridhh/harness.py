@@ -57,7 +57,6 @@ class ExperimentConfig:
     dataset_path: Optional[str] = None   # None means synthetic
     synth: SynthSpec = field(default_factory=SynthSpec)
     out_dir: str = "results"
-    projection: bool = True
     sweep: SweepAxes = field(default_factory=SweepAxes)
 
 
@@ -177,9 +176,7 @@ def run_blender(
     counts = client.simulate_reports(picks, model, hl_aug, crng)
     client_est = client.client_estimates_from_counts(counts, len(c_users), model, hl_aug)
 
-    blended = blend.blend_probabilities(
-        optin_out.estimates, client_est, hl_final, project=config.projection
-    )
+    blended = blend.blend_probabilities(optin_out.estimates, client_est, hl_final)
 
     truth = _truth_on_head_list(dataset, s_records + t_records, hl_final)
     l1, ndcg = metrics.score(blended.probs, truth)
@@ -300,9 +297,6 @@ def sweep(
 
 # -- config file parsing -------------------------------------------------
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Flat `key = value` config with an optional [sweep] section."""
     flat: dict[str, str] = {}
@@ -322,56 +316,45 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         (sweep_kv if section == "sweep" else flat)[key] = value
 
-    def pop(d, key, cast, default):
-        if key not in d:
-            return default
-        raw = d.pop(key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+    def take(d, casts, prefix=""):
+        """Cast the keys of `casts` present in d; absent keys keep their defaults."""
+        kwargs = {}
+        for name, cast in casts.items():
+            key = prefix + name
+            if key in d:
+                raw = d.pop(key)
+                try:
+                    kwargs[name] = cast(raw)
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+        return kwargs
 
     def num_list(cast):
         return lambda raw: tuple(cast(part.strip()) for part in raw.split(",") if part.strip())
 
     try:
-        params = PrivacyParams(
-            epsilon=pop(flat, "epsilon", float, 4.0),
-            delta=pop(flat, "delta", float, 1e-5),
-            m_O=pop(flat, "m_O", int, 1),
-            m_C=pop(flat, "m_C", int, 1),
-            f_O=pop(flat, "f_O", float, 0.95),
-            f_C=pop(flat, "f_C", float, 0.85),
-            M=pop(flat, "M", int, 50),
-            optin_fraction=pop(flat, "optin_fraction", float, 0.05),
-        )
+        params = PrivacyParams(**take(flat, {
+            "epsilon": float, "delta": float, "m_O": int, "m_C": int,
+            "f_O": float, "f_C": float, "M": int, "optin_fraction": float,
+        }))
     except ParamError as exc:
         raise ConfigError(str(exc)) from exc
-    synth = SynthSpec(
-        users=pop(flat, "synth_users", int, 100_000),
-        queries=pop(flat, "synth_queries", int, 500),
-        urls=pop(flat, "synth_urls", int, 4),
-        exponent=pop(flat, "synth_exponent", float, 1.0),
-    )
-    axes = SweepAxes(
-        epsilon=pop(sweep_kv, "epsilon", num_list(float), ()),
-        optin_fraction=pop(sweep_kv, "optin_fraction", num_list(float), ()),
-        M=pop(sweep_kv, "M", num_list(int), ()),
-        seeds=pop(sweep_kv, "seeds", int, 1),
-    )
+    synth = SynthSpec(**take(
+        flat, {"users": int, "queries": int, "urls": int, "exponent": float}, prefix="synth_"
+    ))
+    axes = SweepAxes(**take(sweep_kv, {
+        "epsilon": num_list(float), "optin_fraction": num_list(float),
+        "M": num_list(int), "seeds": int,
+    }))
+    if axes.seeds < 1:
+        raise ConfigError(f"[sweep] seeds must be >= 1, got {axes.seeds}")
+    top = take(flat, {"seed": int})
+    if "out" in flat:
+        top["out_dir"] = flat.pop("out")
     dataset_path = flat.pop("dataset", None)
-    if dataset_path in (None, "synth", ""):
-        dataset_path = None
-    config = ExperimentConfig(
-        params=params,
-        seed=pop(flat, "seed", int, 0),
-        dataset_path=dataset_path,
-        synth=synth,
-        out_dir=flat.pop("out", "results"),
-        projection=pop(flat, "projection", lambda s: _BOOL[s.lower()], True),
-        sweep=axes,
-    )
+    if dataset_path not in (None, "synth", ""):
+        top["dataset_path"] = dataset_path
     for leftover in (flat, sweep_kv):
         if leftover:
             raise ConfigError(f"unknown config keys: {sorted(leftover)}")
-    return config
+    return ExperimentConfig(params=params, synth=synth, sweep=axes, **top)

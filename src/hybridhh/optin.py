@@ -27,10 +27,10 @@ from .core import (
     Stage,
     canonicalize,
 )
-from .sampling import laplace_sample
+from .sampling import laplace_samples
 
 # Optional noise override, for tests only (never wired to the CLI).
-NoiseFn = Callable[[float, np.random.Generator], float]
+NoiseFn = Callable[[float, int, np.random.Generator], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,17 @@ def create_head_list(
     """Noisy-threshold admission over the records held by partition S.
 
     Each distinct record gets one independent Lap(b_S) draw; the record's
-    query and url are admitted iff count + noise exceeds tau. Records are
-    visited in sorted order so the draw sequence is reproducible.
+    query and url are admitted iff count + noise exceeds tau. The draws
+    follow the records' sorted order so the sequence is reproducible.
     """
     b_s, tau = compute_threshold(params)
-    noise = _noise_fn or laplace_sample
     counts = Counter(s_records)
+    distinct = sorted(counts)
+    noise = (_noise_fn or laplace_samples)(b_s, len(distinct), rng).tolist()
     entries: dict[str, list[str]] = {}
-    for record in sorted(counts):
-        if counts[record] + noise(b_s, rng) > tau:
-            entries.setdefault(record.query, [])
-            if record.url not in entries[record.query]:
-                entries[record.query].append(record.url)
+    for record, z in zip(distinct, noise):
+        if counts[record] + z > tau:
+            entries.setdefault(record.query, []).append(record.url)
     entries.setdefault(STAR, [])
     if STAR not in entries[STAR]:
         entries[STAR].append(STAR)
@@ -122,7 +121,6 @@ def estimate_optin_probabilities(
     """
     if hl_initial.stage is not Stage.INITIAL:
         raise ParamError("expected an initial-stage head list")
-    noise = _noise_fn or laplace_sample
     b_s, tau = compute_threshold(params)
     b_t = 2.0 * params.m_O / params.epsilon
 
@@ -132,55 +130,36 @@ def estimate_optin_probabilities(
         raise ParamError("need at least 2 records in partition T")
     counts = Counter(canon)
 
-    p_hat: dict[Record, float] = {}
-    var_hat: dict[Record, float] = {}
-    for record in hl_initial.records():
-        est = (counts[record] + noise(b_t, rng)) / n
-        p_hat[record] = est
-        var_hat[record] = optin_variance(est, n, b_t)
+    records = list(hl_initial.records())
+    noise = (_noise_fn or laplace_samples)(b_t, len(records), rng).tolist()
+    p_hat = {r: (counts[r] + z) / n for r, z in zip(records, noise)}
 
     # Trim to the top-M queries by estimated marginal probability. The
-    # wildcard is always retained on top of the M regular queries.
-    marginals = {
-        q: sum(p_hat[Record(q, u)] for u in hl_initial.urls(q))
-        for q in hl_initial.queries
-    }
+    # wildcard is always retained on top of the M regular queries, and
+    # the trimmed queries' mass joins it in list order.
     regular = [q for q in hl_initial.queries if q != STAR]
-    keep = sorted(regular, key=lambda q: (-marginals[q], q))[: params.M]
-
+    marginals = {q: sum(p_hat[Record(q, u)] for u in hl_initial.urls(q)) for q in regular}
+    ranked = sorted(regular, key=lambda q: (-marginals[q], q))
+    trimmed = set(ranked[params.M:])
     star_mass = p_hat[WILDCARD]
     for q in regular:
-        if q not in keep:
-            star_mass += sum(p_hat[Record(q, u)] for u in hl_initial.urls(q))
-    p_hat_final: dict[Record, float] = {}
-    var_final: dict[Record, float] = {}
-    for q in keep:
-        for u in hl_initial.urls(q):
-            r = Record(q, u)
-            p_hat_final[r] = p_hat[r]
-            var_final[r] = var_hat[r]
-    p_hat_final[WILDCARD] = star_mass
-    # Reusing the record-level variance formula for the accumulated
-    # wildcard mass is known to be statistically loose; kept for
-    # faithfulness to the estimation procedure.
-    var_final[WILDCARD] = optin_variance(star_mass, n, b_t)
+        if q in trimmed:
+            star_mass += marginals[q]
+    marginals[STAR] = p_hat[WILDCARD] = star_mass
 
-    marginals_final = {q: sum(p_hat_final[Record(q, u)] for u in hl_initial.urls(q)) for q in keep}
-    marginals_final[STAR] = star_mass
-    order = sorted(marginals_final, key=lambda q: (-marginals_final[q], q))
-    entries = {
-        q: hl_initial.urls(q) if q != STAR else (STAR,)
-        for q in order
-    }
-    hl_final = HeadList(entries, Stage.FINAL)
-
-    query_probs = {q: marginals_final[q] for q in order}
-    query_vars = {q: optin_variance(query_probs[q], n, b_t) for q in order}
+    order = sorted(ranked[: params.M] + [STAR], key=lambda q: (-marginals[q], q))
+    hl_final = HeadList(
+        {q: hl_initial.urls(q) if q != STAR else (STAR,) for q in order}, Stage.FINAL
+    )
+    record_probs = {r: p_hat[r] for r in hl_final.records()}
     estimates = EstimateVector(
-        record_probs={r: p_hat_final[r] for r in hl_final.records()},
-        record_vars={r: var_final[r] for r in hl_final.records()},
-        query_probs=query_probs,
-        query_vars=query_vars,
+        record_probs=record_probs,
+        # Reusing the record-level variance formula for the accumulated
+        # wildcard mass is known to be statistically loose; kept for
+        # faithfulness to the estimation procedure.
+        record_vars={r: optin_variance(p, n, b_t) for r, p in record_probs.items()},
+        query_probs={q: marginals[q] for q in order},
+        query_vars={q: optin_variance(marginals[q], n, b_t) for q in order},
         sample_size=n,
     )
     return OptinOutput(hl_final, estimates, b_S=b_s, tau=tau, b_T=b_t)

@@ -25,19 +25,12 @@ def client_stream_id(user_id: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def laplace_sample(scale: float, rng: np.random.Generator) -> float:
-    """One draw from Lap(scale) centered at 0, via the inverse CDF.
-
-    Consumes exactly one uniform per draw, which keeps draw counts (and
-    hence downstream reproducibility) independent of the sampling method.
-    """
-    if not scale > 0:
-        raise ValueError("laplace scale must be positive")
-    u = rng.random() - 0.5
-    return float(-scale * np.sign(u) * np.log1p(-2.0 * abs(u)))
-
-
 def laplace_samples(scale: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n independent draws from Lap(scale) centered at 0, via the inverse CDF.
+
+    Consumes exactly one uniform per draw, so draw i is the same whether
+    the draws are taken one at a time or as one vector.
+    """
     if not scale > 0:
         raise ValueError("laplace scale must be positive")
     u = rng.random(n) - 0.5

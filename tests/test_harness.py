@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hybridhh import cli, harness
+from hybridhh import cli, data, harness
 from hybridhh.core import STAR, PrivacyParams
 from hybridhh.harness import (
     ConfigError,
@@ -41,7 +41,6 @@ synth_queries = 20
 synth_urls = 2
 seed = 7
 out = results_test
-projection = true
 
 [sweep]
 epsilon = 2.0, 4.0
@@ -57,17 +56,23 @@ class TestParseConfig:
         assert config.synth.users == 2000
         assert config.seed == 7
         assert config.out_dir == "results_test"
-        assert config.projection is True
         assert config.sweep == SweepAxes(epsilon=(2.0, 4.0), seeds=2)
 
     def test_empty_config_is_defaults(self):
-        config = parse_config("")
-        assert config.params == PrivacyParams()
-        assert config.dataset_path is None
+        assert parse_config("") == ExperimentConfig()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config("nonsense = 1\n")
+
+    def test_projection_key_rejected(self):
+        # The blend always projects onto the simplex; there is no knob.
+        with pytest.raises(ConfigError, match="unknown config keys: \\['projection'\\]"):
+            parse_config("projection = true\n")
+
+    def test_sweep_seeds_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="seeds"):
+            parse_config("[sweep]\nseeds = 0\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -117,12 +122,6 @@ class TestRunBlender:
         a = run_blender(config, dataset, seed=1)
         b = run_blender(config, dataset, seed=2)
         assert a.blended.probs != b.blended.probs
-
-    def test_no_projection_mode(self):
-        config = small_config(projection=False)
-        dataset = load_dataset(config)
-        result = run_blender(config, dataset)
-        assert not result.blended.projected
 
     def test_artifacts_written(self, tmp_path):
         config = small_config()
@@ -250,6 +249,23 @@ class TestCli:
         text = capsys.readouterr().out
         assert "L1 =" in text and "NDCG =" in text
 
+    def test_synth_log_matches_load_dataset(self, tmp_path, capsys):
+        log = tmp_path / "log.tsv"
+        rc = cli.main(
+            ["synth", "--users", "500", "--queries", "12", "--urls", "3",
+             "--exponent", "1.2", "--seed", "9", "--out", str(log)]
+        )
+        assert rc == 0
+        with open(log, encoding="utf-8") as fh:
+            written = data.parse_log(fh)
+        config = ExperimentConfig(
+            seed=9, synth=SynthSpec(users=500, queries=12, urls=3, exponent=1.2)
+        )
+        expected = load_dataset(config)
+        assert {u.user_id: u.records for u in written.users} == {
+            u.user_id: u.records for u in expected.users
+        }
+
     def test_verify_dp_command(self, capsys):
         rc = cli.main(
             ["verify-dp", "--k", "3", "--kq", "3", "--epsilon", "4", "--delta", "1e-5"]
@@ -262,6 +278,10 @@ class TestCli:
         bad.write_text("nonsense = 1\n", encoding="utf-8")
         assert cli.main(["run", "--config", str(bad)]) == 1
         assert cli.main(["run", "--config", str(tmp_path / "missing.txt")]) == 1
+        no_seeds = self.write_config(tmp_path, "[sweep]\nseeds = 0\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(no_seeds), "--out", str(out)]) == 1
+        assert not (out / "sweep.csv").exists()
 
     def test_degenerate_dataset_is_reported_as_error(self, tmp_path, capsys):
         # A dataset too small to partition fails cleanly with a nonzero code.

@@ -1,18 +1,28 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from hybridhh.core import STAR, WILDCARD, ParamError, PrivacyParams, Record, Stage
+from hybridhh.core import (
+    STAR,
+    WILDCARD,
+    HeadList,
+    ParamError,
+    PrivacyParams,
+    Record,
+    Stage,
+    canonicalize,
+)
 from hybridhh.optin import (
     compute_threshold,
     create_head_list,
     estimate_optin_probabilities,
     optin_variance,
 )
-from hybridhh.sampling import substream
+from hybridhh.sampling import laplace_samples, substream
 
-ZERO_NOISE = lambda scale, rng: 0.0
+ZERO_NOISE = lambda scale, n, rng: np.zeros(n)
 
 
 class TestComputeThreshold:
@@ -49,7 +59,7 @@ class TestCreateHeadList:
     def test_admission_monotone_in_count(self, default_params):
         # For any fixed noise draw, a higher count never flips admit -> reject.
         for noise_value in (-3.0, 0.0, 5.9):
-            fixed = lambda scale, rng: noise_value
+            fixed = lambda scale, n, rng: np.full(n, noise_value)
             admitted = []
             for count in (1, 7, 100):
                 hl = create_head_list(
@@ -63,7 +73,7 @@ class TestCreateHeadList:
 
     def test_absent_record_never_admitted(self, default_params):
         hl = create_head_list(
-            default_params, [], substream(0, 0), _noise_fn=lambda s, r: 1e9
+            default_params, [], substream(0, 0), _noise_fn=lambda s, n, r: np.full(n, 1e9)
         )
         assert hl.entries == {STAR: (STAR,)}
 
@@ -193,3 +203,75 @@ class TestEstimateOptinProbabilities:
             estimate_optin_probabilities(
                 default_params, self.t_records(), final, substream(0, 0)
             )
+
+
+def _per_record_reference(params, s_records, t_records, s_rng, t_rng):
+    """The curator stage with one Laplace draw per record, as a reference
+    for the vector draws: sorted distinct S-records for admission, then
+    the initial list's records for estimation."""
+    b_s, tau = compute_threshold(params)
+    s_counts = Counter(s_records)
+    entries = {}
+    for record in sorted(s_counts):
+        if s_counts[record] + float(laplace_samples(b_s, 1, s_rng)[0]) > tau:
+            entries.setdefault(record.query, [])
+            if record.url not in entries[record.query]:
+                entries[record.query].append(record.url)
+    entries.setdefault(STAR, [])
+    if STAR not in entries[STAR]:
+        entries[STAR].append(STAR)
+    hl_initial = HeadList(entries, Stage.INITIAL)
+
+    b_t = 2.0 * params.m_O / params.epsilon
+    canon = [canonicalize(r, hl_initial) for r in t_records]
+    n = len(canon)
+    t_counts = Counter(canon)
+    p_hat = {}
+    for record in hl_initial.records():
+        p_hat[record] = (t_counts[record] + float(laplace_samples(b_t, 1, t_rng)[0])) / n
+    marginals = {
+        q: sum(p_hat[Record(q, u)] for u in hl_initial.urls(q)) for q in hl_initial.queries
+    }
+    regular = [q for q in hl_initial.queries if q != STAR]
+    keep = sorted(regular, key=lambda q: (-marginals[q], q))[: params.M]
+    star_mass = p_hat[WILDCARD]
+    for q in regular:
+        if q not in keep:
+            star_mass += sum(p_hat[Record(q, u)] for u in hl_initial.urls(q))
+    query_probs = {q: marginals[q] for q in keep}
+    query_probs[STAR] = star_mass
+    order = sorted(query_probs, key=lambda q: (-query_probs[q], q))
+    final_entries = {q: hl_initial.urls(q) if q != STAR else (STAR,) for q in order}
+    record_probs = {}
+    for q, urls in final_entries.items():
+        for u in urls:
+            record_probs[Record(q, u)] = star_mass if q == STAR else p_hat[Record(q, u)]
+    record_vars = {r: optin_variance(p, n, b_t) for r, p in record_probs.items()}
+    query_probs = {q: query_probs[q] for q in order}
+    return hl_initial, final_entries, record_probs, record_vars, query_probs
+
+
+class TestVectorDraws:
+    def test_matches_per_record_reference(self):
+        params = PrivacyParams(M=5)
+        rng = substream(31, 0)
+        pool = [Record(f"q{i}", f"q{i}/u{j}") for i in range(30) for j in range(3)]
+        weights = 1.0 / np.arange(1, len(pool) + 1)
+        weights /= weights.sum()
+        s_records = [pool[d] for d in rng.choice(len(pool), size=3000, p=weights)]
+        t_records = [pool[d] for d in rng.choice(len(pool), size=1500, p=weights)]
+
+        ref_initial, ref_entries, ref_probs, ref_vars, ref_qprobs = _per_record_reference(
+            params, s_records, t_records, substream(31, 3), substream(31, 4)
+        )
+        hl_initial = create_head_list(params, s_records, substream(31, 3))
+        out = estimate_optin_probabilities(params, t_records, hl_initial, substream(31, 4))
+
+        # Some admitted queries are trimmed, so the fold into the wildcard runs.
+        assert len(ref_initial.queries) - 1 > params.M
+        assert list(hl_initial.entries.items()) == list(ref_initial.entries.items())
+        assert list(out.head_list.entries.items()) == list(ref_entries.items())
+        est = out.estimates
+        assert est.record_probs == ref_probs
+        assert est.record_vars == ref_vars
+        assert list(est.query_probs.items()) == list(ref_qprobs.items())

@@ -3,7 +3,6 @@ import pytest
 
 from hybridhh.sampling import (
     client_stream_id,
-    laplace_sample,
     laplace_samples,
     substream,
 )
@@ -15,7 +14,7 @@ class TestLaplace:
     def test_rejects_nonpositive_scale(self):
         rng = substream(0, 0)
         with pytest.raises(ValueError):
-            laplace_sample(0.0, rng)
+            laplace_samples(0.0, 1, rng)
         with pytest.raises(ValueError):
             laplace_samples(-1.0, 10, rng)
 
@@ -43,11 +42,6 @@ class TestLaplace:
         i = np.arange(1, N + 1)
         stat = max((i / N - cdf).max(), (cdf - (i - 1) / N).max())
         assert stat < 0.002
-
-    def test_scalar_matches_vector_path(self):
-        a = [laplace_sample(0.5, substream(15, i)) for i in range(4)]
-        b = [float(laplace_samples(0.5, 1, substream(15, i))[0]) for i in range(4)]
-        assert a == b
 
 
 class TestSubstream:

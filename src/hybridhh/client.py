@@ -13,14 +13,12 @@ estimates from the aggregated report fractions.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .core import (
-    WILDCARD,
     EstimateVector,
     HeadList,
     ParamError,
@@ -61,12 +59,19 @@ class ReportModel:
 
 
 def build_report_model(params: PrivacyParams, hl: HeadList) -> ReportModel:
-    """Budgets and truth probabilities for a client-augmented head list."""
+    """Budgets and truth probabilities for a client-augmented head list.
+
+    The channel needs a regular query besides the star query (k >= 2), and
+    each stage's truth probability must beat a uniform guess; every
+    consumer of the model relies on both.
+    """
     if hl.stage is not Stage.CLIENT_AUGMENTED:
         raise ParamError("report model requires a client-augmented head list")
     k = hl.k
+    if k < 2:
+        raise ParamError("report model needs a regular query besides the star query")
     t = _truth_probability(params.eps_q, params.delta_q, k)
-    if k >= 2 and t <= 1.0 / k + _GAP_EPS:
+    if t <= 1.0 / k + _GAP_EPS:
         raise DegenerateChannelError("query randomizer is uninformative (t ~ 1/k)")
     k_q: dict[str, int] = {}
     t_q: dict[str, float] = {}
@@ -95,8 +100,6 @@ def local_privatize(
     list length minus one and shift it past the true entry's index.
     """
     q, u = canonicalize(record, hl)
-    if model.k == 1:
-        return WILDCARD
     if rng.random() < 1.0 - model.t:
         queries = hl.queries
         j = int(rng.integers(model.k - 1))
@@ -232,6 +235,9 @@ def record_variance(
     """
     if n < 2:
         raise ParamError("variance estimate needs n >= 2")
+    if k_q == 1:
+        # The record estimate is the query estimate (see denoise_record).
+        return var_hat_q
     gap = t_q - (1.0 - t_q) / (k_q - 1)
     coef = (1.0 - t) / ((k - 1) * k_q) - (t - t * t_q) / (k_q - 1)
     inner = (
@@ -260,40 +266,19 @@ def client_estimates_from_counts(
         if r not in hl:
             raise ParamError(f"report {r} is not in the head list")
 
-    query_counts: Counter[str] = Counter()
-    for r, c in counts.items():
-        query_counts[r.query] += c
-
     query_probs: dict[str, float] = {}
     query_vars: dict[str, float] = {}
-    for q in hl.queries:
-        r_hat = query_counts[q] / n
-        if model.k == 1:
-            query_probs[q] = 1.0
-            query_vars[q] = 0.0
-        else:
-            query_probs[q] = denoise_query(r_hat, model.t, model.k)
-            query_vars[q] = query_variance(r_hat, n, model.t, model.k)
-
     record_probs: dict[Record, float] = {}
     record_vars: dict[Record, float] = {}
+    t, k = model.t, model.k
     for q in hl.queries:
-        kq = model.k_q[q]
-        tq = model.t_q[q]
-        for u in hl.urls(q):
+        kq, tq = model.k_q[q], model.t_q[q]
+        reported = [counts.get(Record(q, u), 0) for u in hl.urls(q)]
+        r_hat_q = sum(reported) / n
+        p_hat_q = query_probs[q] = denoise_query(r_hat_q, t, k)
+        var_hat_q = query_vars[q] = query_variance(r_hat_q, n, t, k)
+        for u, c in zip(hl.urls(q), reported):
             rec = Record(q, u)
-            r_hat = counts.get(rec, 0) / n
-            if model.k == 1:
-                record_probs[rec] = 1.0
-                record_vars[rec] = 0.0
-            elif kq == 1:
-                record_probs[rec] = query_probs[q]
-                record_vars[rec] = query_vars[q]
-            else:
-                record_probs[rec] = denoise_record(
-                    r_hat, query_probs[q], model.t, tq, model.k, kq
-                )
-                record_vars[rec] = record_variance(
-                    r_hat, query_vars[q], n, model.t, tq, model.k, kq
-                )
+            record_probs[rec] = denoise_record(c / n, p_hat_q, t, tq, k, kq)
+            record_vars[rec] = record_variance(c / n, var_hat_q, n, t, tq, k, kq)
     return EstimateVector(record_probs, record_vars, query_probs, query_vars, n)

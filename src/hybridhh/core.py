@@ -63,8 +63,9 @@ class HeadList:
             if len(set(urls)) != len(urls):
                 raise HeadListError(f"duplicate urls under query {q!r}")
         if self.stage in (Stage.INITIAL, Stage.FINAL):
-            if WILDCARD.query not in frozen or STAR not in frozen.get(STAR, ()):
-                raise HeadListError("head list must contain the wildcard record")
+            # The star query stands for all mass outside the list.
+            if frozen.get(STAR) != (STAR,):
+                raise HeadListError("the star query must hold exactly the wildcard record")
         if self.stage is Stage.CLIENT_AUGMENTED:
             if STAR not in frozen:
                 raise HeadListError("client-augmented head list lacks the star query")

@@ -59,6 +59,10 @@ class ExperimentConfig:
     out_dir: str = "results"
     sweep: SweepAxes = field(default_factory=SweepAxes)
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class MetricsRow:

@@ -70,6 +70,8 @@ def create_head_list(
     Each distinct record gets one independent Lap(b_S) draw; the record's
     query and url are admitted iff count + noise exceeds tau. The draws
     follow the records' sorted order so the sequence is reproducible.
+    Records filed under the star query are never admitted: their mass is
+    already wildcard mass.
     """
     b_s, tau = compute_threshold(params)
     counts = Counter(s_records)
@@ -77,12 +79,10 @@ def create_head_list(
     noise = (_noise_fn or laplace_samples)(b_s, len(distinct), rng).tolist()
     entries: dict[str, list[str]] = {}
     for record, z in zip(distinct, noise):
-        if counts[record] + z > tau:
+        if record.query != STAR and counts[record] + z > tau:
             entries.setdefault(record.query, []).append(record.url)
-    entries.setdefault(STAR, [])
-    if STAR not in entries[STAR]:
-        entries[STAR].append(STAR)
-    return HeadList({q: tuple(u) for q, u in entries.items()}, Stage.INITIAL)
+    entries[STAR] = [STAR]
+    return HeadList(entries, Stage.INITIAL)
 
 
 def optin_variance(p_hat: float, n: int, b_t: float) -> float:
@@ -148,9 +148,7 @@ def estimate_optin_probabilities(
     marginals[STAR] = p_hat[WILDCARD] = star_mass
 
     order = sorted(ranked[: params.M] + [STAR], key=lambda q: (-marginals[q], q))
-    hl_final = HeadList(
-        {q: hl_initial.urls(q) if q != STAR else (STAR,) for q in order}, Stage.FINAL
-    )
+    hl_final = HeadList({q: hl_initial.urls(q) for q in order}, Stage.FINAL)
     record_probs = {r: p_hat[r] for r in hl_final.records()}
     estimates = EstimateVector(
         record_probs=record_probs,

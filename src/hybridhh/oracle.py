@@ -14,7 +14,7 @@ from typing import Mapping
 
 import mpmath as mp
 
-from .core import STAR, HeadList, ParamError, PrivacyParams, Record, Stage, canonicalize
+from .core import HeadList, ParamError, PrivacyParams, Record, Stage, canonicalize
 from .client import ReportModel
 
 _SIZE_GUARD = 10_000  # max k * max(k_q) handled by enumeration
@@ -78,21 +78,15 @@ def enumerate_report_distribution(
     t, t_q = _model_mp(model)
     with mp.workdps(_DPS):
         probs: dict[Record, mp.mpf] = {}
-        if model.k == 1:
-            for uu in hl.urls(q):
-                probs[Record(q, uu)] = mp.mpf(1 if uu == u else 0)
-            return ExactDistribution(probs)
         for q2 in hl.queries:
             k_q2 = model.k_q[q2]
             if q2 == q:
-                if k_q2 == 1:
-                    probs[Record(q2, hl.urls(q2)[0])] = t
-                else:
-                    for uu in hl.urls(q2):
-                        if uu == u:
-                            probs[Record(q2, uu)] = t * t_q[q2]
-                        else:
-                            probs[Record(q2, uu)] = t * (1 - t_q[q2]) / (k_q2 - 1)
+                # k_q2 = 1 means t_q = 1, so only the truthful term remains.
+                for uu in hl.urls(q2):
+                    if uu == u:
+                        probs[Record(q2, uu)] = t * t_q[q2]
+                    else:
+                        probs[Record(q2, uu)] = t * (1 - t_q[q2]) / (k_q2 - 1)
             else:
                 share = (1 - t) / ((model.k - 1) * k_q2)
                 for uu in hl.urls(q2):
@@ -142,21 +136,18 @@ def verify_dp(
     delta.
     """
     _check_size(hl)
-    inputs = list(hl.records())
-    dists = [enumerate_report_distribution(r, model, hl) for r in inputs]
-    outputs = list(hl.records())
+    # Each input's law in hl.records() order, the order enumeration inserts.
+    laws = [
+        list(enumerate_report_distribution(r, model, hl).probs.values())
+        for r in hl.records()
+    ]
     with mp.workdps(_DPS):
         e_eps = mp.e**mp.mpf(eps)
-        worst = mp.mpf(0)
-        for i, di in enumerate(dists):
-            for j, dj in enumerate(dists):
-                if i == j:
-                    continue
-                slack = mp.mpf(0)
-                for y in outputs:
-                    gap = di.probs[y] - e_eps * dj.probs[y]
-                    if gap > 0:
-                        slack += gap
-                if slack > worst:
-                    worst = slack
+        scaled = [[e_eps * p for p in law] for law in laws]
+        worst = max(
+            sum(max(p - q, 0) for p, q in zip(law, other))
+            for i, law in enumerate(laws)
+            for j, other in enumerate(scaled)
+            if i != j
+        )
         return float(worst - mp.mpf(delta))

@@ -257,6 +257,9 @@ class TestVariances:
         v = record_variance(r, var_q, n, t, tq, k, kq)
         assert math.isfinite(v) and v >= 0.0
 
+    def test_single_url_query_inherits_query_variance(self):
+        assert record_variance(0.9, 2.5e-4, 100, 0.8, 1.0, 5, 1) == 2.5e-4
+
     def test_record_variance_shrinks_with_n(self):
         args = (0.3, 0.8, 0.7, 5, 3)
         r = 0.3
@@ -265,7 +268,53 @@ class TestVariances:
         assert big < small / 100
 
 
+def _two_loop_reference(counts, n, model, hl):
+    """client_estimates_from_counts as first written: query totals from a
+    Counter, then a second loop over the records with a branch for
+    single-url queries."""
+    query_counts = Counter()
+    for r, c in counts.items():
+        query_counts[r.query] += c
+    query_probs, query_vars = {}, {}
+    for q in hl.queries:
+        r_hat = query_counts[q] / n
+        query_probs[q] = denoise_query(r_hat, model.t, model.k)
+        query_vars[q] = query_variance(r_hat, n, model.t, model.k)
+    record_probs, record_vars = {}, {}
+    for q in hl.queries:
+        kq, tq = model.k_q[q], model.t_q[q]
+        for u in hl.urls(q):
+            rec = Record(q, u)
+            r_hat = counts.get(rec, 0) / n
+            if kq == 1:
+                record_probs[rec] = query_probs[q]
+                record_vars[rec] = query_vars[q]
+            else:
+                record_probs[rec] = denoise_record(r_hat, query_probs[q], model.t, tq, model.k, kq)
+                record_vars[rec] = record_variance(
+                    r_hat, query_vars[q], n, model.t, tq, model.k, kq
+                )
+    return record_probs, record_vars, query_probs, query_vars
+
+
 class TestAggregation:
+    def test_one_pass_matches_two_loop_reference(self):
+        # Mixed k_q, the star query (k_q = 1) included; seeded report counts.
+        hl = TestSimulateReports.HL
+        model = build_report_model(PrivacyParams(), hl)
+        for seed in range(5):
+            counts = simulate_reports(
+                TestSimulateReports.TRUE_COUNTS, model, hl, substream(0xA66, seed)
+            )
+            n = sum(counts.values())
+            est = client_estimates_from_counts(counts, n, model, hl)
+            probs, vars_, qprobs, qvars = _two_loop_reference(counts, n, model, hl)
+            assert list(est.record_probs.items()) == list(probs.items())
+            assert list(est.record_vars.items()) == list(vars_.items())
+            assert list(est.query_probs.items()) == list(qprobs.items())
+            assert list(est.query_vars.items()) == list(qvars.items())
+            assert est.record_vars[WILDCARD] == est.query_vars[STAR] > 0
+
     def test_deterministic_channel_recovers_point_mass(self):
         hl = make_augmented_head_list(3, 3)
         model = noiseless_model(hl)

@@ -63,6 +63,12 @@ class TestHeadList:
         with pytest.raises(HeadListError):
             HeadList({"google": ("google.com",)}, Stage.INITIAL)
 
+    def test_star_query_holds_only_the_wildcard(self):
+        with pytest.raises(HeadListError, match="star query"):
+            HeadList({"g": ("a",), STAR: ("foo", STAR)}, Stage.INITIAL)
+        with pytest.raises(HeadListError, match="star query"):
+            HeadList({"g": ("a",), STAR: ("foo",)}, Stage.FINAL)
+
     def test_duplicate_urls_rejected(self):
         with pytest.raises(HeadListError):
             HeadList({"g": ("a", "a"), STAR: (STAR,)}, Stage.INITIAL)

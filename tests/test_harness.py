@@ -74,6 +74,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config("[sweep]\nseeds = 0\n")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config("seed = -1\n")
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("[grid]\n")
@@ -282,6 +286,15 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", str(no_seeds), "--out", str(out)]) == 1
         assert not (out / "sweep.csv").exists()
+
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--seed", "-1", "--out", str(out)]) == 1
+        log = tmp_path / "log.tsv"
+        argv = ["synth", "--users", "100", "--queries", "5", "--urls", "2", "--seed", "-1"]
+        assert cli.main(argv + ["--out", str(log)]) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists() and not log.exists()
 
     def test_degenerate_dataset_is_reported_as_error(self, tmp_path, capsys):
         # A dataset too small to partition fails cleanly with a nonzero code.

@@ -191,6 +191,23 @@ class TestEstimateOptinProbabilities:
         assert abs(vals.mean() - 0.35) < 3 * se
         assert vals.var(ddof=1) == pytest.approx(np.mean(vars_), rel=0.25)
 
+    def test_star_query_records_count_as_wildcard(self, default_params):
+        # A log row whose query is `*` decodes to the star query; its mass
+        # is wildcard mass, whatever its url, and must not be lost.
+        half = [Record(STAR, "foo.com")] * 20 + [Record("a", "a1")] * 20
+        hl = create_head_list(default_params, half, substream(0, 0), _noise_fn=ZERO_NOISE)
+        assert hl.entries == {"a": ("a1",), STAR: (STAR,)}
+        out = estimate_optin_probabilities(
+            default_params, half, hl, substream(0, 0), _noise_fn=ZERO_NOISE
+        )
+        assert out.head_list.urls(STAR) == (STAR,)
+        assert out.estimates.record_probs == {Record("a", "a1"): 0.5, WILDCARD: 0.5}
+        assert sum(out.estimates.record_probs.values()) == 1.0
+        # The star query comes last even when a query sorts after it.
+        late = [Record(STAR, "foo.com")] * 20 + [Record("日本", "jp")] * 20
+        hl = create_head_list(default_params, late, substream(0, 0), _noise_fn=ZERO_NOISE)
+        assert hl.queries == ("日本", STAR)
+
     def test_rejects_small_t_and_wrong_stage(self, default_params, initial_hl):
         with pytest.raises(ParamError):
             estimate_optin_probabilities(

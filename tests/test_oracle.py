@@ -1,6 +1,7 @@
 import mpmath as mp
 import pytest
 
+from hybridhh import cli
 from hybridhh.client import build_report_model, denoise_query, denoise_record
 from hybridhh.core import STAR, HeadList, ParamError, PrivacyParams, Record, Stage
 from hybridhh.oracle import (
@@ -43,11 +44,15 @@ class TestEnumeration:
         b = enumerate_report_distribution(Record("q0", STAR), model, hl).as_float()
         assert a == b
 
-    def test_singleton_list_is_point_mass(self, default_params):
+    def test_star_only_list_is_rejected(self, default_params, capsys):
+        # A channel with only the star query carries nothing; the model
+        # refuses it, so no consumer handles k = 1.
         hl = HeadList({STAR: (STAR,)}, Stage.CLIENT_AUGMENTED)
-        model = build_report_model(default_params, hl)
-        dist = enumerate_report_distribution(Record("x", "y"), model, hl).as_float()
-        assert dist == {Record(STAR, STAR): 1.0}
+        with pytest.raises(ParamError, match="regular query"):
+            build_report_model(default_params, hl)
+        argv = ["verify-dp", "--k", "1", "--kq", "3", "--epsilon", "4", "--delta", "1e-5"]
+        assert cli.main(argv) == 1
+        assert "PASS" not in capsys.readouterr().out
 
     def test_size_guard(self, default_params):
         hl = make_augmented_head_list(200, 60)
@@ -124,3 +129,39 @@ class TestVerifyDp:
                 lo = mid
         # The smallest passing epsilon is positive and within the budget.
         assert 0.0 < hi <= default_params.eps_prime
+
+
+def _pairwise_reference(model, hl, eps, delta):
+    """verify_dp as first written: dict-keyed laws, every product e^eps *
+    P[y|r'] recomputed inside the pair loop."""
+    inputs = list(hl.records())
+    dists = [enumerate_report_distribution(r, model, hl) for r in inputs]
+    with mp.workdps(50):
+        e_eps = mp.e**mp.mpf(eps)
+        worst = mp.mpf(0)
+        for i, di in enumerate(dists):
+            for j, dj in enumerate(dists):
+                if i == j:
+                    continue
+                slack = mp.mpf(0)
+                for y in inputs:
+                    gap = di.probs[y] - e_eps * dj.probs[y]
+                    if gap > 0:
+                        slack += gap
+                if slack > worst:
+                    worst = slack
+        return float(worst - mp.mpf(delta))
+
+
+@pytest.mark.parametrize("k,kq", [(2, 2), (3, 4), (5, 3)])
+def test_verify_dp_matches_pairwise_reference(k, kq):
+    hl = make_augmented_head_list(k, kq)
+    verdicts = set()
+    for eps, delta in ((1.0, 1e-5), (4.0, 1e-7)):
+        params = PrivacyParams(epsilon=eps, delta=delta)
+        model = build_report_model(params, hl)
+        for budget in (params.eps_prime, params.eps_prime / 2):
+            got = verify_dp(model, hl, budget, params.delta_prime)
+            assert got == _pairwise_reference(model, hl, budget, params.delta_prime)
+            verdicts.add(got <= 0)
+    assert verdicts == {True, False}   # budgets that pass and budgets that fail

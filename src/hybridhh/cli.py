@@ -2,8 +2,9 @@
 
 Subcommands: run (one pipeline execution), sweep (parameter grid),
 synth (write a synthetic log), verify-dp (exact privacy check for a
-head-list shape), metrics (score a blended output against a truth
-file). Exit codes: 0 success, 1 config error, 2 runtime failure.
+head-list shape, in closed form by class of input pair), metrics
+(score a blended output against a truth file). Exit codes: 0 success,
+1 config error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ def _cmd_verify_dp(args) -> int:
     params = PrivacyParams(
         epsilon=args.epsilon, delta=args.delta, f_C=args.f_c
     )
+    if args.kq < 1:
+        raise ParamError("--kq must be at least 1 (the star url)")
     entries = {
         f"q{i}": tuple(f"q{i}/u{j}" for j in range(args.kq - 1)) + (STAR,)
         for i in range(args.k - 1)
@@ -88,7 +91,7 @@ def _cmd_verify_dp(args) -> int:
     entries[STAR] = (STAR,)
     hl = HeadList(entries, Stage.CLIENT_AUGMENTED)
     model = client.build_report_model(params, hl)
-    violation = oracle.verify_dp(model, hl, params.eps_prime, params.delta_prime)
+    violation = oracle.verify_dp_closed_form(model, params.eps_prime, params.delta_prime)
     print(f"max violation: {violation:.3e} ({'PASS' if violation <= 0 else 'FAIL'})")
     return 0
 

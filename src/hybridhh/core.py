@@ -63,9 +63,13 @@ class HeadList:
             if len(set(urls)) != len(urls):
                 raise HeadListError(f"duplicate urls under query {q!r}")
         if self.stage in (Stage.INITIAL, Stage.FINAL):
-            # The star query stands for all mass outside the list.
+            # The star query stands for all mass outside the list, and
+            # a regular query lists only urls of its own.
             if frozen.get(STAR) != (STAR,):
                 raise HeadListError("the star query must hold exactly the wildcard record")
+            for q, urls in frozen.items():
+                if q != STAR and STAR in urls:
+                    raise HeadListError(f"query {q!r} lists the star url")
         if self.stage is Stage.CLIENT_AUGMENTED:
             if STAR not in frozen:
                 raise HeadListError("client-augmented head list lacks the star query")
@@ -109,7 +113,7 @@ class HeadList:
         for q, urls in self.entries.items():
             if q == STAR:
                 continue
-            entries[q] = urls + (STAR,) if STAR not in urls else urls
+            entries[q] = urls + (STAR,)
         entries[STAR] = (STAR,)
         return HeadList(entries, Stage.CLIENT_AUGMENTED)
 

@@ -70,8 +70,8 @@ def create_head_list(
     Each distinct record gets one independent Lap(b_S) draw; the record's
     query and url are admitted iff count + noise exceeds tau. The draws
     follow the records' sorted order so the sequence is reproducible.
-    Records filed under the star query are never admitted: their mass is
-    already wildcard mass.
+    Records whose query or url is the star are never admitted: their
+    mass is already unlisted mass.
     """
     b_s, tau = compute_threshold(params)
     counts = Counter(s_records)
@@ -79,7 +79,7 @@ def create_head_list(
     noise = (_noise_fn or laplace_samples)(b_s, len(distinct), rng).tolist()
     entries: dict[str, list[str]] = {}
     for record, z in zip(distinct, noise):
-        if record.query != STAR and counts[record] + z > tau:
+        if STAR not in record and counts[record] + z > tau:
             entries.setdefault(record.query, []).append(record.url)
     entries[STAR] = [STAR]
     return HeadList(entries, Stage.INITIAL)

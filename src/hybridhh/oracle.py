@@ -1,14 +1,19 @@
-"""Exact brute-force verification tools for the client randomizer.
+"""Exact verification tools for the client randomizer.
 
-Everything here enumerates the randomizer's output law in closed form:
-the per-input report distribution, the expected report fractions for a
-whole population, and a direct check of the (epsilon, delta) inequality
-over all input pairs and output sets. High-precision arithmetic keeps
-the check's own rounding well below the tolerances being certified.
+The randomizer's output law is written down in closed form: the
+per-input report distribution, the expected report fractions for a
+whole population, and two checks of the (epsilon, delta) inequality.
+`verify_dp_closed_form` computes the worst slack per class of input
+pair, at a cost set by the number of distinct url-list lengths; it is
+what `hybridhh verify-dp` runs. `verify_dp` is the independent
+brute-force cross-check that enumerates every input pair and output.
+High-precision arithmetic keeps the checks' own rounding well below the
+tolerances being certified.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -17,7 +22,7 @@ import mpmath as mp
 from .core import HeadList, ParamError, PrivacyParams, Record, Stage, canonicalize
 from .client import ReportModel
 
-_SIZE_GUARD = 10_000  # max k * max(k_q) handled by enumeration
+_SIZE_GUARD = 10_000  # max k * max(k_q) handled by enumeration (not the closed form)
 _DPS = 50             # working precision (decimal digits)
 
 
@@ -54,11 +59,11 @@ def _model_mp(model: ReportModel):
     with mp.workdps(_DPS):
         eps_q, delta_q, eps_u, delta_u = model.budgets
         t = _truth_probability_mp(eps_q, delta_q, model.k)
-        t_q = {
-            q: _truth_probability_mp(eps_u, delta_u, kq)
-            for q, kq in model.k_q.items()
+        by_length = {
+            kq: _truth_probability_mp(eps_u, delta_u, kq)
+            for kq in set(model.k_q.values())
         }
-    return t, t_q
+    return t, {q: by_length[kq] for q, kq in model.k_q.items()}
 
 
 def enumerate_report_distribution(
@@ -151,3 +156,52 @@ def verify_dp(
             if i != j
         )
         return float(worst - mp.mpf(delta))
+
+
+def verify_dp_closed_form(model: ReportModel, eps: float, delta: float) -> float:
+    """The quantity `verify_dp` computes, without enumerating outputs.
+
+    Permuting queries of equal k_q, or the non-true urls of a query,
+    leaves the channel unchanged, so a pair's slack depends only on its
+    class: the same query with another url (keyed by k_q >= 2), or two
+    different queries (keyed by the ordered pair of their k_q; equal
+    values need two such queries). Each class splits the outputs into
+    groups with one probability per side, and its slack sums
+    size * max(0, P - e^eps P') over the groups.
+    """
+    t, t_q = _model_mp(model)
+    k = model.k
+    tally = Counter(model.k_q.values())
+    with mp.workdps(_DPS):
+        e_eps = mp.e**mp.mpf(eps)
+        # Per k_q: the truthful url, one other url of the same query, and
+        # one url as reached from another query.
+        law = {
+            kq: (
+                t * tq,
+                t * (1 - tq) / (kq - 1) if kq > 1 else mp.mpf(0),
+                (1 - t) / ((k - 1) * kq),
+            )
+            for kq, tq in {model.k_q[q]: tq for q, tq in t_q.items()}.items()
+        }
+
+        def slack(groups, shared):
+            # `shared` is the mass both inputs put on the same outputs alike.
+            return (
+                sum(n * max(p - e_eps * p2, 0) for n, p, p2 in groups)
+                + max(shared * (1 - e_eps), 0)
+            )
+
+        slacks = []
+        for a, (hit, miss, away) in law.items():
+            if a >= 2:
+                same_query = [(1, hit, miss), (1, miss, hit)]
+                slacks.append(slack(same_query, (a - 2) * miss + (1 - t)))
+            for b, (hit2, miss2, away2) in law.items():
+                if a != b or tally[a] >= 2:
+                    two_queries = [
+                        (1, hit, away), (a - 1, miss, away),
+                        (1, away2, hit2), (b - 1, away2, miss2),
+                    ]
+                    slacks.append(slack(two_queries, (k - 2) * (1 - t) / (k - 1)))
+        return float(max(slacks) - mp.mpf(delta))

@@ -69,6 +69,13 @@ class TestHeadList:
         with pytest.raises(HeadListError, match="star query"):
             HeadList({"g": ("a",), STAR: ("foo",)}, Stage.FINAL)
 
+    def test_regular_query_cannot_list_the_star_url(self):
+        for stage in (Stage.INITIAL, Stage.FINAL):
+            with pytest.raises(HeadListError, match="star url"):
+                HeadList({"g": ("a", STAR), STAR: (STAR,)}, stage)
+        # The client-augmented list appends exactly that url.
+        HeadList({"g": ("a", STAR), STAR: (STAR,)}, Stage.CLIENT_AUGMENTED)
+
     def test_duplicate_urls_rejected(self):
         with pytest.raises(HeadListError):
             HeadList({"g": ("a", "a"), STAR: (STAR,)}, Stage.INITIAL)

@@ -208,6 +208,26 @@ class TestEstimateOptinProbabilities:
         hl = create_head_list(default_params, late, substream(0, 0), _noise_fn=ZERO_NOISE)
         assert hl.queries == ("日本", STAR)
 
+    def test_star_url_is_never_admitted(self, default_params):
+        # A log url `*` decodes to the star url. Its mass is unlisted mass
+        # of its query, so the curator never lists (foo, star) as a record.
+        log = (
+            [Record("foo", "a")] * 20 + [Record("foo", STAR)] * 10
+            + [Record("foo", "b")] * 10 + [Record("bar", "c")] * 10
+        )
+        hl = create_head_list(default_params, log, substream(0, 0), _noise_fn=ZERO_NOISE)
+        assert hl.entries == {"bar": ("c",), "foo": ("a", "b"), STAR: (STAR,)}
+        out = estimate_optin_probabilities(
+            default_params, log, hl, substream(0, 0), _noise_fn=ZERO_NOISE
+        )
+        final = out.head_list
+        assert HeadList(final.entries, Stage.FINAL) == final
+        assert Record("foo", STAR) not in final
+        assert out.estimates.record_probs == {
+            Record("foo", "a"): 0.4, Record("foo", "b"): 0.2,
+            Record("bar", "c"): 0.2, WILDCARD: 0.2,
+        }
+
     def test_rejects_small_t_and_wrong_stage(self, default_params, initial_hl):
         with pytest.raises(ParamError):
             estimate_optin_probabilities(

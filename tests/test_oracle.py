@@ -1,13 +1,18 @@
+import time
+from dataclasses import replace
+
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hybridhh import cli
+from hybridhh import cli, harness, oracle
 from hybridhh.client import build_report_model, denoise_query, denoise_record
 from hybridhh.core import STAR, HeadList, ParamError, PrivacyParams, Record, Stage
 from hybridhh.oracle import (
     enumerate_report_distribution,
     forward_report_map,
     verify_dp,
+    verify_dp_closed_form,
 )
 from hybridhh.sampling import substream
 
@@ -165,3 +170,106 @@ def test_verify_dp_matches_pairwise_reference(k, kq):
             assert got == _pairwise_reference(model, hl, budget, params.delta_prime)
             verdicts.add(got <= 0)
     assert verdicts == {True, False}   # budgets that pass and budgets that fail
+
+
+def _mixed_head_list(lengths):
+    """Client-augmented list whose regular queries hold `lengths` urls
+    each, the star url included, plus the star query."""
+    entries = {
+        f"q{i}": tuple(f"q{i}/u{j}" for j in range(kq - 1)) + (STAR,)
+        for i, kq in enumerate(lengths)
+    }
+    entries[STAR] = (STAR,)
+    return HeadList(entries, Stage.CLIENT_AUGMENTED)
+
+
+BUDGETS = [
+    PrivacyParams(epsilon=4.0, delta=1e-5),
+    PrivacyParams(epsilon=1.0, delta=1e-5, f_C=0.5),
+    PrivacyParams(epsilon=2.0, delta=1e-7, f_C=0.95),
+    PrivacyParams(epsilon=8.0, delta=1e-3),
+    PrivacyParams(epsilon=8.0, delta=1e-5, f_C=0.05),   # url stage dominates
+]
+
+
+def _verify_dp_cli(capsys, k, kq):
+    argv = ["verify-dp", "--k", str(k), "--kq", str(kq), "--epsilon", "4", "--delta", "1e-5"]
+    code = cli.main(argv)
+    return code, capsys.readouterr().out
+
+
+class TestClosedForm:
+    def test_matches_brute_force(self):
+        verdicts = set()
+
+        # With at most 25 records a brute-force example takes up to ~0.3 s,
+        # past hypothesis's default deadline; 40 of them take about 2 s.
+        @settings(deadline=None, max_examples=40)
+        @given(
+            lengths=st.lists(st.integers(1, 5), min_size=1, max_size=8).filter(
+                lambda ls: sum(ls) < 25
+            ),
+            params=st.sampled_from(BUDGETS),
+        )
+        def check(lengths, params):
+            hl = _mixed_head_list(lengths)
+            model = build_report_model(params, hl)
+            for eps in (params.eps_prime, params.eps_prime / 2):
+                got = verify_dp_closed_form(model, eps, params.delta_prime)
+                assert got == verify_dp(model, hl, eps, params.delta_prime)
+                verdicts.add(got <= 0)
+
+        check()
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("lengths", [[2], [3], [2, 4], [1, 2, 5]])
+    def test_matches_brute_force_below_zero_epsilon(self, lengths):
+        # Below zero every group counts, including outputs that both
+        # inputs reach alike.
+        hl = _mixed_head_list(lengths)
+        for params in (BUDGETS[1], BUDGETS[4]):
+            model = build_report_model(params, hl)
+            for eps in (-0.5, -2.0):
+                got = verify_dp_closed_form(model, eps, params.delta_prime)
+                assert got == verify_dp(model, hl, eps, params.delta_prime)
+
+    def test_cli_never_enumerates(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify-dp enumerated an output law")
+
+        monkeypatch.setattr(oracle, "enumerate_report_distribution", refuse)
+        code, out = _verify_dp_cli(capsys, 14, 4)
+        assert code == 0
+        assert out == "max violation: -1.000e-05 (PASS)\n"
+
+    def test_cli_certifies_beyond_the_enumeration_guard(self, capsys):
+        # 399 queries of 30 urls: 12000 > _SIZE_GUARD, so the brute force
+        # refuses this shape.
+        code, out = _verify_dp_cli(capsys, 400, 30)
+        assert code == 0
+        assert "(PASS)" in out
+
+    @pytest.mark.parametrize("kq", [0, -3])
+    def test_cli_rejects_kq_below_one(self, capsys, kq):
+        code, out = _verify_dp_cli(capsys, 14, kq)
+        assert code == 1
+        assert "PASS" not in out
+
+    def test_certifies_run_lists(self):
+        # The default run's augmented list (about 155 records) and a
+        # wide one (M = 250, opt-in 0.4), each on the default synthetic log.
+        base = harness.ExperimentConfig()
+        dataset = harness.load_dataset(base)
+        wide = replace(base.params, M=250, optin_fraction=0.4)
+        for config in (base, replace(base, params=wide)):
+            params = config.params
+            result = harness.run_blender(config, dataset)
+            hl = result.head_list.augment_for_clients()
+            model = build_report_model(params, hl)
+            assert set(model.k_q.values()) == {1, 2, 3, 4, 5}
+            start = time.perf_counter()
+            at_budget = verify_dp_closed_form(model, params.eps_prime, params.delta_prime)
+            at_half = verify_dp_closed_form(model, params.eps_prime / 2, params.delta_prime)
+            elapsed = time.perf_counter() - start
+            assert at_budget <= 0 < at_half
+            assert elapsed < 2.0   # two certificates, 1 s each

@@ -2,8 +2,9 @@
 
 Each record's final probability is the convex combination of the two
 unbiased estimates weighted inversely to their sample variances, which
-minimizes the variance of the combination. The fused vector can
-optionally be projected onto the probability simplex.
+minimizes the variance of the combination. A pipeline run always
+projects the fused vector onto the probability simplex; `project=False`
+keeps the raw combination, which acceptance criterion 5 measures.
 """
 
 from __future__ import annotations

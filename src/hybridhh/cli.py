@@ -69,11 +69,8 @@ def _cmd_synth(args) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         data.serialize_log(dataset, fh)
     truth_path = out.with_suffix(out.suffix + ".truth.csv")
-    with open(truth_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["query", "url", "p"])
-        for rec, p in dataset.true_distribution.items():
-            w.writerow([rec.query, rec.url, repr(p)])
+    truth = dataset.true_distribution
+    harness.write_record_table(truth_path, truth, p=truth)
     print(f"wrote {len(dataset.users)} users to {out} (truth: {truth_path})")
     return 0
 
@@ -100,10 +97,19 @@ def _read_prob_csv(path: str) -> dict[Record, float]:
     probs: dict[Record, float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        key = "p_blend" if "p_blend" in header else "p"
+        missing = [c for c in ("query", "url", key) if c not in header]
+        if missing:
+            raise ParseError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
         for row in reader:
-            rec = Record(decode_star(row["query"]), decode_star(row["url"]))
-            key = "p_blend" if "p_blend" in row else "p"
-            probs[rec] = float(row[key])
+            try:
+                p = float(row[key])
+            except (TypeError, ValueError):
+                raise ParseError(
+                    f"{path}, line {reader.line_num}: {key} is {row[key]!r}, not a number"
+                ) from None
+            probs[Record(decode_star(row["query"]), decode_star(row["url"]))] = p
     return probs
 
 

@@ -10,9 +10,9 @@ normalization is performed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 # Reserved sentinel for the wildcard query/url. Serialized as "*" in all
 # external file formats.
@@ -22,9 +22,6 @@ STAR = "⋆"
 class Record(NamedTuple):
     query: str
     url: str
-
-    def is_wildcard(self) -> bool:
-        return self.query == STAR and self.url == STAR
 
 
 WILDCARD = Record(STAR, STAR)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Optional
 
 import numpy as np

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .core import (
     ParamError,
     PrivacyParams,
     Record,
-    canonicalize,
     encode_star,
 )
 # client_stream_id has no caller here; perfbench/tracing.py wraps it by name on this module.
@@ -124,26 +123,6 @@ def load_dataset(config: ExperimentConfig) -> data.Dataset:
     return data.synth_zipf(spec.users, spec.queries, spec.urls, spec.exponent, rng)
 
 
-def _truth_on_head_list(
-    dataset: data.Dataset,
-    sampled: Iterable[Record],
-    hl: HeadList,
-) -> dict[Record, float]:
-    """Ground truth restricted to the final head list.
-
-    Known synthetic truth when available, otherwise the per-user-sampled
-    empirical distribution; out-of-list mass folds into the wildcard.
-    """
-    if dataset.true_distribution is not None:
-        source = dataset.true_distribution
-    else:
-        source = data.empirical_distribution(list(sampled))
-    truth: dict[Record, float] = {r: 0.0 for r in hl.records()}
-    for rec, mass in source.items():
-        truth[canonicalize(rec, hl)] += mass
-    return truth
-
-
 def run_blender(
     config: ExperimentConfig,
     dataset: data.Dataset,
@@ -182,7 +161,9 @@ def run_blender(
 
     blended = blend.blend_probabilities(optin_out.estimates, client_est, hl_final)
 
-    truth = _truth_on_head_list(dataset, s_records + t_records, hl_final)
+    truth = dataset.true_distribution
+    if truth is None:
+        truth = data.empirical_distribution(s_records + t_records)
     l1, ndcg = metrics.score(blended.probs, truth)
 
     n_regular_queries = sum(1 for q in hl_final.queries if q != STAR)
@@ -202,46 +183,44 @@ def run_blender(
     return result
 
 
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_record_table(
+    path: Path, records: Iterable[Record], **columns: Mapping[Record, float]
+) -> None:
+    """One row per record: the star-encoded query and url, then `repr` of each column."""
+    write_csv(
+        path,
+        ["query", "url", *columns],
+        (
+            [encode_star(rec.query), encode_star(rec.url)]
+            + [repr(col[rec]) for col in columns.values()]
+            for rec in records
+        ),
+    )
+
+
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "headlist.tsv").write_text(result.head_list.to_tsv(), encoding="utf-8")
-
-    with open(out_dir / "optin_estimates.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["query", "url", "p_hat", "var_hat"])
-        est = result.optin_out.estimates
-        for rec in result.head_list.records():
-            w.writerow(
-                [encode_star(rec.query), encode_star(rec.url),
-                 repr(est.record_probs[rec]), repr(est.record_vars[rec])]
-            )
-
-    with open(out_dir / "blended.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["query", "url", "p_blend", "w",
-             "p_optin", "var_optin", "p_client", "var_client"]
-        )
-        opt_est = result.optin_out.estimates
-        cli_est = result.client_est
-        for rec in result.head_list.records():
-            w.writerow(
-                [
-                    encode_star(rec.query),
-                    encode_star(rec.url),
-                    repr(result.blended.probs[rec]),
-                    repr(result.blended.weights[rec]),
-                    repr(opt_est.record_probs[rec]),
-                    repr(opt_est.record_vars[rec]),
-                    repr(cli_est.record_probs[rec]),
-                    repr(cli_est.record_vars[rec]),
-                ]
-            )
-
-    with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(MetricsRow.FIELDS)
-        w.writerow(result.row.as_csv_row())
+    opt_est = result.optin_out.estimates
+    write_record_table(
+        out_dir / "optin_estimates.csv", result.head_list.records(),
+        p_hat=opt_est.record_probs, var_hat=opt_est.record_vars,
+    )
+    write_record_table(
+        out_dir / "blended.csv", result.head_list.records(),
+        p_blend=result.blended.probs, w=result.blended.weights,
+        p_optin=opt_est.record_probs, var_optin=opt_est.record_vars,
+        p_client=result.client_est.record_probs, var_client=result.client_est.record_vars,
+    )
+    write_csv(out_dir / "metrics.csv", MetricsRow.FIELDS, [result.row.as_csv_row()])
 
 
 def sweep(
@@ -290,12 +269,7 @@ def sweep(
                         )
                 cell += 1
     if out_path is not None:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(MetricsRow.FIELDS)
-            for row in rows:
-                w.writerow(row.as_csv_row())
+        write_csv(out_path, MetricsRow.FIELDS, (row.as_csv_row() for row in rows))
     return rows
 
 

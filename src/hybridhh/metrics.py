@@ -9,7 +9,7 @@ are stripped and the remaining mass rescaled before scoring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import STAR, ParamError, Record
@@ -36,9 +36,6 @@ class RankedEstimate:
 
     def conditional_url_probs(self, query: str) -> dict[str, float]:
         total = self.query_probs[query]
-        if total <= 0:
-            # Degenerate marginal; fall back to the raw record mass.
-            return {u: self.record_probs[Record(query, u)] for u in self.url_orders[query]}
         return {
             u: self.record_probs[Record(query, u)] / total
             for u in self.url_orders[query]
@@ -81,11 +78,7 @@ def _gain(rel: float) -> float:
     return 2.0**rel - 1.0
 
 
-def ndcg_list(
-    estimated_order: Sequence,
-    true_weights: Mapping,
-    k: int | None = None,
-) -> float:
+def ndcg_list(estimated_order: Sequence, true_weights: Mapping) -> float:
     """NDCG of a single ranked list against true frequencies.
 
     The relevance of an item is its share of the total true weight; the
@@ -97,27 +90,19 @@ def ndcg_list(
     if any(w < 0 for w in true_weights.values()):
         raise ParamError("true weights must be non-negative")
     rel = {item: w / total for item, w in true_weights.items()}
-    if k is None:
-        k = len(estimated_order)
-    if k > len(estimated_order):
-        raise ParamError("k exceeds the list length")
     dcg = sum(
         _gain(rel.get(item, 0.0)) / math.log2(i + 2)
-        for i, item in enumerate(estimated_order[:k])
+        for i, item in enumerate(estimated_order)
     )
     ideal_order = sorted(rel, key=lambda it: (-rel[it], str(it)))
     idcg = sum(
         _gain(rel[item]) / math.log2(i + 2)
-        for i, item in enumerate(ideal_order[:k])
+        for i, item in enumerate(ideal_order[:len(estimated_order)])
     )
     return dcg / idcg if idcg > 0 else 0.0
 
 
-def generalized_ndcg(
-    estimate: RankedEstimate,
-    truth: RankedEstimate,
-    k: int | None = None,
-) -> float:
+def generalized_ndcg(estimate: RankedEstimate, truth: RankedEstimate) -> float:
     """List-of-lists NDCG with per-query url-list discounting.
 
     Each query's gain (from its true probability) is multiplied by the
@@ -130,24 +115,21 @@ def generalized_ndcg(
         raise ParamError("truth is empty")
 
     def url_factor(q: str) -> float:
-        if q not in truth.query_probs:
+        # A query without true mass has gain 0, so its url list cannot count.
+        if truth.query_probs.get(q, 0.0) <= 0:
             return 1.0
         true_urls = truth.conditional_url_probs(q)
-        order = estimate.url_orders.get(q)
-        if order is None or len(true_urls) <= 1:
+        if len(true_urls) <= 1:
             return 1.0
-        url_k = len(order) if k is None else min(k, len(order))
-        return ndcg_list(order, true_urls, url_k)
+        return ndcg_list(estimate.url_orders[q], true_urls)
 
-    est_top = estimate.queries if k is None else estimate.queries[:k]
     numer = sum(
         _gain(truth.query_probs.get(q, 0.0)) / math.log2(i + 2) * url_factor(q)
-        for i, q in enumerate(est_top)
+        for i, q in enumerate(estimate.queries)
     )
-    true_top = truth.queries if k is None else truth.queries[:k]
     denom = sum(
         _gain(truth.query_probs[q]) / math.log2(i + 2)
-        for i, q in enumerate(true_top)
+        for i, q in enumerate(truth.queries)
     )
     return numer / denom if denom > 0 else 0.0
 
@@ -158,16 +140,17 @@ def score(
 ) -> tuple[float, float]:
     """(L1, generalized NDCG) of an estimate against the truth.
 
-    L1 compares the star-free records of the estimate directly, with
-    missing truth counted as zero; only the NDCG relevance scores are
-    renormalized after discarding the wildcard.
+    The truth is first restricted to the estimate's star-free records,
+    in the estimate's record order, with a missing record counted as
+    zero; mass outside the list plays no part. L1 compares the estimate
+    with that restriction directly. NDCG renormalizes both after
+    discarding the wildcard, so a truth file covering the whole log
+    scores the same as one already folded onto the list.
     """
     star_free = [r for r in estimate if r.query != STAR and r.url != STAR]
-    l1 = l1_distance(
-        {r: estimate[r] for r in star_free},
-        {r: truth.get(r, 0.0) for r in star_free},
-    )
+    on_list = {r: truth.get(r, 0.0) for r in star_free}
+    l1 = l1_distance({r: estimate[r] for r in star_free}, on_list)
     ndcg = generalized_ndcg(
-        strip_stars_and_rescale(estimate), strip_stars_and_rescale(truth)
+        strip_stars_and_rescale(estimate), strip_stars_and_rescale(on_list)
     )
     return l1, ndcg

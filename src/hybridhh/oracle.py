@@ -19,7 +19,7 @@ from typing import Mapping
 
 import mpmath as mp
 
-from .core import HeadList, ParamError, PrivacyParams, Record, Stage, canonicalize
+from .core import HeadList, ParamError, Record, Stage, canonicalize
 from .client import ReportModel
 
 _SIZE_GUARD = 10_000  # max k * max(k_q) handled by enumeration (not the closed form)

@@ -1,9 +1,13 @@
-"""Seeded randomness: Laplace noise and per-client substreams.
+"""Seeded randomness: numbered substreams and Laplace noise.
 
 All randomness flows through numpy Generators derived from a single
-master seed via SeedSequence spawn keys, so any component can be given
-an independent, reproducible stream. Not cryptographically secure; a
-real deployment would need a CSPRNG on the client side.
+master seed via SeedSequence spawn keys, so every pipeline stage gets
+an independent, reproducible stream. The pipeline draws the client
+population's reports in aggregate from one stage stream and uses no
+per-client substreams: `client_stream_id` has no caller in the pipeline
+and stays only because the benchmark's tracer wraps it by name. Not
+cryptographically secure; a real deployment would need a CSPRNG on the
+client side.
 """
 
 from __future__ import annotations

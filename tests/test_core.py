@@ -149,7 +149,3 @@ class TestPrivacyParams:
         with pytest.raises(ParamError):
             PrivacyParams(**kwargs)
 
-
-def test_wildcard_record():
-    assert WILDCARD.is_wildcard()
-    assert not Record("a", STAR).is_wildcard()

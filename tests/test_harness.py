@@ -253,6 +253,73 @@ class TestCli:
         text = capsys.readouterr().out
         assert "L1 =" in text and "NDCG =" in text
 
+    def synthetic_run(self, tmp_path):
+        """`synth` a log, then `run` the same spec and seed on synthetic data."""
+        log = tmp_path / "log.tsv"
+        argv = ["synth", "--users", "20000", "--queries", "100", "--urls", "3", "--seed", "3"]
+        assert cli.main(argv + ["--out", str(log)]) == 0
+        config = tmp_path / "config.txt"
+        config.write_text(
+            "M = 20\nseed = 3\nsynth_users = 20000\nsynth_queries = 100\nsynth_urls = 3\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        return out, Path(str(log) + ".truth.csv")
+
+    def test_metrics_reproduces_the_runs_metrics_csv(self, tmp_path, capsys):
+        out, truth = self.synthetic_run(tmp_path)
+        with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        capsys.readouterr()
+        argv = ["metrics", "--blended", str(out / "blended.csv"), "--truth", str(truth)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"L1 = {float(row['L1']):.6f}",
+            f"NDCG = {float(row['NDCG']):.6f}",
+        ]
+
+    def test_metrics_truth_lacking_a_listed_query(self, tmp_path, capsys):
+        # q1 is listed with three urls, so it reaches the url-level NDCG
+        # with no true mass.
+        out, truth = self.synthetic_run(tmp_path)
+        listed = (out / "headlist.tsv").read_text(encoding="utf-8").splitlines()
+        assert sum(line.startswith("q1\t") for line in listed) == 3
+        partial = tmp_path / "partial.csv"
+        partial.write_text(
+            "".join(
+                line for line in truth.read_text(encoding="utf-8").splitlines(keepends=True)
+                if not line.startswith("q1,")
+            ),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        argv = ["metrics", "--blended", str(out / "blended.csv"), "--truth", str(partial)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "NDCG = 0.952979"
+
+    def metrics_input_error(self, capsys, blended, truth):
+        capsys.readouterr()
+        assert cli.main(["metrics", "--blended", str(blended), "--truth", str(truth)]) == 1
+        captured = capsys.readouterr()
+        assert "L1 =" not in captured.out
+        return captured.err
+
+    def test_metrics_wrong_table_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(self.write_config(tmp_path)), "--out", str(out)]) == 0
+        wrong = out / "optin_estimates.csv"
+        err = self.metrics_input_error(capsys, wrong, out / "blended.csv")
+        assert str(wrong) in err and "line 1" in err
+
+    def test_metrics_non_numeric_cell_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(self.write_config(tmp_path)), "--out", str(out)]) == 0
+        truth = tmp_path / "truth.csv"
+        truth.write_text("query,url,p\nq0,u0,0.5\nq1,u1,abc\n", encoding="utf-8")
+        err = self.metrics_input_error(capsys, out / "blended.csv", truth)
+        assert str(truth) in err and "line 3" in err and "'abc'" in err
+
     def test_synth_log_matches_load_dataset(self, tmp_path, capsys):
         log = tmp_path / "log.tsv"
         rc = cli.main(

@@ -2,12 +2,15 @@ import math
 
 import pytest
 
-from hybridhh.core import STAR, ParamError, Record
+from hybridhh import data, harness, metrics
+from hybridhh.core import STAR, WILDCARD, ParamError, PrivacyParams, Record, canonicalize
+from hybridhh.harness import ExperimentConfig, SynthSpec
 from hybridhh.metrics import (
     RankedEstimate,
     generalized_ndcg,
     l1_distance,
     ndcg_list,
+    score,
     strip_stars_and_rescale,
 )
 from hybridhh.sampling import substream
@@ -45,15 +48,13 @@ class TestNdcgList:
         assert got == pytest.approx(0.7731, abs=1e-4)
 
     def test_single_item(self):
-        assert ndcg_list(["only"], {"only": 7}, k=1) == 1.0
+        assert ndcg_list(["only"], {"only": 7}) == 1.0
 
-    def test_rejects_bad_weights_and_k(self):
+    def test_rejects_bad_weights(self):
         with pytest.raises(ParamError):
             ndcg_list(["a"], {"a": 0})
         with pytest.raises(ParamError):
             ndcg_list(["a"], {"a": 1, "b": -1})
-        with pytest.raises(ParamError):
-            ndcg_list(["a"], {"a": 1}, k=2)
 
 
 class TestStripStars:
@@ -169,6 +170,27 @@ class TestGeneralizedNdcg:
             query_level = ndcg_list(est.queries, truth.query_probs)
             assert gen <= query_level + 1e-12
 
+    def test_query_without_true_mass_gains_nothing(self):
+        # q2 is listed but holds no true mass: its url list is not scored,
+        # and the score is the query-level one over q1's gain.
+        truth = ranked(
+            {
+                Record("q1", "a"): 0.7,
+                Record("q1", "b"): 0.3,
+                Record("q2", "c"): 0.0,
+                Record("q2", "d"): 0.0,
+            }
+        )
+        est = ranked(
+            {
+                Record("q2", "c"): 0.4,
+                Record("q2", "d"): 0.2,
+                Record("q1", "a"): 0.3,
+                Record("q1", "b"): 0.1,
+            }
+        )
+        assert generalized_ndcg(est, truth) == pytest.approx(1 / math.log2(3))
+
     def test_empty_truth_rejected(self):
         truth = self.truth()
         with pytest.raises(ParamError):
@@ -176,3 +198,55 @@ class TestGeneralizedNdcg:
                 truth,
                 RankedEstimate((), {}, {}, {}),
             )
+
+
+class TestScore:
+    def test_truth_outside_the_estimate_plays_no_part(self):
+        estimate = {
+            Record("a", "x"): 0.5,
+            Record("a", "y"): 0.2,
+            Record("b", "z"): 0.2,
+            WILDCARD: 0.1,
+        }
+        on_list = {Record("a", "x"): 0.3, Record("a", "y"): 0.3, Record("b", "z"): 0.2}
+        wider = {**on_list, Record("c", "w"): 0.15, Record("a", "v"): 0.05}
+        assert score(estimate, wider) == score(estimate, on_list)
+        assert score(estimate, on_list)[0] == pytest.approx(0.2 + 0.1)
+
+    def test_truth_missing_a_listed_query_scores_it_as_zero(self):
+        estimate = {Record("a", "x"): 0.5, Record("a", "y"): 0.3, Record("b", "z"): 0.2}
+        l1, ndcg = score(estimate, {Record("b", "z"): 1.0})
+        assert l1 == pytest.approx(0.5 + 0.3 + 0.8)
+        assert ndcg == pytest.approx(1 / math.log2(3))
+
+    @pytest.mark.parametrize("source", ["synthetic", "tsv"])
+    def test_raw_truth_scores_as_the_truth_folded_onto_the_list(self, source, monkeypatch):
+        """`run` used to fold the truth onto the final head list before
+        scoring; scoring the raw truth must give the same floats."""
+        config = ExperimentConfig(
+            params=PrivacyParams(M=10), synth=SynthSpec(users=3000, queries=40, urls=3), seed=5
+        )
+        dataset = harness.load_dataset(config)
+        if source == "tsv":
+            # Two log lines per user, and no known truth.
+            dataset = data.parse_log("".join(
+                f"u{i // 2}\t{user.records[0].query}\t{user.records[0].url}\n"
+                for i, user in enumerate(dataset.users)
+            ))
+        truths = []
+        real_score = metrics.score
+        monkeypatch.setattr(
+            metrics, "score", lambda est, truth: truths.append(truth) or real_score(est, truth)
+        )
+        result = harness.run_blender(config, dataset)
+        monkeypatch.undo()
+
+        (raw,) = truths
+        hl = result.head_list
+        assert any(rec not in hl for rec in raw), "the truth should reach past the list"
+        folded = {r: 0.0 for r in hl.records()}
+        for rec, mass in raw.items():
+            folded[canonicalize(rec, hl)] += mass
+        by_raw = score(result.blended.probs, raw)
+        assert by_raw == score(result.blended.probs, folded)
+        assert by_raw == (result.row.l1, result.row.ndcg)

@@ -32,7 +32,7 @@ from .core import (
 _GAP_EPS = 1e-12
 
 
-class DegenerateChannelError(ValueError):
+class DegenerateChannelError(ParamError):
     """Raised when the randomizer carries no information to invert."""
 
 

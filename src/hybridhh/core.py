@@ -104,8 +104,6 @@ class HeadList:
     # -- stage transitions ----------------------------------------------
     def augment_for_clients(self) -> "HeadList":
         """Append the star query and a star url to every query's list."""
-        if self.stage is Stage.CLIENT_AUGMENTED:
-            return self
         entries: dict[str, tuple[str, ...]] = {}
         for q, urls in self.entries.items():
             if q == STAR:

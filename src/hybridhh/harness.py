@@ -33,6 +33,10 @@ from .core import (
 from .sampling import client_stream_id, substream  # noqa: F401
 
 
+class ConfigError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     users: int = 100_000
@@ -48,6 +52,10 @@ class SweepAxes:
     M: tuple[int, ...] = ()
     seeds: int = 1
 
+    def __post_init__(self):
+        if self.seeds < 1:
+            raise ConfigError(f"[sweep] seeds must be >= 1, got {self.seeds}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -61,6 +69,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        # A bad axis value fails here, before a sweep runs its first cell.
+        for axis in ("epsilon", "optin_fraction", "M"):
+            for value in getattr(self.sweep, axis):
+                try:
+                    replace(self.params, **{axis: value})
+                except ParamError as exc:
+                    raise ConfigError(f"[sweep] {axis} = {value!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -102,10 +117,6 @@ class RunResult:
     client_est: EstimateVector
     blended: blend.BlendedOutput
     row: MetricsRow
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -253,7 +264,7 @@ def sweep(
                     try:
                         result = run_blender(cell_config, dataset, seed=run_seed)
                         rows.append(result.row)
-                    except (ParamError, client.DegenerateChannelError) as exc:
+                    except ParamError as exc:
                         rows.append(
                             MetricsRow(
                                 epsilon=eps,
@@ -324,8 +335,6 @@ def parse_config(text: str) -> ExperimentConfig:
         "epsilon": num_list(float), "optin_fraction": num_list(float),
         "M": num_list(int), "seeds": int,
     }))
-    if axes.seeds < 1:
-        raise ConfigError(f"[sweep] seeds must be >= 1, got {axes.seeds}")
     top = take(flat, {"seed": int})
     if "out" in flat:
         top["out_dir"] = flat.pop("out")

@@ -52,18 +52,12 @@ def strip_stars_and_rescale(probs: Mapping[Record, float]) -> RankedEstimate:
         raise ParamError("no probability mass outside the wildcard entries")
     record_probs = {r: p / total for r, p in kept.items()}
     query_probs: dict[str, float] = {}
+    by_query: dict[str, list[tuple[float, str]]] = {}
     for r, p in record_probs.items():
         query_probs[r.query] = query_probs.get(r.query, 0.0) + p
+        by_query.setdefault(r.query, []).append((-p, r.url))
     queries = tuple(sorted(query_probs, key=lambda q: (-query_probs[q], q)))
-    url_orders = {
-        q: tuple(
-            sorted(
-                (r.url for r in record_probs if r.query == q),
-                key=lambda u: (-record_probs[Record(q, u)], u),
-            )
-        )
-        for q in queries
-    }
+    url_orders = {q: tuple(u for _, u in sorted(by_query[q])) for q in queries}
     return RankedEstimate(queries, query_probs, url_orders, record_probs)
 
 

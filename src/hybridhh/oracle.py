@@ -1,12 +1,14 @@
 """Exact verification tools for the client randomizer.
 
-The randomizer's output law is written down in closed form: the
-per-input report distribution, the expected report fractions for a
-whole population, and two checks of the (epsilon, delta) inequality.
+The randomizer's output law is written down once, as one table per
+url-list length (`_law`), recomputed from the privacy budgets. Both
+checks of the (epsilon, delta) inequality read it.
 `verify_dp_closed_form` computes the worst slack per class of input
 pair, at a cost set by the number of distinct url-list lengths; it is
-what `hybridhh verify-dp` runs. `verify_dp` is the independent
-brute-force cross-check that enumerates every input pair and output.
+what `hybridhh verify-dp` runs. `verify_dp` is the brute-force
+cross-check: it enumerates every input pair and every output through
+the per-input report distribution, which also gives the expected report
+fractions for a whole population.
 High-precision arithmetic keeps the checks' own rounding well below the
 tolerances being certified.
 """
@@ -54,16 +56,26 @@ class ExactDistribution:
         return {r: float(p) for r, p in self.probs.items()}
 
 
-def _model_mp(model: ReportModel):
-    """Recompute t and t_q from the budgets at high precision."""
+def _law(model: ReportModel):
+    """t and, per url-list length k_q, the channel's law (hit, miss, away).
+
+    The probability of reporting the true record (hit, t * t_q), one
+    other url of the true query (miss, t (1 - t_q) / (k_q - 1), or 0 when
+    k_q = 1), or one url of another query of that length (away,
+    (1 - t) / ((k - 1) k_q)); recomputed from the budgets at high precision.
+    """
     with mp.workdps(_DPS):
         eps_q, delta_q, eps_u, delta_u = model.budgets
         t = _truth_probability_mp(eps_q, delta_q, model.k)
-        by_length = {
-            kq: _truth_probability_mp(eps_u, delta_u, kq)
-            for kq in set(model.k_q.values())
-        }
-    return t, {q: by_length[kq] for q, kq in model.k_q.items()}
+        law = {}
+        for kq in dict.fromkeys(model.k_q.values()):
+            tq = _truth_probability_mp(eps_u, delta_u, kq)
+            law[kq] = (
+                t * tq,
+                t * (1 - tq) / (kq - 1) if kq > 1 else mp.mpf(0),
+                (1 - t) / ((model.k - 1) * kq),
+            )
+    return t, law
 
 
 def enumerate_report_distribution(
@@ -71,31 +83,18 @@ def enumerate_report_distribution(
     model: ReportModel,
     hl: HeadList,
 ) -> ExactDistribution:
-    """Closed-form output probabilities for one input record.
-
-    Truthful: t * t_q; same query, other url: t (1 - t_q) / (k_q - 1);
-    other query q', any url there: (1 - t) / ((k - 1) k_{q'}).
-    """
+    """Output probabilities for one input record: the input gets its
+    length's hit, the rest of its query miss, every other url its query's away."""
     if hl.stage is not Stage.CLIENT_AUGMENTED:
         raise ParamError("enumeration requires a client-augmented head list")
     _check_size(hl)
     q, u = canonicalize(record, hl)
-    t, t_q = _model_mp(model)
-    with mp.workdps(_DPS):
-        probs: dict[Record, mp.mpf] = {}
-        for q2 in hl.queries:
-            k_q2 = model.k_q[q2]
-            if q2 == q:
-                # k_q2 = 1 means t_q = 1, so only the truthful term remains.
-                for uu in hl.urls(q2):
-                    if uu == u:
-                        probs[Record(q2, uu)] = t * t_q[q2]
-                    else:
-                        probs[Record(q2, uu)] = t * (1 - t_q[q2]) / (k_q2 - 1)
-            else:
-                share = (1 - t) / ((model.k - 1) * k_q2)
-                for uu in hl.urls(q2):
-                    probs[Record(q2, uu)] = share
+    _, law = _law(model)
+    probs: dict[Record, mp.mpf] = {}
+    for q2 in hl.queries:
+        hit, miss, away = law[model.k_q[q2]]
+        for uu in hl.urls(q2):
+            probs[Record(q2, uu)] = away if q2 != q else hit if uu == u else miss
     return ExactDistribution(probs)
 
 
@@ -169,21 +168,11 @@ def verify_dp_closed_form(model: ReportModel, eps: float, delta: float) -> float
     groups with one probability per side, and its slack sums
     size * max(0, P - e^eps P') over the groups.
     """
-    t, t_q = _model_mp(model)
+    t, law = _law(model)
     k = model.k
     tally = Counter(model.k_q.values())
     with mp.workdps(_DPS):
         e_eps = mp.e**mp.mpf(eps)
-        # Per k_q: the truthful url, one other url of the same query, and
-        # one url as reached from another query.
-        law = {
-            kq: (
-                t * tq,
-                t * (1 - tq) / (kq - 1) if kq > 1 else mp.mpf(0),
-                (1 - t) / ((k - 1) * kq),
-            )
-            for kq, tq in {model.k_q[q]: tq for q, tq in t_q.items()}.items()
-        }
 
         def slack(groups, shared):
             # `shared` is the mass both inputs put on the same outputs alike.

@@ -93,6 +93,12 @@ class TestHeadList:
         assert aug.k == 3
         assert aug.k_q("google") == 3
 
+    def test_augmenting_twice_is_rejected(self, initial_hl):
+        # Every regular query already ends in the star url.
+        aug = initial_hl.augment_for_clients()
+        with pytest.raises(HeadListError, match="duplicate urls"):
+            aug.augment_for_clients()
+
     def test_shape_accessors(self, initial_hl):
         assert initial_hl.k == 3
         assert initial_hl.k_q("google") == 2

@@ -73,6 +73,17 @@ class TestParseConfig:
     def test_sweep_seeds_below_one_rejected(self):
         with pytest.raises(ConfigError, match="seeds"):
             parse_config("[sweep]\nseeds = 0\n")
+        # The API path too, where a sweep would otherwise run no cell.
+        with pytest.raises(ConfigError, match="seeds must be >= 1"):
+            SweepAxes(seeds=0)
+
+    def test_bad_sweep_axis_value_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[sweep\] M = 0: M must be >= 1"):
+            parse_config("M = 5\n[sweep]\nM = 5, 0\n")
+        with pytest.raises(ConfigError, match=r"\[sweep\] epsilon = -1.0"):
+            parse_config("[sweep]\nepsilon = 4, -1\n")
+        with pytest.raises(ConfigError, match="optin_fraction = 1.5"):
+            parse_config("[sweep]\noptin_fraction = 1.5\n")
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -353,6 +364,33 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["sweep", "--config", str(no_seeds), "--out", str(out)]) == 1
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("axis", ["M = 5, 0", "epsilon = 4, -1"])
+    def test_bad_sweep_axis_exits_before_any_run(self, tmp_path, capsys, monkeypatch, axis):
+        calls = []
+        real = harness.run_blender
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_blender", counting)
+        config = self.write_config(tmp_path, f"[sweep]\n{axis}\n")
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert calls == []
+        assert not (out / "sweep.csv").exists()
+        assert "[sweep]" in capsys.readouterr().err
+
+    def test_uninformative_channel_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text(
+            "f_C = 1e-13\nM = 5\nsynth_users = 3000\nsynth_queries = 20\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert "error: query randomizer is uninformative" in capsys.readouterr().err
 
     def test_negative_seed_exits_1(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -57,6 +57,28 @@ class TestNdcgList:
             ndcg_list(["a"], {"a": 1, "b": -1})
 
 
+def _per_query_scan(probs):
+    """Query and url order as first written: each query scans every
+    record for its urls."""
+    kept = {r: p for r, p in probs.items() if r.query != STAR and r.url != STAR}
+    total = sum(kept.values())
+    record_probs = {r: p / total for r, p in kept.items()}
+    query_probs = {}
+    for r, p in record_probs.items():
+        query_probs[r.query] = query_probs.get(r.query, 0.0) + p
+    queries = tuple(sorted(query_probs, key=lambda q: (-query_probs[q], q)))
+    url_orders = {
+        q: tuple(
+            sorted(
+                (r.url for r in record_probs if r.query == q),
+                key=lambda u: (-record_probs[Record(q, u)], u),
+            )
+        )
+        for q in queries
+    }
+    return queries, url_orders
+
+
 class TestStripStars:
     def test_strips_and_renormalizes(self):
         est = ranked(
@@ -85,6 +107,32 @@ class TestStripStars:
     def test_ties_break_lexicographically(self):
         est = ranked({Record("b", "y"): 0.5, Record("a", "x"): 0.5})
         assert est.queries == ("a", "b")
+
+    def test_url_ties_break_lexicographically(self):
+        est = ranked(
+            {
+                Record("a", "z"): 0.2,
+                Record("a", "y"): 0.2,
+                Record("a", "x"): 0.2,
+                Record("a", "w"): 0.4,
+            }
+        )
+        assert est.url_orders["a"] == ("w", "x", "y", "z")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ranking_matches_a_per_query_scan(self, seed):
+        # Coarse probabilities make ties between queries and between urls.
+        rng = substream(seed, 0)
+        probs = {}
+        for qi in rng.permutation(8):
+            for ui in rng.permutation(int(rng.integers(1, 6))):
+                probs[Record(f"q{qi}", f"u{ui}")] = float(rng.integers(1, 4)) / 8
+        probs[Record("q0", STAR)] = 0.125
+        probs[WILDCARD] = 0.25
+        est = ranked(probs)
+        queries, url_orders = _per_query_scan(probs)
+        assert est.queries == queries
+        assert est.url_orders == url_orders
 
     def test_all_star_mass_rejected(self):
         with pytest.raises(ParamError):

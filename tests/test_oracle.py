@@ -42,6 +42,35 @@ class TestEnumeration:
             (1 - t) / ((k - 1) * model.k_q["q1"]), rel=1e-12
         )
 
+    def test_enumeration_reads_the_law_of_each_length(self, default_params):
+        # q0 has k_q = 2, q1 has k_q = 4 and the star query k_q = 1.
+        hl = _mixed_head_list([2, 4])
+        model = build_report_model(default_params, hl)
+        eps_q, delta_q, eps_u, delta_u = model.budgets
+        k = model.k
+        with mp.workdps(50):
+
+            def truth(eps, delta, n):
+                if n == 1:
+                    return mp.mpf(1)
+                e = mp.e**mp.mpf(eps)
+                return (e + mp.mpf(delta) / 2 * (n - 1)) / (e + n - 1)
+
+            t = truth(eps_q, delta_q, k)
+            for rec in (Record("q0", "q0/u0"), Record("q1", "q1/u2"), Record(STAR, STAR)):
+                probs = enumerate_report_distribution(rec, model, hl).probs
+                assert set(probs) == set(hl.records())
+                for out, p in probs.items():
+                    kq = model.k_q[out.query]
+                    tq = truth(eps_u, delta_u, kq)
+                    if out == rec:
+                        expected = t * tq                      # hit
+                    elif out.query == rec.query:
+                        expected = t * (1 - tq) / (kq - 1)     # miss
+                    else:
+                        expected = (1 - t) / ((k - 1) * kq)    # away
+                    assert abs(p - expected) < mp.mpf("1e-45"), (rec, out)
+
     def test_unlisted_input_is_canonicalized(self, default_params):
         hl = make_augmented_head_list(3, 3)
         model = build_report_model(default_params, hl)

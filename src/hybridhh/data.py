@@ -3,13 +3,17 @@
 Input logs are TSV lines of `user_id<TAB>query<TAB>url`. The synthetic
 generator draws one record per user from a power-law joint distribution
 with a known ground truth, which the metrics stage can score against.
+
+A dataset also holds a columnar index of its users' records, built once
+when it is constructed; partitioning and per-user sampling work on
+integer arrays over that index and return record counts.
 """
 
 from __future__ import annotations
 
 import io
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping, Optional
 
 import numpy as np
@@ -21,7 +25,7 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserLog:
     user_id: str
     records: tuple[Record, ...]
@@ -35,6 +39,13 @@ class UserLog:
 class Dataset:
     users: tuple[UserLog, ...]
     true_distribution: Optional[Mapping[Record, float]] = None
+    # Columnar index over `users`: the distinct records in first-seen
+    # order, every user's records as ids into that table (user-major),
+    # and where each user's run of ids starts and how long it is.
+    record_table: tuple[Record, ...] = field(init=False, repr=False, compare=False)
+    record_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "users", tuple(self.users))
@@ -44,6 +55,19 @@ class Dataset:
             if abs(total - 1.0) > 1e-9:
                 raise ParamError(f"true distribution sums to {total}, not 1")
             object.__setattr__(self, "true_distribution", dist)
+        lengths = np.fromiter(
+            (len(user.records) for user in self.users), dtype=np.int64, count=len(self.users)
+        )
+        ids: dict[Record, int] = {}
+        record_ids = np.fromiter(
+            (ids.setdefault(r, len(ids)) for user in self.users for r in user.records),
+            dtype=np.int32,
+            count=int(lengths.sum()),
+        )
+        object.__setattr__(self, "record_table", tuple(ids))
+        object.__setattr__(self, "record_ids", record_ids)
+        object.__setattr__(self, "offsets", np.cumsum(lengths) - lengths)
+        object.__setattr__(self, "lengths", lengths)
 
     def __len__(self) -> int:
         return len(self.users)
@@ -52,26 +76,37 @@ class Dataset:
 def parse_log(stream: IO[str] | str) -> Dataset:
     """Parse a TSV log into per-user record collections.
 
-    Lines starting with '#' are comments. Malformed or empty-field rows
-    abort with the offending line number. Rows are grouped by user id in
-    first-seen order.
+    Lines whose first non-blank character is '#' are comments. Malformed
+    or empty-field rows abort with the offending line number. Rows are
+    grouped by user id in first-seen order. Equal records are one shared
+    object.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     by_user: dict[str, list[Record]] = {}
+    by_fields: dict[tuple[str, str], Record] = {}
+    distinct: dict[Record, Record] = {}
     for lineno, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+        head = line.lstrip()
+        if not head or head[0] == "#":
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
-        user, q, u = (p.strip() for p in parts)
+        user, q, u = parts
+        user, q, u = user.strip(), q.strip(), u.strip()
         if not user or not q or not u:
             raise ParseError(f"line {lineno}: empty field")
-        by_user.setdefault(user, []).append(Record(decode_star(q), decode_star(u)))
-    users = tuple(UserLog(uid, tuple(recs)) for uid, recs in by_user.items())
-    return Dataset(users)
+        rec = by_fields.get((q, u))
+        if rec is None:
+            # "*" and a literal star decode to the same record.
+            rec = Record(decode_star(q), decode_star(u))
+            rec = by_fields[q, u] = distinct.setdefault(rec, rec)
+        recs = by_user.get(user)
+        if recs is None:
+            by_user[user] = recs = []
+        recs.append(rec)
+    return Dataset(tuple(UserLog(uid, tuple(recs)) for uid, recs in by_user.items()))
 
 
 def serialize_log(dataset: Dataset, stream: IO[str]) -> None:
@@ -80,26 +115,21 @@ def serialize_log(dataset: Dataset, stream: IO[str]) -> None:
             stream.write(f"{user.user_id}\t{encode_star(rec.query)}\t{encode_star(rec.url)}\n")
 
 
-# Users per `rng.integers` call in `sample_per_user`. The draws are the
-# same as one call over every user; batching bounds the temporary arrays.
-_PICK_BATCH = 1 << 14
+def sample_per_user(
+    dataset: Dataset, users: np.ndarray, rng: np.random.Generator
+) -> Counter[Record]:
+    """Counts of one uniformly chosen record per user.
 
-
-def sample_per_user(users: Iterable[UserLog], rng: np.random.Generator) -> list[Record]:
-    """One uniformly chosen record per user, in user order.
-
-    Picks are `rng.integers` draws over the users' record counts; a user
-    with one record consumes no randomness.
+    `users` indexes `dataset.users`. The picks are one `rng.integers`
+    draw over the users' record counts, in the order given; a user with
+    one record consumes no randomness.
     """
-    # Each user's records are replaced by the pick in place, so no second
-    # list the size of the population is built.
-    picks = [user.records for user in users]
-    for start in range(0, len(picks), _PICK_BATCH):
-        batch = picks[start:start + _PICK_BATCH]
-        draws = rng.integers(np.fromiter(map(len, batch), dtype=np.int64, count=len(batch)))
-        for j, (records, i) in enumerate(zip(batch, draws), start):
-            picks[j] = records[i]
-    return picks
+    draws = rng.integers(dataset.lengths[users])
+    picked = dataset.record_ids[dataset.offsets[users] + draws]
+    counts = np.bincount(picked, minlength=len(dataset.record_table))
+    held = np.flatnonzero(counts)
+    table = dataset.record_table
+    return Counter({table[i]: n for i, n in zip(held.tolist(), counts[held].tolist())})
 
 
 def partition_users(
@@ -107,11 +137,13 @@ def partition_users(
     optin_fraction: float,
     f_O: float,
     rng: np.random.Generator,
-) -> tuple[tuple[UserLog, ...], tuple[UserLog, ...], tuple[UserLog, ...]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random split into (S, T, C): head-list, estimation, and client groups.
 
-    |O| = round(optin_fraction * N) and |S| = round(f_O * |O|), with
-    banker's rounding; the split is uniform over users.
+    Each group is an array of indices into `dataset.users`, cut from one
+    permutation. |O| = round(optin_fraction * N) and
+    |S| = round(f_O * |O|), with banker's rounding; the split is uniform
+    over users.
     """
     if not 0 < optin_fraction < 1 or not 0 < f_O < 1:
         raise ParamError("fractions must lie in (0, 1)")
@@ -125,10 +157,7 @@ def partition_users(
             f"degenerate partition sizes (|S|={n_s}, |T|={n_t}, |C|={n_c}) for N={n}"
         )
     perm = rng.permutation(n)
-    s = tuple(dataset.users[i] for i in perm[:n_s])
-    t = tuple(dataset.users[i] for i in perm[n_s:n_optin])
-    c = tuple(dataset.users[i] for i in perm[n_optin:])
-    return s, t, c
+    return perm[:n_s], perm[n_s:n_optin], perm[n_optin:]
 
 
 def zipf_weights(n: int, exponent: float) -> np.ndarray:
@@ -163,14 +192,18 @@ def synth_zipf(
         for j in range(urls_per_query)
     ]
     draws = rng.choice(len(records), size=num_users, p=joint)
+    singles = [(rec,) for rec in records]
     users = tuple(
-        UserLog(f"user{n:07d}", (records[int(d)],)) for n, d in enumerate(draws)
+        UserLog(f"user{n:07d}", singles[d]) for n, d in enumerate(draws.tolist())
     )
     truth = {rec: float(p) for rec, p in zip(records, joint)}
     return Dataset(users, true_distribution=truth)
 
 
-def empirical_distribution(records: Iterable[Record]) -> dict[Record, float]:
+def empirical_distribution(
+    records: Iterable[Record] | Mapping[Record, int],
+) -> dict[Record, float]:
+    """Relative frequencies of a record list or of record counts."""
     counts = Counter(records)
     total = sum(counts.values())
     if total == 0:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -149,14 +148,14 @@ def run_blender(
     s_users, t_users, c_users = data.partition_users(
         dataset, params.optin_fraction, params.f_O, substream(run_seed, 0)
     )
-    s_records = data.sample_per_user(s_users, substream(run_seed, 1))
-    t_records = data.sample_per_user(t_users, substream(run_seed, 2))
+    s_counts = data.sample_per_user(dataset, s_users, substream(run_seed, 1))
+    t_counts = data.sample_per_user(dataset, t_users, substream(run_seed, 2))
 
-    hl_initial = optin.create_head_list(params, s_records, substream(run_seed, 3))
+    hl_initial = optin.create_head_list(params, s_counts, substream(run_seed, 3))
     if hl_initial.k <= 1:
         raise ParamError("head-list creation admitted no records (thresholding starved)")
     optin_out = optin.estimate_optin_probabilities(
-        params, t_records, hl_initial, substream(run_seed, 4)
+        params, t_counts, hl_initial, substream(run_seed, 4)
     )
     hl_final = optin_out.head_list
 
@@ -166,7 +165,7 @@ def run_blender(
     # Only the report counts reach the server, so the clients' picks are
     # counted and pushed through the channel in aggregate.
     crng = substream(run_seed, 5)
-    picks = Counter(data.sample_per_user(c_users, crng))
+    picks = data.sample_per_user(dataset, c_users, crng)
     counts = client.simulate_reports(picks, model, hl_aug, crng)
     client_est = client.client_estimates_from_counts(counts, len(c_users), model, hl_aug)
 
@@ -174,7 +173,7 @@ def run_blender(
 
     truth = dataset.true_distribution
     if truth is None:
-        truth = data.empirical_distribution(s_records + t_records)
+        truth = data.empirical_distribution(s_counts + t_counts)
     l1, ndcg = metrics.score(blended.probs, truth)
 
     n_regular_queries = sum(1 for q in hl_final.queries if q != STAR)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -60,12 +60,13 @@ def compute_threshold(params: PrivacyParams) -> tuple[float, float]:
 
 def create_head_list(
     params: PrivacyParams,
-    s_records: Iterable[Record],
+    s_records: Iterable[Record] | Mapping[Record, int],
     rng: np.random.Generator,
     *,
     _noise_fn: Optional[NoiseFn] = None,
 ) -> HeadList:
-    """Noisy-threshold admission over the records held by partition S.
+    """Noisy-threshold admission over the records held by partition S,
+    given as a record list or as record counts.
 
     Each distinct record gets one independent Lap(b_S) draw; the record's
     query and url are admitted iff count + noise exceeds tau. The draws
@@ -104,7 +105,7 @@ def optin_variance(p_hat: float, n: int, b_t: float) -> float:
 
 def estimate_optin_probabilities(
     params: PrivacyParams,
-    t_records: Iterable[Record],
+    t_records: Iterable[Record] | Mapping[Record, int],
     hl_initial: HeadList,
     rng: np.random.Generator,
     *,
@@ -112,23 +113,25 @@ def estimate_optin_probabilities(
 ) -> OptinOutput:
     """Laplace-mechanism estimates over the initial head list, trimmed to M.
 
+    `t_records` holds partition T's records, as a list or as counts.
     Records outside the initial list are collapsed onto the wildcard
-    before counting. The M queries with the highest estimated marginal
-    are retained (ties broken lexicographically); trimmed records'
-    probabilities are folded into the wildcard entry and its variance is
-    recomputed with the same formula. The final list is ordered by
-    descending estimated marginal.
+    before counting, each distinct record once. The M queries with the
+    highest estimated marginal are retained (ties broken
+    lexicographically); trimmed records' probabilities are folded into
+    the wildcard entry and its variance is recomputed with the same
+    formula. The final list is ordered by descending estimated marginal.
     """
     if hl_initial.stage is not Stage.INITIAL:
         raise ParamError("expected an initial-stage head list")
     b_s, tau = compute_threshold(params)
     b_t = 2.0 * params.m_O / params.epsilon
 
-    canon = [canonicalize(r, hl_initial) for r in t_records]
-    n = len(canon)
+    counts: Counter[Record] = Counter()
+    for record, c in Counter(t_records).items():
+        counts[canonicalize(record, hl_initial)] += c
+    n = counts.total()
     if n < 2:
         raise ParamError("need at least 2 records in partition T")
-    counts = Counter(canon)
 
     records = list(hl_initial.records())
     noise = (_noise_fn or laplace_samples)(b_t, len(records), rng).tolist()

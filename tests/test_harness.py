@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hybridhh import cli, data, harness
@@ -409,3 +411,60 @@ class TestCli:
         config.write_text(f"dataset = {log}\n", encoding="utf-8")
         assert cli.main(["run", "--config", str(config)]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def write_multi_record_log(path: Path) -> None:
+    """A TSV log of 3000 users holding 1-6 records each, drawn from 40
+    Zipf queries with 3 urls apiece, plus a comment, a blank line, a
+    CRLF line and a star row."""
+    rng = np.random.default_rng(20)
+    q_probs = np.arange(1, 41, dtype=float) ** -1.0
+    q_probs /= q_probs.sum()
+    lines = ["# user\tquery\turl", ""]
+    for user in range(3000):
+        for _ in range(int(rng.integers(1, 7))):
+            q = int(rng.choice(40, p=q_probs))
+            lines.append(f"user{user}\tq{q}\tq{q}/u{int(rng.integers(3))}")
+    lines[10] += "\r"
+    lines.append("user7\t*\tstray.example")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestGoldenArtifacts:
+    """The four artifacts of two small runs, pinned by sha256. A change
+    meant to keep every output byte-identical must keep these."""
+
+    @staticmethod
+    def digests(out_dir: Path) -> dict[str, str]:
+        return {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("headlist.tsv", "optin_estimates.csv", "blended.csv", "metrics.csv")
+        }
+
+    def test_synthetic_run(self, tmp_path):
+        config = small_config()
+        run_blender(config, load_dataset(config), out_dir=tmp_path)
+        assert self.digests(tmp_path) == SYNTH_DIGESTS
+
+    def test_tsv_run(self, tmp_path):
+        log = tmp_path / "log.tsv"
+        write_multi_record_log(log)
+        config = small_config(
+            params=PrivacyParams(M=10, optin_fraction=0.4), dataset_path=str(log)
+        )
+        run_blender(config, load_dataset(config), out_dir=tmp_path / "out")
+        assert self.digests(tmp_path / "out") == TSV_DIGESTS
+
+
+SYNTH_DIGESTS = {
+    "headlist.tsv": "5c5c33a43c0823d27a2e52fd8f3cf3e69912ac9ed0eb0996745e1741002b7dbd",
+    "optin_estimates.csv": "4ce0fae40fdacebcc42daf258b3fdae209fd4e7383f1272929b4ab0a90cfb55d",
+    "blended.csv": "629bc0b96cc1a083d1de43c9e5264684ef03be2920fde8e0bd59d79cf5d363e7",
+    "metrics.csv": "011b4655cd70395fac7c2931d5c7f1d677b6a47920a51c75dd34a5fcf7212b3d",
+}
+TSV_DIGESTS = {
+    "headlist.tsv": "142720ba949dcbbdc0123bde3e301f01c140c570d5fa19ca3025739b68450a6a",
+    "optin_estimates.csv": "baa3ec7cf3286530e22dc7b0e789f890fdcb63a86900c030e5749e092a1cb994",
+    "blended.csv": "fdc8a5474d1f3cf9b905dee056012ab2a406adffc5c0154566ee295fa0a16e27",
+    "metrics.csv": "db42cfcaa29b901444b41343d7c7470eebd681e4ca6878a63a4304cb22615585",
+}

@@ -312,3 +312,21 @@ class TestVectorDraws:
         assert est.record_probs == ref_probs
         assert est.record_vars == ref_vars
         assert list(est.query_probs.items()) == list(ref_qprobs.items())
+
+    def test_record_counts_give_the_same_output_as_record_lists(self):
+        # A run passes record counts, the acceptance tests pass lists.
+        params = PrivacyParams(M=5)
+        rng = substream(32, 0)
+        pool = [Record(f"q{i}", f"q{i}/u{j}") for i in range(30) for j in range(3)]
+        weights = 1.0 / np.arange(1, len(pool) + 1)
+        weights /= weights.sum()
+        s_records = [pool[d] for d in rng.choice(len(pool), size=3000, p=weights)]
+        t_records = [pool[d] for d in rng.choice(len(pool), size=1500, p=weights)]
+
+        outputs = []
+        for s_in, t_in in ((s_records, t_records), (Counter(s_records), Counter(t_records))):
+            hl_initial = create_head_list(params, s_in, substream(32, 3))
+            out = estimate_optin_probabilities(params, t_in, hl_initial, substream(32, 4))
+            outputs.append((list(hl_initial.entries.items()), out))
+        assert outputs[0] == outputs[1]
+        assert outputs[1][1].estimates.sample_size == 1500

@@ -71,7 +71,7 @@ def _cmd_synth(args) -> int:
     truth_path = out.with_suffix(out.suffix + ".truth.csv")
     truth = dataset.true_distribution
     harness.write_record_table(truth_path, truth, p=truth)
-    print(f"wrote {len(dataset.users)} users to {out} (truth: {truth_path})")
+    print(f"wrote {len(dataset)} users to {out} (truth: {truth_path})")
     return 0
 
 

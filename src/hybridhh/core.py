@@ -125,7 +125,7 @@ class HeadList:
         entries: dict[str, list[str]] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
-            if not line or line.startswith("#"):
+            if not line:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:

@@ -4,9 +4,10 @@ Input logs are TSV lines of `user_id<TAB>query<TAB>url`. The synthetic
 generator draws one record per user from a power-law joint distribution
 with a known ground truth, which the metrics stage can score against.
 
-A dataset also holds a columnar index of its users' records, built once
-when it is constructed; partitioning and per-user sampling work on
-integer arrays over that index and return record counts.
+A dataset is a columnar index of its users' records, built by the parser
+or the generator that makes it; partitioning and per-user sampling work
+on its integer arrays and return record counts. `Dataset.users` rebuilds
+the users one at a time from the index, for writing a log back out.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import io
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Optional
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,67 +26,59 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class UserLog:
+class UserLog(NamedTuple):
     user_id: str
     records: tuple[Record, ...]
 
-    def __post_init__(self):
-        if not self.records:
-            raise ParseError(f"user {self.user_id!r} has no records")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    users: tuple[UserLog, ...]
+    """Users and distinct records in first-seen order; each user's records
+    as int32 ids into the table, user-major, at `offsets` for `lengths`."""
+
+    user_ids: tuple[str, ...]
+    record_table: tuple[Record, ...]
+    record_ids: np.ndarray = field(repr=False)
+    lengths: np.ndarray = field(repr=False)
     true_distribution: Optional[Mapping[Record, float]] = None
-    # Columnar index over `users`: the distinct records in first-seen
-    # order, every user's records as ids into that table (user-major),
-    # and where each user's run of ids starts and how long it is.
-    record_table: tuple[Record, ...] = field(init=False, repr=False, compare=False)
-    record_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "users", tuple(self.users))
         if self.true_distribution is not None:
             dist = dict(self.true_distribution)
             total = sum(dist.values())
             if abs(total - 1.0) > 1e-9:
                 raise ParamError(f"true distribution sums to {total}, not 1")
             object.__setattr__(self, "true_distribution", dist)
-        lengths = np.fromiter(
-            (len(user.records) for user in self.users), dtype=np.int64, count=len(self.users)
-        )
-        ids: dict[Record, int] = {}
-        record_ids = np.fromiter(
-            (ids.setdefault(r, len(ids)) for user in self.users for r in user.records),
-            dtype=np.int32,
-            count=int(lengths.sum()),
-        )
-        object.__setattr__(self, "record_table", tuple(ids))
-        object.__setattr__(self, "record_ids", record_ids)
-        object.__setattr__(self, "offsets", np.cumsum(lengths) - lengths)
-        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "offsets", np.cumsum(self.lengths) - self.lengths)
 
     def __len__(self) -> int:
-        return len(self.users)
+        return len(self.user_ids)
+
+    @property
+    def users(self) -> Iterator[UserLog]:
+        """Each user's records, rebuilt from the index one user at a time."""
+        table, end = self.record_table, 0
+        for user_id, n in zip(self.user_ids, self.lengths.tolist()):
+            start, end = end, end + n
+            yield UserLog(user_id, tuple(table[i] for i in self.record_ids[start:end].tolist()))
 
 
 def parse_log(stream: IO[str] | str) -> Dataset:
-    """Parse a TSV log into per-user record collections.
+    """Parse a TSV log into a dataset.
 
     Lines whose first non-blank character is '#' are comments. Malformed
-    or empty-field rows abort with the offending line number. Rows are
-    grouped by user id in first-seen order. Equal records are one shared
-    object.
+    or empty-field rows abort with the offending line number. Users and
+    records are numbered in first-seen order, and each user keeps its
+    rows in log order.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    by_user: dict[str, list[Record]] = {}
-    by_fields: dict[tuple[str, str], Record] = {}
-    distinct: dict[Record, Record] = {}
+    user_index: dict[str, int] = {}
+    by_fields: dict[tuple[str, str], int] = {}
+    record_index: dict[Record, int] = {}
+    owners: list[int] = []
+    ids: list[int] = []
     for lineno, line in enumerate(stream, start=1):
         head = line.lstrip()
         if not head or head[0] == "#":
@@ -97,16 +90,20 @@ def parse_log(stream: IO[str] | str) -> Dataset:
         user, q, u = user.strip(), q.strip(), u.strip()
         if not user or not q or not u:
             raise ParseError(f"line {lineno}: empty field")
-        rec = by_fields.get((q, u))
-        if rec is None:
+        rid = by_fields.get((q, u))
+        if rid is None:
             # "*" and a literal star decode to the same record.
             rec = Record(decode_star(q), decode_star(u))
-            rec = by_fields[q, u] = distinct.setdefault(rec, rec)
-        recs = by_user.get(user)
-        if recs is None:
-            by_user[user] = recs = []
-        recs.append(rec)
-    return Dataset(tuple(UserLog(uid, tuple(recs)) for uid, recs in by_user.items()))
+            rid = by_fields[q, u] = record_index.setdefault(rec, len(record_index))
+        owners.append(user_index.setdefault(user, len(user_index)))
+        ids.append(rid)
+    owner = np.array(owners, dtype=np.int64)
+    return Dataset(
+        tuple(user_index),
+        tuple(record_index),
+        np.array(ids, dtype=np.int32)[np.argsort(owner, kind="stable")],
+        np.bincount(owner, minlength=len(user_index)),
+    )
 
 
 def serialize_log(dataset: Dataset, stream: IO[str]) -> None:
@@ -120,9 +117,9 @@ def sample_per_user(
 ) -> Counter[Record]:
     """Counts of one uniformly chosen record per user.
 
-    `users` indexes `dataset.users`. The picks are one `rng.integers`
-    draw over the users' record counts, in the order given; a user with
-    one record consumes no randomness.
+    `users` holds positions in `dataset.user_ids`. The picks are one
+    `rng.integers` draw over the users' record counts, in the order
+    given; a user with one record consumes no randomness.
     """
     draws = rng.integers(dataset.lengths[users])
     picked = dataset.record_ids[dataset.offsets[users] + draws]
@@ -140,7 +137,7 @@ def partition_users(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random split into (S, T, C): head-list, estimation, and client groups.
 
-    Each group is an array of indices into `dataset.users`, cut from one
+    Each group is an array of positions in `dataset.user_ids`, cut from one
     permutation. |O| = round(optin_fraction * N) and
     |S| = round(f_O * |O|), with banker's rounding; the split is uniform
     over users.
@@ -192,12 +189,14 @@ def synth_zipf(
         for j in range(urls_per_query)
     ]
     draws = rng.choice(len(records), size=num_users, p=joint)
-    singles = [(rec,) for rec in records]
-    users = tuple(
-        UserLog(f"user{n:07d}", singles[d]) for n, d in enumerate(draws.tolist())
-    )
     truth = {rec: float(p) for rec, p in zip(records, joint)}
-    return Dataset(users, true_distribution=truth)
+    return Dataset(
+        tuple(f"user{n:07d}" for n in range(num_users)),
+        tuple(records),
+        draws.astype(np.int32),
+        np.ones(num_users, dtype=np.int64),
+        true_distribution=truth,
+    )
 
 
 def empirical_distribution(

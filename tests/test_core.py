@@ -111,6 +111,14 @@ class TestHeadList:
         back = HeadList.from_tsv(text, Stage.INITIAL)
         assert back.entries == initial_hl.entries
 
+    @pytest.mark.parametrize("stage", [Stage.INITIAL, Stage.FINAL])
+    def test_tsv_round_trip_keeps_hash_fields(self, stage):
+        # A log may hold a query or url that starts with '#'; it is a
+        # field like any other, not a comment.
+        hl = HeadList({"#tag": ("a.com", "#frag"), "q": ("b.com",), STAR: (STAR,)}, stage)
+        back = HeadList.from_tsv(hl.to_tsv(), stage)
+        assert back.entries == hl.entries
+
     def test_from_tsv_bad_arity(self):
         with pytest.raises(HeadListError, match="line 1"):
             HeadList.from_tsv("justonefield\n", Stage.INITIAL)

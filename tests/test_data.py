@@ -1,13 +1,15 @@
 import io
+import random
 import re
 from collections import Counter
+from collections.abc import Iterator
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hybridhh.core import STAR, ParamError, Record, decode_star
 from hybridhh.data import (
-    Dataset,
     ParseError,
     UserLog,
     empirical_distribution,
@@ -25,9 +27,9 @@ LOG = "u1\tgoogle\tgoogle.com\nu2\tyahoo\tyahoo.com\nu1\tgoogle\tmail.google.com
 
 class TestParseLog:
     def test_groups_by_user_in_first_seen_order(self):
-        ds = parse_log(LOG)
-        assert [u.user_id for u in ds.users] == ["u1", "u2"]
-        assert ds.users[0].records == (
+        users = list(parse_log(LOG).users)
+        assert [u.user_id for u in users] == ["u1", "u2"]
+        assert users[0].records == (
             Record("google", "google.com"),
             Record("google", "mail.google.com"),
         )
@@ -38,7 +40,7 @@ class TestParseLog:
 
     def test_star_is_decoded(self):
         ds = parse_log("u1\t*\t*\n")
-        assert ds.users[0].records == (Record(STAR, STAR),)
+        assert list(ds.users) == [("u1", (Record(STAR, STAR),))]
 
     def test_malformed_line_aborts_with_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -51,17 +53,18 @@ class TestParseLog:
         buf = io.StringIO()
         serialize_log(ds, buf)
         again = parse_log(buf.getvalue())
-        assert again.users == ds.users
+        assert list(again.users) == list(ds.users)
 
     def test_star_round_trips_as_ascii(self):
-        ds = Dataset((UserLog("u1", (Record(STAR, STAR),)),))
+        ds = parse_log("u1\t\u22c6\t\u22c6\n")
         buf = io.StringIO()
         serialize_log(ds, buf)
         assert buf.getvalue() == "u1\t*\t*\n"
 
 
 def parse_log_reference(stream):
-    """The parser as first written: one new Record per line."""
+    """The parser as first written: one new Record per line, grouped into
+    `[(user_id, records)]` by user in first-seen order."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     by_user = {}
@@ -76,7 +79,7 @@ def parse_log_reference(stream):
         if not user or not q or not u:
             raise ParseError(f"line {lineno}: empty field")
         by_user.setdefault(user, []).append(Record(decode_star(q), decode_star(u)))
-    return Dataset(tuple(UserLog(uid, tuple(recs)) for uid, recs in by_user.items()))
+    return [(uid, tuple(recs)) for uid, recs in by_user.items()]
 
 
 EDGE_LOG = (
@@ -93,16 +96,36 @@ EDGE_LOG = (
 )
 
 
+def interleaved_log(seed, users=300):
+    """Users holding 1-5 records from a shared pool, their lines shuffled
+    over the whole log."""
+    gen = random.Random(seed)
+    lines = [
+        f"u{user}\tq{gen.randrange(20)}\tq/u{gen.randrange(3)}\n"
+        for user in range(users)
+        for _ in range(gen.randint(1, 5))
+    ]
+    gen.shuffle(lines)
+    return "".join(lines)
+
+
 class TestParseLogMatchesReference:
-    @pytest.mark.parametrize("text", [LOG, EDGE_LOG, "# only a comment\n", ""])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            LOG, EDGE_LOG, "# only a comment\n", "",
+            pytest.param(interleaved_log(0), id="interleaved0"),
+            pytest.param(interleaved_log(1), id="interleaved1"),
+        ],
+    )
     def test_same_dataset(self, text):
-        assert parse_log(text) == parse_log_reference(text)
+        assert list(parse_log(text).users) == parse_log_reference(text)
 
     def test_same_dataset_from_a_file(self, tmp_path):
         path = tmp_path / "log.tsv"
         path.write_bytes(EDGE_LOG.encode("utf-8") + b"\r\nu4\tq\tu\r")
         with open(path, encoding="utf-8") as a, open(path, encoding="utf-8") as b:
-            assert parse_log(a) == parse_log_reference(b)
+            assert list(parse_log(a).users) == parse_log_reference(b)
 
     @pytest.mark.parametrize("text", [
         "u1\tq\tu\nbadline\n",
@@ -128,32 +151,37 @@ class TestParseLogMatchesReference:
 
 
 class TestDataset:
-    def test_empty_user_rejected(self):
-        with pytest.raises(ParseError):
-            UserLog("u", ())
-
     def test_truth_must_sum_to_one(self):
-        users = (UserLog("u", (Record("q", "u"),)),)
+        ds = parse_log("u\tq\tu\n")
         with pytest.raises(ParamError):
-            Dataset(users, true_distribution={Record("q", "u"): 0.5})
+            replace(ds, true_distribution={Record("q", "u"): 0.5})
+
+    def test_users_is_a_lazy_view(self):
+        ds = parse_log(LOG)
+        assert isinstance(ds.users, Iterator)
+        assert list(ds.users) == list(ds.users) == parse_log_reference(LOG)
+
+
+def log_of(sizes, shared=False):
+    """TSV text of users holding `sizes[i]` records each: their own
+    records, or records drawn from a pool of 6 that users share."""
+    return "".join(
+        f"u{i}\tq{j % 6}\tu{j % 3}\n" if shared else f"u{i}\tq{i}\tu{j}\n"
+        for i, n in enumerate(sizes)
+        for j in range(i % 5, i % 5 + n)
+    )
 
 
 def dataset_of(sizes, shared=False):
-    """Users holding `sizes[i]` records each: their own records, or
-    records drawn from a pool of 6 that users share."""
-    return Dataset(tuple(
-        UserLog(f"u{i}", tuple(
-            Record(f"q{j % 6}", f"u{j % 3}") if shared else Record(f"q{i}", f"u{j}")
-            for j in range(i % 5, i % 5 + n)
-        ))
-        for i, n in enumerate(sizes)
-    ))
+    return parse_log(log_of(sizes, shared))
 
 
 class TestSamplePerUser:
     def test_m1_is_uniform(self):
         recs = tuple(Record(f"q{i}", f"u{i}") for i in range(4))
-        ds = Dataset(tuple(UserLog(f"u{i}", recs) for i in range(40_000)))
+        ds = parse_log("".join(
+            f"u{i}\t{rec.query}\t{rec.url}\n" for i in range(40_000) for rec in recs
+        ))
         rng = substream(51, 0)
         hits = sample_per_user(ds, np.arange(40_000), rng)[recs[0]]
         assert hits / 40_000 == pytest.approx(0.25, abs=0.01)
@@ -182,8 +210,9 @@ class TestSamplePerUser:
         users = gen.permutation(len(ds))[:3000]
         rng_a, rng_b = substream(53, seed), substream(53, seed)
         want = Counter()
+        user_logs = list(ds.users)
         for i in users.tolist():
-            records = ds.users[i].records
+            records = user_logs[i].records
             want[records[rng_b.integers(len(records))]] += 1
         assert sample_per_user(ds, users, rng_a) == want
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
@@ -199,27 +228,32 @@ class TestSamplePerUser:
 
 class TestDatasetIndex:
     def test_index_reproduces_every_users_records(self):
-        ds = dataset_of([3, 1, 4, 1, 5], shared=True)
-        assert ds.record_ids.dtype == np.int32
-        assert len(set(ds.record_table)) == len(ds.record_table)
-        for user, start, n in zip(ds.users, ds.offsets.tolist(), ds.lengths.tolist()):
-            ids = ds.record_ids[start:start + n].tolist()
-            assert tuple(ds.record_table[i] for i in ids) == user.records
+        for text in (log_of([3, 1, 4, 1, 5], shared=True), interleaved_log(2)):
+            ds = parse_log(text)
+            want = parse_log_reference(text)
+            assert ds.record_ids.dtype == np.int32
+            assert len(set(ds.record_table)) == len(ds.record_table)
+            assert ds.user_ids == tuple(uid for uid, _ in want)
+            for (_, records), start, n in zip(want, ds.offsets.tolist(), ds.lengths.tolist()):
+                ids = ds.record_ids[start:start + n].tolist()
+                assert tuple(ds.record_table[i] for i in ids) == records
 
     def test_table_is_in_first_seen_order(self):
         ds = parse_log("a\tq2\tu\nb\tq1\tu\na\tq1\tu\nc\tq2\tu\n")
         assert ds.record_table == (Record("q2", "u"), Record("q1", "u"))
         assert ds.record_ids.tolist() == [0, 1, 1, 0]
 
-    def test_index_stays_out_of_eq_and_repr(self):
+    def test_parse_is_deterministic_and_index_stays_out_of_repr(self):
         a, b = parse_log(LOG), parse_log(LOG)
-        assert a == b
+        assert (a.user_ids, a.record_table) == (b.user_ids, b.record_table)
+        assert a.record_ids.tolist() == b.record_ids.tolist()
+        assert a.lengths.tolist() == b.lengths.tolist()
         assert "record_ids" not in repr(a) and "offsets" not in repr(a)
 
 
 class TestPartitionUsers:
     def make_dataset(self, n):
-        return Dataset(tuple(UserLog(f"u{i}", (Record("q", "u"),)) for i in range(n)))
+        return parse_log("".join(f"u{i}\tq\tu\n" for i in range(n)))
 
     def test_frozen_sizes(self):
         # N=1000, optin 5%, f_O=0.95: |O|=50, |S|=round(47.5)=48, |T|=2.
@@ -230,7 +264,7 @@ class TestPartitionUsers:
         ds = self.make_dataset(200)
         s, t, c = partition_users(ds, 0.2, 0.5, substream(1, 0))
         indices = np.concatenate([s, t, c]).tolist()
-        ids = [ds.users[i].user_id for i in indices]
+        ids = [ds.user_ids[i] for i in indices]
         assert len(ids) == 200
         assert len(set(ids)) == 200
         assert sorted(indices) == list(range(200))
@@ -273,7 +307,27 @@ class TestSynthZipf:
     def test_deterministic(self):
         a = synth_zipf(200, 5, 2, 1.0, substream(62, 0))
         b = synth_zipf(200, 5, 2, 1.0, substream(62, 0))
-        assert a.users == b.users
+        assert list(a.users) == list(b.users)
+
+    @pytest.mark.parametrize("shape", [(500, 10, 3, 1.0), (2000, 40, 4, 0.8)])
+    def test_users_match_per_user_reference(self, shape):
+        # Reference: one user object per draw, as the generator was first
+        # written, over the same `rng.choice` draws.
+        num_users, num_queries, urls_per_query, exponent = shape
+        rng_a, rng_b = substream(64, num_users), substream(64, num_users)
+        ds = synth_zipf(num_users, num_queries, urls_per_query, exponent, rng_a)
+        records = [
+            Record(f"q{i}", f"q{i}/u{j}")
+            for i in range(num_queries)
+            for j in range(urls_per_query)
+        ]
+        joint = np.outer(
+            zipf_weights(num_queries, exponent), zipf_weights(urls_per_query, exponent)
+        ).ravel()
+        draws = rng_b.choice(len(records), size=num_users, p=joint)
+        want = [UserLog(f"user{n:07d}", (records[d],)) for n, d in enumerate(draws.tolist())]
+        assert list(ds.users) == want
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_empirical_matches_truth_at_scale(self):
         ds = synth_zipf(200_000, 5, 2, 1.0, substream(63, 0))

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -413,10 +414,11 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
 
-def write_multi_record_log(path: Path) -> None:
+def write_multi_record_log(path: Path, interleave: bool = False) -> None:
     """A TSV log of 3000 users holding 1-6 records each, drawn from 40
     Zipf queries with 3 urls apiece, plus a comment, a blank line, a
-    CRLF line and a star row."""
+    CRLF line and a star row. With `interleave`, the lines after the
+    comment are shuffled, so that users' lines are spread over the log."""
     rng = np.random.default_rng(20)
     q_probs = np.arange(1, 41, dtype=float) ** -1.0
     q_probs /= q_probs.sum()
@@ -427,11 +429,15 @@ def write_multi_record_log(path: Path) -> None:
             lines.append(f"user{user}\tq{q}\tq{q}/u{int(rng.integers(3))}")
     lines[10] += "\r"
     lines.append("user7\t*\tstray.example")
+    if interleave:
+        body = lines[1:]
+        random.Random(21).shuffle(body)
+        lines[1:] = body
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 class TestGoldenArtifacts:
-    """The four artifacts of two small runs, pinned by sha256. A change
+    """The four artifacts of three small runs, pinned by sha256. A change
     meant to keep every output byte-identical must keep these."""
 
     @staticmethod
@@ -455,6 +461,15 @@ class TestGoldenArtifacts:
         run_blender(config, load_dataset(config), out_dir=tmp_path / "out")
         assert self.digests(tmp_path / "out") == TSV_DIGESTS
 
+    def test_interleaved_tsv_run(self, tmp_path):
+        log = tmp_path / "log.tsv"
+        write_multi_record_log(log, interleave=True)
+        config = small_config(
+            params=PrivacyParams(M=10, optin_fraction=0.4), dataset_path=str(log)
+        )
+        run_blender(config, load_dataset(config), out_dir=tmp_path / "out")
+        assert self.digests(tmp_path / "out") == INTERLEAVED_TSV_DIGESTS
+
 
 SYNTH_DIGESTS = {
     "headlist.tsv": "5c5c33a43c0823d27a2e52fd8f3cf3e69912ac9ed0eb0996745e1741002b7dbd",
@@ -467,4 +482,10 @@ TSV_DIGESTS = {
     "optin_estimates.csv": "baa3ec7cf3286530e22dc7b0e789f890fdcb63a86900c030e5749e092a1cb994",
     "blended.csv": "fdc8a5474d1f3cf9b905dee056012ab2a406adffc5c0154566ee295fa0a16e27",
     "metrics.csv": "db42cfcaa29b901444b41343d7c7470eebd681e4ca6878a63a4304cb22615585",
+}
+INTERLEAVED_TSV_DIGESTS = {
+    "headlist.tsv": "12b22c3941610f82051fd3119007baec95e43fb500f3b52fe20b9b0547274620",
+    "optin_estimates.csv": "3be1f3dc244df07af4a22a7a029a1ac4e61185d4e05a43962d99d3ce681825c0",
+    "blended.csv": "788b360a80d03b5e22b3dd39c30f8d46641ebadc4213f909c31f0dc63423c4bb",
+    "metrics.csv": "a07f897bc1e9c4573462dad3653decc0b909e969cf62180286827e715a70a6d5",
 }

@@ -11,10 +11,12 @@ parameter axes with derived seeds.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -56,6 +58,10 @@ class SweepAxes:
             raise ConfigError(f"[sweep] seeds must be >= 1, got {self.seeds}")
 
 
+# The grid's axes, outermost first; an empty axis holds the PrivacyParams value.
+AXES = ("epsilon", "optin_fraction", "M")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     params: PrivacyParams = field(default_factory=PrivacyParams)
@@ -69,7 +75,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         # A bad axis value fails here, before a sweep runs its first cell.
-        for axis in ("epsilon", "optin_fraction", "M"):
+        for axis in AXES:
             for value in getattr(self.sweep, axis):
                 try:
                     replace(self.params, **{axis: value})
@@ -84,12 +90,17 @@ class MetricsRow:
     optin_fraction: float
     M: int
     seed: int
-    l1: float
-    ndcg: float
-    headlist_short: bool
+    l1: float = math.nan   # a failed run measures nothing
+    ndcg: float = math.nan
+    headlist_short: bool = False
     status: str = "ok"
 
     FIELDS = ("epsilon", "delta", "optin_pct", "M", "seed", "L1", "NDCG", "flags")
+
+    @classmethod
+    def for_params(cls, params: PrivacyParams, seed: int, **measured) -> MetricsRow:
+        """A row whose parameter columns are those of the run's `params`."""
+        return cls(params.epsilon, params.delta, params.optin_fraction, params.M, seed, **measured)
 
     def as_csv_row(self) -> list[str]:
         flags = []
@@ -177,15 +188,8 @@ def run_blender(
     l1, ndcg = metrics.score(blended.probs, truth)
 
     n_regular_queries = sum(1 for q in hl_final.queries if q != STAR)
-    row = MetricsRow(
-        epsilon=params.epsilon,
-        delta=params.delta,
-        optin_fraction=params.optin_fraction,
-        M=params.M,
-        seed=run_seed,
-        l1=l1,
-        ndcg=ndcg,
-        headlist_short=n_regular_queries < params.M,
+    row = MetricsRow.for_params(
+        params, run_seed, l1=l1, ndcg=ndcg, headlist_short=n_regular_queries < params.M
     )
     result = RunResult(hl_final, optin_out, client_est, blended, row)
     if out_dir is not None:
@@ -242,42 +246,20 @@ def sweep(
 
     Per-cell failures are recorded as error rows; the sweep continues.
     """
-    axes = config.sweep
-    eps_axis = axes.epsilon or (config.params.epsilon,)
-    optin_axis = axes.optin_fraction or (config.params.optin_fraction,)
-    m_axis = axes.M or (config.params.M,)
     if dataset is None:
         # No axis changes the data, so it is loaded once for every cell.
         dataset = load_dataset(config)
+    grid = [getattr(config.sweep, axis) or (getattr(config.params, axis),) for axis in AXES]
     rows: list[MetricsRow] = []
-    cell = 0
-    for eps in eps_axis:
-        for frac in optin_axis:
-            for m in m_axis:
-                params = replace(
-                    config.params, epsilon=eps, optin_fraction=frac, M=m
-                )
-                cell_config = replace(config, params=params)
-                for rep in range(axes.seeds):
-                    run_seed = derive_seed(config.seed, cell, rep)
-                    try:
-                        result = run_blender(cell_config, dataset, seed=run_seed)
-                        rows.append(result.row)
-                    except ParamError as exc:
-                        rows.append(
-                            MetricsRow(
-                                epsilon=eps,
-                                delta=config.params.delta,
-                                optin_fraction=frac,
-                                M=m,
-                                seed=run_seed,
-                                l1=float("nan"),
-                                ndcg=float("nan"),
-                                headlist_short=False,
-                                status=f"failed:{type(exc).__name__}",
-                            )
-                        )
-                cell += 1
+    for cell, values in enumerate(itertools.product(*grid)):
+        params = replace(config.params, **dict(zip(AXES, values)))
+        for rep in range(config.sweep.seeds):
+            run_seed = derive_seed(config.seed, cell, rep)
+            try:
+                rows.append(run_blender(replace(config, params=params), dataset, seed=run_seed).row)
+            except ParamError as exc:
+                status = f"failed:{type(exc).__name__}"
+                rows.append(MetricsRow.for_params(params, run_seed, status=status))
     if out_path is not None:
         write_csv(out_path, MetricsRow.FIELDS, (row.as_csv_row() for row in rows))
     return rows
@@ -286,12 +268,16 @@ def sweep(
 # -- config file parsing -------------------------------------------------
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Flat `key = value` config with an optional [sweep] section."""
+    """Flat `key = value` config with an optional [sweep] section: the fields
+    of PrivacyParams, SynthSpec (as `synth_<field>`) and, under [sweep],
+    SweepAxes, plus `seed`, `out` and `dataset`, each at most once. A `#`
+    at a line's start or after whitespace starts a comment."""
     flat: dict[str, str] = {}
     sweep_kv: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -302,38 +288,37 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        name = f"[sweep] {key}" if section == "sweep" else key
+        if name in first_line:
+            raise ConfigError(f"line {lineno}: {name} is already given on line {first_line[name]}")
+        first_line[name] = lineno
         (sweep_kv if section == "sweep" else flat)[key] = value
 
-    def take(d, casts, prefix=""):
-        """Cast the keys of `casts` present in d; absent keys keep their defaults."""
+    def take(d, hints, prefix=""):
+        """Cast the keys of `hints` present in d; a tuple is a comma-separated axis."""
         kwargs = {}
-        for name, cast in casts.items():
+        for name, hint in hints.items():
             key = prefix + name
             if key in d:
                 raw = d.pop(key)
                 try:
-                    kwargs[name] = cast(raw)
+                    if get_origin(hint) is tuple:
+                        parts = (part.strip() for part in raw.split(","))
+                        kwargs[name] = tuple(get_args(hint)[0](part) for part in parts if part)
+                    else:
+                        kwargs[name] = hint(raw)
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+                if kwargs[name] == ():
+                    raise ConfigError(f"[sweep] {key} is empty; leave it out for no axis")
         return kwargs
 
-    def num_list(cast):
-        return lambda raw: tuple(cast(part.strip()) for part in raw.split(",") if part.strip())
-
     try:
-        params = PrivacyParams(**take(flat, {
-            "epsilon": float, "delta": float, "m_O": int, "m_C": int,
-            "f_O": float, "f_C": float, "M": int, "optin_fraction": float,
-        }))
+        params = PrivacyParams(**take(flat, get_type_hints(PrivacyParams)))
     except ParamError as exc:
         raise ConfigError(str(exc)) from exc
-    synth = SynthSpec(**take(
-        flat, {"users": int, "queries": int, "urls": int, "exponent": float}, prefix="synth_"
-    ))
-    axes = SweepAxes(**take(sweep_kv, {
-        "epsilon": num_list(float), "optin_fraction": num_list(float),
-        "M": num_list(int), "seeds": int,
-    }))
+    synth = SynthSpec(**take(flat, get_type_hints(SynthSpec), prefix="synth_"))
+    axes = SweepAxes(**take(sweep_kv, get_type_hints(SweepAxes)))
     top = take(flat, {"seed": int})
     if "out" in flat:
         top["out_dir"] = flat.pop("out")

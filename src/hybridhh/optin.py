@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -28,9 +28,6 @@ from .core import (
     canonicalize,
 )
 from .sampling import laplace_samples
-
-# Optional noise override, for tests only (never wired to the CLI).
-NoiseFn = Callable[[float, int, np.random.Generator], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -62,8 +59,6 @@ def create_head_list(
     params: PrivacyParams,
     s_records: Iterable[Record] | Mapping[Record, int],
     rng: np.random.Generator,
-    *,
-    _noise_fn: Optional[NoiseFn] = None,
 ) -> HeadList:
     """Noisy-threshold admission over the records held by partition S,
     given as a record list or as record counts.
@@ -77,7 +72,7 @@ def create_head_list(
     b_s, tau = compute_threshold(params)
     counts = Counter(s_records)
     distinct = sorted(counts)
-    noise = (_noise_fn or laplace_samples)(b_s, len(distinct), rng).tolist()
+    noise = laplace_samples(b_s, len(distinct), rng).tolist()
     entries: dict[str, list[str]] = {}
     for record, z in zip(distinct, noise):
         if STAR not in record and counts[record] + z > tau:
@@ -108,8 +103,6 @@ def estimate_optin_probabilities(
     t_records: Iterable[Record] | Mapping[Record, int],
     hl_initial: HeadList,
     rng: np.random.Generator,
-    *,
-    _noise_fn: Optional[NoiseFn] = None,
 ) -> OptinOutput:
     """Laplace-mechanism estimates over the initial head list, trimmed to M.
 
@@ -134,7 +127,7 @@ def estimate_optin_probabilities(
         raise ParamError("need at least 2 records in partition T")
 
     records = list(hl_initial.records())
-    noise = (_noise_fn or laplace_samples)(b_t, len(records), rng).tolist()
+    noise = laplace_samples(b_t, len(records), rng).tolist()
     p_hat = {r: (counts[r] + z) / n for r, z in zip(records, noise)}
 
     # Trim to the top-M queries by estimated marginal probability. The

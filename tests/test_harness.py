@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import operator
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -103,6 +104,72 @@ class TestParseConfig:
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("epsilon = -2\n")
+
+    @pytest.mark.parametrize("text, key, first, second", [
+        ("epsilon = 2\nepsilon = 5\n", "epsilon", 1, 2),
+        ("M = 5\n[sweep]\nM = 5, 10\n# note\nM = 20\n", r"\[sweep\] M", 3, 5),
+        ("[sweep]\nM = 5\n[sweep]\nM = 10\n", r"\[sweep\] M", 2, 4),
+    ])
+    def test_repeated_key_rejected(self, text, key, first, second):
+        message = rf"^line {second}: {key} is already given on line {first}$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
+    def test_same_key_at_top_level_and_in_sweep_is_not_repeated(self):
+        config = parse_config("epsilon = 3\n[sweep]\nepsilon = 2, 4\n")
+        assert config.params.epsilon == 3.0 and config.sweep.epsilon == (2.0, 4.0)
+
+    @pytest.mark.parametrize("axis", ["epsilon =", "epsilon = ,", "M = , ,", "optin_fraction ="])
+    def test_empty_sweep_axis_rejected(self, axis):
+        with pytest.raises(ConfigError, match=rf"\[sweep\] {axis.split()[0]} is empty"):
+            parse_config(f"[sweep]\n{axis}\n")
+
+    def test_hash_inside_a_value_is_kept(self):
+        config = parse_config(
+            "# header\ndataset = logs/a#b.tsv   # the log\nout = r#1\n\t# indented comment\n"
+        )
+        assert config.dataset_path == "logs/a#b.tsv"
+        assert config.out_dir == "r#1"
+        assert parse_config("seed = 4 # c\n").seed == 4
+
+    @pytest.mark.parametrize("text, attr, expected", [
+        ("epsilon = 2.5", "params.epsilon", 2.5),
+        ("delta = 1e-6", "params.delta", 1e-6),
+        ("m_O = 1", "params.m_O", 1),
+        ("m_C = 1", "params.m_C", 1),
+        ("f_O = 0.9", "params.f_O", 0.9),
+        ("f_C = 0.8", "params.f_C", 0.8),
+        ("M = 10", "params.M", 10),
+        ("optin_fraction = 0.1", "params.optin_fraction", 0.1),
+        ("synth_users = 3000", "synth.users", 3000),
+        ("synth_queries = 30", "synth.queries", 30),
+        ("synth_urls = 3", "synth.urls", 3),
+        ("synth_exponent = 1.2", "synth.exponent", 1.2),
+        ("synth_exponent = 2", "synth.exponent", 2.0),
+        ("seed = 9", "seed", 9),
+        ("out = elsewhere", "out_dir", "elsewhere"),
+        ("dataset = logs/a.tsv", "dataset_path", "logs/a.tsv"),
+        ("dataset = synth", "dataset_path", None),
+        ("dataset =", "dataset_path", None),
+        ("[sweep]\nepsilon = 2, 4.5", "sweep.epsilon", (2.0, 4.5)),
+        ("[sweep]\nepsilon = 2, , 4.5,", "sweep.epsilon", (2.0, 4.5)),
+        ("[sweep]\noptin_fraction = 0.05, 0.1", "sweep.optin_fraction", (0.05, 0.1)),
+        ("[sweep]\nM = 5, 10", "sweep.M", (5, 10)),
+        ("[sweep]\nseeds = 3", "sweep.seeds", 3),
+    ])
+    def test_every_key_round_trips_with_its_type(self, text, attr, expected):
+        config = parse_config(text + "\n")
+        value = operator.attrgetter(attr)(config)
+        assert value == expected
+        assert type(value) is type(expected)
+        if isinstance(value, tuple):
+            assert [type(v) for v in value] == [type(e) for e in expected]
+        # Every other setting keeps its default.
+        *path, name = attr.split(".")
+        reset = {name: operator.attrgetter(attr)(ExperimentConfig())}
+        for part in reversed(path):
+            reset = {part: replace(getattr(config, part), **reset)}
+        assert replace(config, **reset) == ExperimentConfig()
 
 
 class TestDeriveSeed:
@@ -216,6 +283,22 @@ class TestSweep:
         config = small_config(sweep=SweepAxes(epsilon=(2.0, 4.0), seeds=2))
         rows = sweep(config)
         assert len(rows) == 4 and len(loads) == 1
+
+    def test_pinned_sweep_csv(self, tmp_path):
+        # Three axes, two seeds, a third of the cells failing; the digest
+        # pins the cell order, the derived seeds and every byte of the rows.
+        config = parse_config(
+            "epsilon = 4.0\nM = 10\nseed = 3\n"
+            "synth_users = 3000\nsynth_queries = 30\nsynth_urls = 3\n"
+            "[sweep]\nepsilon = 0.5, 2, 4\noptin_fraction = 0.05, 0.1\nM = 5, 10\nseeds = 2\n"
+        )
+        out = tmp_path / "sweep.csv"
+        rows = sweep(config, out_path=out)
+        assert len(rows) == 24
+        assert sum(r.status == "failed:ParamError" for r in rows) == 8
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "b66d7ef42fa4fe5b2f856e82d42eb017b87f97062a25cef86d76238aebda10bb"
+        )
 
     def test_distinct_seeds_per_repetition(self):
         config = small_config(sweep=SweepAxes(seeds=3))

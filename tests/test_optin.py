@@ -1,9 +1,11 @@
 import math
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from hybridhh import optin
 from hybridhh.core import (
     STAR,
     WILDCARD,
@@ -22,7 +24,13 @@ from hybridhh.optin import (
 )
 from hybridhh.sampling import laplace_samples, substream
 
-ZERO_NOISE = lambda scale, n, rng: np.zeros(n)
+
+@contextmanager
+def fixed_noise(value: float):
+    """Inside the block every Laplace draw of the curator stage is `value`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optin, "laplace_samples", lambda scale, n, rng: np.full(n, value))
+        yield
 
 
 class TestComputeThreshold:
@@ -48,9 +56,8 @@ class TestCreateHeadList:
     def test_zero_noise_admits_by_count(self, default_params):
         # tau ~ 6.76: counts 10 pass, counts 1 do not.
         records = [Record("hot", "hot.com")] * 10 + [Record("cold", "cold.com")]
-        hl = create_head_list(
-            default_params, records, substream(0, 0), _noise_fn=ZERO_NOISE
-        )
+        with fixed_noise(0.0):
+            hl = create_head_list(default_params, records, substream(0, 0))
         assert hl.stage is Stage.INITIAL
         assert Record("hot", "hot.com") in hl
         assert "cold" not in hl.entries
@@ -59,22 +66,18 @@ class TestCreateHeadList:
     def test_admission_monotone_in_count(self, default_params):
         # For any fixed noise draw, a higher count never flips admit -> reject.
         for noise_value in (-3.0, 0.0, 5.9):
-            fixed = lambda scale, n, rng: np.full(n, noise_value)
             admitted = []
             for count in (1, 7, 100):
-                hl = create_head_list(
-                    default_params,
-                    [Record("q", "u")] * count,
-                    substream(0, 0),
-                    _noise_fn=fixed,
-                )
+                with fixed_noise(noise_value):
+                    hl = create_head_list(
+                        default_params, [Record("q", "u")] * count, substream(0, 0)
+                    )
                 admitted.append(Record("q", "u") in hl)
             assert admitted == sorted(admitted)
 
     def test_absent_record_never_admitted(self, default_params):
-        hl = create_head_list(
-            default_params, [], substream(0, 0), _noise_fn=lambda s, n, r: np.full(n, 1e9)
-        )
+        with fixed_noise(1e9):
+            hl = create_head_list(default_params, [], substream(0, 0))
         assert hl.entries == {STAR: (STAR,)}
 
     def test_reproducible(self, default_params):
@@ -117,9 +120,8 @@ def initial_hl(default_params):
     records = (
         [Record("a", "a1")] * 30 + [Record("b", "b1")] * 30 + [Record("b", "b2")] * 30
     )
-    return create_head_list(
-        default_params, records, substream(0, 0), _noise_fn=ZERO_NOISE
-    )
+    with fixed_noise(0.0):
+        return create_head_list(default_params, records, substream(0, 0))
 
 
 class TestEstimateOptinProbabilities:
@@ -132,10 +134,10 @@ class TestEstimateOptinProbabilities:
         )
 
     def test_zero_noise_gives_empirical_frequencies(self, default_params, initial_hl):
-        out = estimate_optin_probabilities(
-            default_params, self.t_records(), initial_hl, substream(0, 0),
-            _noise_fn=ZERO_NOISE,
-        )
+        with fixed_noise(0.0):
+            out = estimate_optin_probabilities(
+                default_params, self.t_records(), initial_hl, substream(0, 0)
+            )
         est = out.estimates
         assert est.record_probs[Record("a", "a1")] == pytest.approx(0.30)
         assert est.record_probs[Record("b", "b1")] == pytest.approx(0.35)
@@ -146,10 +148,10 @@ class TestEstimateOptinProbabilities:
         assert out.b_T == 0.5
 
     def test_final_list_ordered_by_marginal(self, default_params, initial_hl):
-        out = estimate_optin_probabilities(
-            default_params, self.t_records(), initial_hl, substream(0, 0),
-            _noise_fn=ZERO_NOISE,
-        )
+        with fixed_noise(0.0):
+            out = estimate_optin_probabilities(
+                default_params, self.t_records(), initial_hl, substream(0, 0)
+            )
         # Marginals: b = 0.5, a = 0.3, star = 0.2.
         assert out.head_list.queries == ("b", "a", STAR)
         assert out.head_list.stage is Stage.FINAL
@@ -157,10 +159,10 @@ class TestEstimateOptinProbabilities:
 
     def test_trimming_folds_mass_into_wildcard(self, initial_hl):
         params = PrivacyParams(M=1)
-        out = estimate_optin_probabilities(
-            params, self.t_records(), initial_hl, substream(0, 0),
-            _noise_fn=ZERO_NOISE,
-        )
+        with fixed_noise(0.0):
+            out = estimate_optin_probabilities(
+                params, self.t_records(), initial_hl, substream(0, 0)
+            )
         # Only query b survives; a's 0.3 joins the wildcard's 0.2.
         assert "a" not in out.head_list.entries
         assert out.estimates.record_probs[WILDCARD] == pytest.approx(0.5)
@@ -195,17 +197,17 @@ class TestEstimateOptinProbabilities:
         # A log row whose query is `*` decodes to the star query; its mass
         # is wildcard mass, whatever its url, and must not be lost.
         half = [Record(STAR, "foo.com")] * 20 + [Record("a", "a1")] * 20
-        hl = create_head_list(default_params, half, substream(0, 0), _noise_fn=ZERO_NOISE)
+        with fixed_noise(0.0):
+            hl = create_head_list(default_params, half, substream(0, 0))
+            out = estimate_optin_probabilities(default_params, half, hl, substream(0, 0))
         assert hl.entries == {"a": ("a1",), STAR: (STAR,)}
-        out = estimate_optin_probabilities(
-            default_params, half, hl, substream(0, 0), _noise_fn=ZERO_NOISE
-        )
         assert out.head_list.urls(STAR) == (STAR,)
         assert out.estimates.record_probs == {Record("a", "a1"): 0.5, WILDCARD: 0.5}
         assert sum(out.estimates.record_probs.values()) == 1.0
         # The star query comes last even when a query sorts after it.
         late = [Record(STAR, "foo.com")] * 20 + [Record("日本", "jp")] * 20
-        hl = create_head_list(default_params, late, substream(0, 0), _noise_fn=ZERO_NOISE)
+        with fixed_noise(0.0):
+            hl = create_head_list(default_params, late, substream(0, 0))
         assert hl.queries == ("日本", STAR)
 
     def test_star_url_is_never_admitted(self, default_params):
@@ -215,11 +217,10 @@ class TestEstimateOptinProbabilities:
             [Record("foo", "a")] * 20 + [Record("foo", STAR)] * 10
             + [Record("foo", "b")] * 10 + [Record("bar", "c")] * 10
         )
-        hl = create_head_list(default_params, log, substream(0, 0), _noise_fn=ZERO_NOISE)
+        with fixed_noise(0.0):
+            hl = create_head_list(default_params, log, substream(0, 0))
+            out = estimate_optin_probabilities(default_params, log, hl, substream(0, 0))
         assert hl.entries == {"bar": ("c",), "foo": ("a", "b"), STAR: (STAR,)}
-        out = estimate_optin_probabilities(
-            default_params, log, hl, substream(0, 0), _noise_fn=ZERO_NOISE
-        )
         final = out.head_list
         assert HeadList(final.entries, Stage.FINAL) == final
         assert Record("foo", STAR) not in final

@@ -13,12 +13,16 @@ estimates from the aggregated report fractions.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Mapping
+from operator import attrgetter
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
+    STAR,
+    WILDCARD,
     EstimateVector,
     HeadList,
     ParamError,
@@ -116,20 +120,47 @@ def local_privatize(
     return Record(q, u)
 
 
+def record_slots(table: Sequence[Record], hl: HeadList) -> np.ndarray:
+    """Each record's slot in `hl.records()` order, once canonicalized as in
+    `local_privatize`.
+
+    `table` holds distinct records in sorted order, so a listed query's
+    records form one contiguous range: it is found by bisection on the
+    query, and each listed url by bisection inside it. Records of
+    unlisted queries keep the wildcard's slot, and unlisted urls their
+    query's star slot. The cost grows with the list, not the table.
+    """
+    if hl.stage is not Stage.CLIENT_AUGMENTED:
+        raise ParamError("record slots require a client-augmented head list")
+    slot = {r: i for i, r in enumerate(hl.records())}
+    slots = np.full(len(table), slot[WILDCARD], dtype=np.int64)
+    query = attrgetter("query")
+    for q in hl.queries:
+        lo = bisect_left(table, q, key=query)
+        hi = bisect_right(table, q, lo, key=query)
+        slots[lo:hi] = slot[Record(q, STAR)]
+        for u in hl.urls(q):
+            i = bisect_left(table, Record(q, u), lo, hi)
+            if i < hi and table[i].url == u:
+                slots[i] = slot[Record(q, u)]
+    return slots
+
+
 def _uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
 def simulate_reports(
-    true_counts: Mapping[Record, int],
+    held: np.ndarray,
     model: ReportModel,
     hl: HeadList,
     rng: np.random.Generator,
 ) -> dict[Record, int]:
     """Report counts of a whole client population, drawn in aggregate.
 
-    `true_counts[r]` clients hold record r, canonicalized first as in
-    `local_privatize`. The server sees only how many reports land on each
+    `held[i]` clients hold the i-th record of `hl.records()`, their own
+    record once canonicalized as in `local_privatize` (see
+    `record_slots`). The server sees only how many reports land on each
     record, and the n clients holding r report independently, so their
     counts are one multinomial draw of size n from r's row of the
     channel; it is drawn stage by stage. Per row: Binomial(n, t) keep the
@@ -140,14 +171,9 @@ def simulate_reports(
     law of summing one `local_privatize` call per client.
     """
     records = list(hl.records())
-    index = {r: i for i, r in enumerate(records)}
-    held = np.zeros(len(records), dtype=np.int64)
-    for rec, n in true_counts.items():
-        held[index[canonicalize(rec, hl)]] += n
-
     queries = hl.queries
     starts = np.cumsum([0] + [model.k_q[q] for q in queries]).tolist()
-    reports = np.zeros_like(held)
+    reports = np.zeros(len(records), dtype=np.int64)
     other_query = np.zeros(model.k, dtype=np.int64)   # by true-query index
     for qi, q in enumerate(queries):
         start, kq = starts[qi], model.k_q[q]

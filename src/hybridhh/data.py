@@ -5,14 +5,17 @@ generator draws one record per user from a power-law joint distribution
 with a known ground truth, which the metrics stage can score against.
 
 A dataset is a columnar index of its users' records, built by the parser
-or the generator that makes it; partitioning and per-user sampling work
-on its integer arrays and return record counts. `Dataset.users` rebuilds
+or the generator that makes it. Its table of distinct records is sorted,
+so record ids follow record order and each query's records hold one
+contiguous id range. Partitioning and per-user sampling work on its
+integer arrays and return record counts by id. `Dataset.users` rebuilds
 the users one at a time from the index, for writing a log back out.
 """
 
 from __future__ import annotations
 
 import io
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional
@@ -33,8 +36,10 @@ class UserLog(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Users and distinct records in first-seen order; each user's records
-    as int32 ids into the table, user-major, at `offsets` for `lengths`."""
+    """Users in first-seen order and distinct records in sorted order, so
+    that record ids follow record order and each query's records hold one
+    contiguous id range; each user's records as int32 ids into the table,
+    user-major, at `offsets` for `lengths`."""
 
     user_ids: tuple[str, ...]
     record_table: tuple[Record, ...]
@@ -50,6 +55,9 @@ class Dataset:
             if abs(total - 1.0) > 1e-9:
                 raise ParamError(f"true distribution sums to {total}, not 1")
             object.__setattr__(self, "true_distribution", dist)
+        # Consumers find a query's records by bisection on the table.
+        if not all(map(operator.lt, self.record_table, self.record_table[1:])):
+            raise ParamError("record table is not strictly increasing")
         object.__setattr__(self, "offsets", np.cumsum(self.lengths) - self.lengths)
 
     def __len__(self) -> int:
@@ -68,9 +76,9 @@ def parse_log(stream: IO[str] | str) -> Dataset:
     """Parse a TSV log into a dataset.
 
     Lines whose first non-blank character is '#' are comments. Malformed
-    or empty-field rows abort with the offending line number. Users and
-    records are numbered in first-seen order, and each user keeps its
-    rows in log order.
+    or empty-field rows abort with the offending line number. Users are
+    numbered in first-seen order and records in sorted order, and each
+    user keeps its rows in log order.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -98,12 +106,22 @@ def parse_log(stream: IO[str] | str) -> Dataset:
         owners.append(user_index.setdefault(user, len(user_index)))
         ids.append(rid)
     owner = np.array(owners, dtype=np.int64)
+    table, rank = _sorted_table(record_index)
     return Dataset(
         tuple(user_index),
-        tuple(record_index),
-        np.array(ids, dtype=np.int32)[np.argsort(owner, kind="stable")],
+        table,
+        rank[np.array(ids, dtype=np.int32)[np.argsort(owner, kind="stable")]],
         np.bincount(owner, minlength=len(user_index)),
     )
+
+
+def _sorted_table(index: Mapping[Record, int]) -> tuple[tuple[Record, ...], np.ndarray]:
+    """The distinct records of `index` in sorted order, and the int32 rank
+    array that maps each of its ids to that record's position there."""
+    table = tuple(sorted(index))
+    rank = np.empty(len(table), dtype=np.int32)
+    rank[np.fromiter(map(index.__getitem__, table), np.int64, len(table))] = np.arange(len(table))
+    return table, rank
 
 
 def serialize_log(dataset: Dataset, stream: IO[str]) -> None:
@@ -114,19 +132,24 @@ def serialize_log(dataset: Dataset, stream: IO[str]) -> None:
 
 def sample_per_user(
     dataset: Dataset, users: np.ndarray, rng: np.random.Generator
-) -> Counter[Record]:
-    """Counts of one uniformly chosen record per user.
+) -> np.ndarray:
+    """Counts of one uniformly chosen record per user, by record id.
 
     `users` holds positions in `dataset.user_ids`. The picks are one
     `rng.integers` draw over the users' record counts, in the order
-    given; a user with one record consumes no randomness.
+    given; a user with one record consumes no randomness. The result has
+    one entry per record of `dataset.record_table`.
     """
     draws = rng.integers(dataset.lengths[users])
     picked = dataset.record_ids[dataset.offsets[users] + draws]
-    counts = np.bincount(picked, minlength=len(dataset.record_table))
-    held = np.flatnonzero(counts)
-    table = dataset.record_table
-    return Counter({table[i]: n for i, n in zip(held.tolist(), counts[held].tolist())})
+    return np.bincount(picked, minlength=len(dataset.record_table))
+
+
+def record_counts(dataset: Dataset, counts: np.ndarray) -> dict[Record, int]:
+    """The nonzero entries of a count array by record id, keyed by record
+    in table order, which is sorted order."""
+    ids = np.flatnonzero(counts)
+    return dict(zip(map(dataset.record_table.__getitem__, ids.tolist()), counts[ids].tolist()))
 
 
 def partition_users(
@@ -174,7 +197,8 @@ def synth_zipf(
 
     Query marginals and per-query url conditionals are both Zipf with the
     given exponent. Urls live in per-query namespaces ("q{i}/u{j}") so
-    lists never collide across queries.
+    lists never collide across queries. The draws and the truth follow
+    the (i, j) order; the table holds the records sorted.
     """
     if min(num_users, num_queries, urls_per_query) < 1:
         raise ParamError("all counts must be >= 1")
@@ -190,10 +214,11 @@ def synth_zipf(
     ]
     draws = rng.choice(len(records), size=num_users, p=joint)
     truth = {rec: float(p) for rec, p in zip(records, joint)}
+    table, rank = _sorted_table({rec: i for i, rec in enumerate(records)})
     return Dataset(
         tuple(f"user{n:07d}" for n in range(num_users)),
-        tuple(records),
-        draws.astype(np.int32),
+        table,
+        rank[draws],
         np.ones(num_users, dtype=np.int64),
         true_distribution=truth,
     )

@@ -159,8 +159,11 @@ def run_blender(
     s_users, t_users, c_users = data.partition_users(
         dataset, params.optin_fraction, params.f_O, substream(run_seed, 0)
     )
-    s_counts = data.sample_per_user(dataset, s_users, substream(run_seed, 1))
-    t_counts = data.sample_per_user(dataset, t_users, substream(run_seed, 2))
+    s_picks = data.sample_per_user(dataset, s_users, substream(run_seed, 1))
+    t_picks = data.sample_per_user(dataset, t_users, substream(run_seed, 2))
+    # Table order is sorted order, so the head list's sort finds S in order.
+    s_counts = data.record_counts(dataset, s_picks)
+    t_counts = data.record_counts(dataset, t_picks)
 
     hl_initial = optin.create_head_list(params, s_counts, substream(run_seed, 3))
     if hl_initial.k <= 1:
@@ -174,17 +177,20 @@ def run_blender(
     model = client.build_report_model(params, hl_aug)
 
     # Only the report counts reach the server, so the clients' picks are
-    # counted and pushed through the channel in aggregate.
+    # counted per head-list slot and pushed through the channel in aggregate.
     crng = substream(run_seed, 5)
     picks = data.sample_per_user(dataset, c_users, crng)
-    counts = client.simulate_reports(picks, model, hl_aug, crng)
+    slots = client.record_slots(dataset.record_table, hl_aug)
+    # Float sums of integer counts are exact below 2**53.
+    held = np.bincount(slots, weights=picks, minlength=hl_aug.num_records()).astype(np.int64)
+    counts = client.simulate_reports(held, model, hl_aug, crng)
     client_est = client.client_estimates_from_counts(counts, len(c_users), model, hl_aug)
 
     blended = blend.blend_probabilities(optin_out.estimates, client_est, hl_final)
 
     truth = dataset.true_distribution
     if truth is None:
-        truth = data.empirical_distribution(s_counts + t_counts)
+        truth = data.empirical_distribution(data.record_counts(dataset, s_picks + t_picks))
     l1, ndcg = metrics.score(blended.probs, truth)
 
     n_regular_queries = sum(1 for q in hl_final.queries if q != STAR)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hybridhh.client import (
     DegenerateChannelError,
@@ -15,6 +15,7 @@ from hybridhh.client import (
     denoise_record,
     local_privatize,
     query_variance,
+    record_slots,
     record_variance,
     simulate_reports,
 )
@@ -28,10 +29,20 @@ from hybridhh.core import (
     Stage,
     canonicalize,
 )
+from hybridhh.data import parse_log
 from hybridhh.oracle import enumerate_report_distribution, forward_report_map
 from hybridhh.sampling import substream
 
 from conftest import make_augmented_head_list
+
+
+def held_of(true_counts, hl) -> np.ndarray:
+    """Clients per slot of `hl.records()`, each record canonicalized."""
+    records = list(hl.records())
+    held = np.zeros(len(records), dtype=np.int64)
+    for rec, c in true_counts.items():
+        held[records.index(canonicalize(rec, hl))] += c
+    return held
 
 
 def noiseless_model(hl) -> ReportModel:
@@ -196,7 +207,7 @@ class TestSimulateReports:
         rng = substream(0x51A, 0)
         total = np.zeros(len(outputs))
         for _ in range(self.REPS):
-            counts = simulate_reports(self.TRUE_COUNTS, model, hl, rng)
+            counts = simulate_reports(held_of(self.TRUE_COUNTS, hl), model, hl, rng)
             assert sum(counts.values()) == n
             assert all(c > 0 and r in hl for r, c in counts.items())
             total += [counts.get(r, 0) for r in outputs]
@@ -207,7 +218,51 @@ class TestSimulateReports:
     def test_noiseless_channel_is_identity(self):
         hl = make_augmented_head_list(4, 3)
         counts = {Record("q1", "q1/u0"): 7, Record("q2", STAR): 3, WILDCARD: 5}
-        assert simulate_reports(counts, noiseless_model(hl), hl, substream(1, 0)) == counts
+        held = held_of(counts, hl)
+        assert simulate_reports(held, noiseless_model(hl), hl, substream(1, 0)) == counts
+
+
+# Log fields: queries that prefix each other, the star both spelled "*"
+# and literal, and non-ASCII strings. List fields add words no log holds.
+LOG_WORDS = ("q1", "q10", "q2", "*", STAR, "\u00e9", "\u65e5\u672c", "q1/u")
+LIST_WORDS = ("q1", "q10", "q2", "\u00e9", "\u65e5\u672c", "q1/u", "absent", "q100")
+
+
+class TestRecordSlots:
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from(LOG_WORDS), st.sampled_from(LOG_WORDS)),
+            min_size=1, max_size=30,
+        ),
+        entries=st.dictionaries(
+            st.sampled_from(LIST_WORDS),
+            st.lists(st.sampled_from(LIST_WORDS), min_size=1, max_size=4, unique=True),
+            max_size=5,
+        ),
+    )
+    @example(
+        # Listed q1 and q10 share a prefix; q10 lists "\u00e9" but the log
+        # holds ("q10", "a"); q2 is unlisted; star queries and urls.
+        rows=[(0, "q1", "a"), (0, "q10", "b"), (1, "q1", "*"), (1, "*", "*"), (2, "*", "a"),
+              (2, "\u00e9", "\u65e5\u672c"), (3, "q10", "a"), (3, "q2", "\u00e9")],
+        entries={"q10": ["b", "\u00e9"], "q1": ["a"], "\u00e9": ["\u65e5\u672c"]},
+    )
+    @example(
+        rows=[(0, "q1", "a"), (1, "q10", "q1"), (2, "*", "*")],
+        entries={"absent": ["x"], "q100": ["q1"]},
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_canonicalize(self, rows, entries):
+        table = parse_log("".join(f"u{user}\t{q}\t{u}\n" for user, q, u in rows)).record_table
+        hl = HeadList({**entries, STAR: (STAR,)}, Stage.FINAL).augment_for_clients()
+        records = list(hl.records())
+        want = [records.index(canonicalize(rec, hl)) for rec in table]
+        assert record_slots(table, hl).tolist() == want
+
+    def test_rejects_a_list_not_augmented_for_clients(self):
+        hl = HeadList({"q": ("u",), STAR: (STAR,)}, Stage.FINAL)
+        with pytest.raises(ParamError):
+            record_slots((Record("q", "u"),), hl)
 
 
 class TestDenoise:
@@ -304,7 +359,7 @@ class TestAggregation:
         model = build_report_model(PrivacyParams(), hl)
         for seed in range(5):
             counts = simulate_reports(
-                TestSimulateReports.TRUE_COUNTS, model, hl, substream(0xA66, seed)
+                held_of(TestSimulateReports.TRUE_COUNTS, hl), model, hl, substream(0xA66, seed)
             )
             n = sum(counts.values())
             est = client_estimates_from_counts(counts, n, model, hl)

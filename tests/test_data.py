@@ -15,6 +15,7 @@ from hybridhh.data import (
     empirical_distribution,
     parse_log,
     partition_users,
+    record_counts,
     sample_per_user,
     serialize_log,
     synth_zipf,
@@ -156,6 +157,13 @@ class TestDataset:
         with pytest.raises(ParamError):
             replace(ds, true_distribution={Record("q", "u"): 0.5})
 
+    def test_unsorted_table_is_rejected(self):
+        ds = parse_log("a\tq1\tu\nb\tq2\tu\n")
+        with pytest.raises(ParamError, match="strictly increasing"):
+            replace(ds, record_table=ds.record_table[::-1])
+        with pytest.raises(ParamError, match="strictly increasing"):
+            replace(ds, record_table=ds.record_table[:1] * 2)
+
     def test_users_is_a_lazy_view(self):
         ds = parse_log(LOG)
         assert isinstance(ds.users, Iterator)
@@ -176,6 +184,12 @@ def dataset_of(sizes, shared=False):
     return parse_log(log_of(sizes, shared))
 
 
+def by_record(ds, counts):
+    """A count array over `ds.record_table` as a Counter keyed by record."""
+    assert counts.shape == (len(ds.record_table),)
+    return Counter({rec: n for rec, n in zip(ds.record_table, counts.tolist()) if n})
+
+
 class TestSamplePerUser:
     def test_m1_is_uniform(self):
         recs = tuple(Record(f"q{i}", f"u{i}") for i in range(4))
@@ -183,7 +197,7 @@ class TestSamplePerUser:
             f"u{i}\t{rec.query}\t{rec.url}\n" for i in range(40_000) for rec in recs
         ))
         rng = substream(51, 0)
-        hits = sample_per_user(ds, np.arange(40_000), rng)[recs[0]]
+        hits = sample_per_user(ds, np.arange(40_000), rng)[ds.record_table.index(recs[0])]
         assert hits / 40_000 == pytest.approx(0.25, abs=0.01)
 
     def test_picks_match_per_user_choice(self):
@@ -198,7 +212,7 @@ class TestSamplePerUser:
             if len(user.records) > 1 else user.records[0]
             for user in ds.users
         )
-        assert sample_per_user(ds, np.arange(len(ds)), rng_a) == want
+        assert by_record(ds, sample_per_user(ds, np.arange(len(ds)), rng_a)) == want
         assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -214,7 +228,7 @@ class TestSamplePerUser:
         for i in users.tolist():
             records = user_logs[i].records
             want[records[rng_b.integers(len(records))]] += 1
-        assert sample_per_user(ds, users, rng_a) == want
+        assert by_record(ds, sample_per_user(ds, users, rng_a)) == want
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_single_record_users_consume_no_randomness(self):
@@ -222,8 +236,15 @@ class TestSamplePerUser:
         rng = substream(54, 0)
         before = rng.bit_generator.state
         counts = sample_per_user(ds, np.arange(50), rng)
-        assert counts == Counter(user.records[0] for user in ds.users)
+        assert by_record(ds, counts) == Counter(user.records[0] for user in ds.users)
         assert rng.bit_generator.state == before
+
+    def test_record_counts_keys_nonzero_ids_in_table_order(self):
+        ds = dataset_of([3, 1, 4, 1, 5, 9, 2, 6], shared=True)
+        counts = sample_per_user(ds, np.arange(len(ds)), substream(55, 0))
+        held = record_counts(ds, counts)
+        assert held == by_record(ds, counts)
+        assert list(held) == sorted(held)
 
 
 class TestDatasetIndex:
@@ -238,10 +259,22 @@ class TestDatasetIndex:
                 ids = ds.record_ids[start:start + n].tolist()
                 assert tuple(ds.record_table[i] for i in ids) == records
 
-    def test_table_is_in_first_seen_order(self):
+    def test_table_is_in_sorted_order(self):
         ds = parse_log("a\tq2\tu\nb\tq1\tu\na\tq1\tu\nc\tq2\tu\n")
-        assert ds.record_table == (Record("q2", "u"), Record("q1", "u"))
-        assert ds.record_ids.tolist() == [0, 1, 1, 0]
+        assert ds.record_table == (Record("q1", "u"), Record("q2", "u"))
+        # Users a, b, c in first-seen order; a keeps its rows in log order.
+        assert ds.record_ids.tolist() == [1, 0, 0, 1]
+
+    @pytest.mark.parametrize("make", [
+        lambda: parse_log(log_of([3, 1, 4, 1, 5], shared=True)),
+        lambda: parse_log(interleaved_log(3)),
+        lambda: parse_log("u\tq10\tb\nu\tq1\ta\nv\t*\t*\nv\tq1\t*\nw\t\u00e9t\u00e9\tz\nw\tq2\ta\n"),
+        lambda: synth_zipf(500, 12, 3, 1.0, substream(9, 0)),
+    ], ids=["shared", "interleaved", "stars-and-non-ascii", "synth"])
+    def test_constructors_yield_strictly_increasing_tables(self, make):
+        table = make().record_table
+        assert len(table) > 1
+        assert all(a < b for a, b in zip(table, table[1:]))
 
     def test_parse_is_deterministic_and_index_stays_out_of_repr(self):
         a, b = parse_log(LOG), parse_log(LOG)

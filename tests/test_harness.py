@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hybridhh import cli, data, harness
+from hybridhh import cli, client, data, harness
 from hybridhh.core import STAR, PrivacyParams
 from hybridhh.harness import (
     ConfigError,
@@ -231,6 +231,18 @@ class TestRunBlender:
                 for column, cell in row.items():
                     if column not in ("query", "url"):
                         float(cell)
+
+
+    def test_clients_are_mapped_to_the_list_without_canonicalize(self, monkeypatch):
+        # The clients' records reach their head-list slots through
+        # `client.record_slots`; none is canonicalized one at a time.
+        def refuse(record, hl):
+            raise AssertionError(f"canonicalize({record}) on the client side")
+
+        monkeypatch.setattr(client, "canonicalize", refuse)
+        config = small_config()
+        result = run_blender(config, load_dataset(config))
+        assert result.client_est.sample_size == 1900
 
 
 class TestMetricsRow:
@@ -553,6 +565,18 @@ class TestGoldenArtifacts:
         run_blender(config, load_dataset(config), out_dir=tmp_path / "out")
         assert self.digests(tmp_path / "out") == INTERLEAVED_TSV_DIGESTS
 
+    def test_synth_command(self, tmp_path, capsys):
+        # More than ten queries, so that "q10" sorts between "q1" and "q2".
+        log = tmp_path / "log.tsv"
+        argv = ["synth", "--users", "500", "--queries", "12", "--urls", "3",
+                "--exponent", "1.2", "--seed", "9", "--out", str(log)]
+        assert cli.main(argv) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (log, Path(f"{log}.truth.csv"))
+        }
+        assert digests == SYNTH_COMMAND_DIGESTS
+
 
 SYNTH_DIGESTS = {
     "headlist.tsv": "5c5c33a43c0823d27a2e52fd8f3cf3e69912ac9ed0eb0996745e1741002b7dbd",
@@ -571,4 +595,8 @@ INTERLEAVED_TSV_DIGESTS = {
     "optin_estimates.csv": "3be1f3dc244df07af4a22a7a029a1ac4e61185d4e05a43962d99d3ce681825c0",
     "blended.csv": "788b360a80d03b5e22b3dd39c30f8d46641ebadc4213f909c31f0dc63423c4bb",
     "metrics.csv": "a07f897bc1e9c4573462dad3653decc0b909e969cf62180286827e715a70a6d5",
+}
+SYNTH_COMMAND_DIGESTS = {
+    "log.tsv": "684bd5f659ee8b119496d81f4d747d2241310d77c3f2020377ef321105411e86",
+    "log.tsv.truth.csv": "cb8dcd5c10f61df8e5065c764a4e4b7036e78f8579553ead14c48ed16ddd8030",
 }

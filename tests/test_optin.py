@@ -76,9 +76,14 @@ class TestCreateHeadList:
             assert admitted == sorted(admitted)
 
     def test_absent_record_never_admitted(self, default_params):
+        # Noise that admits any record held once: only the held one gets in.
+        present = Record("q", "u")
         with fixed_noise(1e9):
-            hl = create_head_list(default_params, [], substream(0, 0))
-        assert hl.entries == {STAR: (STAR,)}
+            hl = create_head_list(default_params, [present], substream(0, 0))
+        assert present in hl
+        assert Record("q", "other-url") not in hl
+        assert Record("other-query", "u") not in hl
+        assert hl.entries == {"q": ("u",), STAR: (STAR,)}
 
     def test_reproducible(self, default_params):
         records = [Record(f"q{i}", f"u{i}") for i in range(20) for _ in range(7)]

@@ -22,11 +22,6 @@ from .core import EstimateVector, HeadList, ParamError, Record
 class BlendedOutput:
     probs: Mapping[Record, float]
     weights: Mapping[Record, float]   # weight on the opt-in estimate
-    projected: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", dict(self.probs))
-        object.__setattr__(self, "weights", dict(self.weights))
 
 
 def blend_weight(var_optin: float, var_client: float) -> float:
@@ -65,7 +60,7 @@ def blend_probabilities(
         keys = list(probs)
         projected = project_to_simplex(np.array([probs[r] for r in keys]))
         probs = {r: float(p) for r, p in zip(keys, projected)}
-    return BlendedOutput(probs=probs, weights=weights, projected=project)
+    return BlendedOutput(probs=probs, weights=weights)
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:

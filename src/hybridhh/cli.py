@@ -31,7 +31,8 @@ from .harness import ConfigError
 
 def _load_config(args) -> harness.ExperimentConfig:
     if args.config:
-        config = harness.parse_config(Path(args.config).read_text(encoding="utf-8"))
+        with data.open_input(args.config) as fh:
+            config = harness.parse_config(fh.read())
     else:
         config = harness.ExperimentConfig()
     if args.seed is not None:
@@ -95,7 +96,7 @@ def _cmd_verify_dp(args) -> int:
 
 def _read_prob_csv(path: str) -> dict[Record, float]:
     probs: dict[Record, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with data.open_input(path) as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         key = "p_blend" if "p_blend" in header else "p"
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParamError, ParseError, FileNotFoundError) as exc:
+    except (ConfigError, ParamError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -57,10 +57,6 @@ class ReportModel:
     t_q: Mapping[str, float]             # per-query truthful-url probability
     budgets: tuple[float, float, float, float]  # (eps_Q, delta_Q, eps_U, delta_U)
 
-    def __post_init__(self):
-        object.__setattr__(self, "k_q", dict(self.k_q))
-        object.__setattr__(self, "t_q", dict(self.t_q))
-
 
 def build_report_model(params: PrivacyParams, hl: HeadList) -> ReportModel:
     """Budgets and truth probabilities for a client-augmented head list.
@@ -128,7 +124,8 @@ def record_slots(table: Sequence[Record], hl: HeadList) -> np.ndarray:
     records form one contiguous range: it is found by bisection on the
     query, and each listed url by bisection inside it. Records of
     unlisted queries keep the wildcard's slot, and unlisted urls their
-    query's star slot. The cost grows with the list, not the table.
+    query's star slot. The bisections grow with the list; the result
+    holds one slot for each of the table's records.
     """
     if hl.stage is not Stage.CLIENT_AUGMENTED:
         raise ParamError("record slots require a client-augmented head list")

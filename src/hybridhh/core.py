@@ -166,15 +166,14 @@ class ParamError(ValueError):
 class PrivacyParams:
     """Privacy budgets and pipeline knobs.
 
-    The per-record budgets follow from the per-user (epsilon, delta)
-    divided by the number of collected records, then split between the
-    query and url reporting stages by f_C.
+    Each user reports one record, so the per-record budget is the
+    per-user (epsilon, delta), split between the query and url
+    reporting stages by f_C.
     """
 
     epsilon: float = 4.0
     delta: float = 1e-5
     m_O: int = 1
-    m_C: int = 1
     f_O: float = 0.95
     f_C: float = 0.85
     M: int = 50
@@ -185,10 +184,10 @@ class PrivacyParams:
             raise ParamError("epsilon must be positive")
         if not 0 < self.delta < 1:
             raise ParamError("delta must lie in (0, 1)")
-        if self.m_O != 1 or self.m_C != 1:
+        if self.m_O != 1:
             # The variance and privacy statements are only established
             # for one record per user.
-            raise ParamError("only m_O = m_C = 1 is supported")
+            raise ParamError("only m_O = 1 is supported")
         for name in ("f_O", "f_C", "optin_fraction"):
             v = getattr(self, name)
             if not 0 < v < 1:
@@ -199,11 +198,11 @@ class PrivacyParams:
     # Per-record budgets.
     @property
     def eps_prime(self) -> float:
-        return self.epsilon / self.m_C
+        return self.epsilon
 
     @property
     def delta_prime(self) -> float:
-        return self.delta / self.m_C
+        return self.delta
 
     # Query/url stage split of the per-record budget.
     @property
@@ -238,17 +237,10 @@ class EstimateVector:
     sample_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "record_probs", dict(self.record_probs))
-        object.__setattr__(self, "record_vars", dict(self.record_vars))
-        object.__setattr__(self, "query_probs", dict(self.query_probs))
-        object.__setattr__(self, "query_vars", dict(self.query_vars))
         if self.sample_size < 1:
             raise ParamError("sample_size must be positive")
         if set(self.record_probs) != set(self.record_vars):
             raise ParamError("record prob/var keys differ")
-        for v in self.record_vars.values():
-            if not (math.isfinite(v) and v >= 0):
-                raise ParamError("variances must be finite and non-negative")
-        for v in self.query_vars.values():
+        for v in (*self.record_vars.values(), *self.query_vars.values()):
             if not (math.isfinite(v) and v >= 0):
                 raise ParamError("variances must be finite and non-negative")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import operator
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -27,6 +28,17 @@ from .core import ParamError, Record, decode_star, encode_star
 
 class ParseError(ValueError):
     pass
+
+
+@contextmanager
+def open_input(path: str) -> Iterator[IO[str]]:
+    """Open an input file as UTF-8 text, line endings untranslated. A file
+    that cannot be opened, read or decoded is a ParseError naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 class UserLog(NamedTuple):
@@ -50,11 +62,9 @@ class Dataset:
 
     def __post_init__(self):
         if self.true_distribution is not None:
-            dist = dict(self.true_distribution)
-            total = sum(dist.values())
+            total = sum(self.true_distribution.values())
             if abs(total - 1.0) > 1e-9:
                 raise ParamError(f"true distribution sums to {total}, not 1")
-            object.__setattr__(self, "true_distribution", dist)
         # Consumers find a query's records by bisection on the table.
         if not all(map(operator.lt, self.record_table, self.record_table[1:])):
             raise ParamError("record table is not strictly increasing")

@@ -74,6 +74,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not self.out_dir:
+            raise ConfigError("out must name a directory, not be empty")
         # A bad axis value fails here, before a sweep runs its first cell.
         for axis in AXES:
             for value in getattr(self.sweep, axis):
@@ -123,7 +125,7 @@ class MetricsRow:
 @dataclass(frozen=True)
 class RunResult:
     head_list: HeadList
-    optin_out: optin.OptinOutput
+    optin_est: EstimateVector
     client_est: EstimateVector
     blended: blend.BlendedOutput
     row: MetricsRow
@@ -137,7 +139,7 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 def load_dataset(config: ExperimentConfig) -> data.Dataset:
     if config.dataset_path is not None:
-        with open(config.dataset_path, "r", encoding="utf-8") as fh:
+        with data.open_input(config.dataset_path) as fh:
             return data.parse_log(fh)
     spec = config.synth
     rng = substream(config.seed, 0xDA7A)
@@ -168,10 +170,9 @@ def run_blender(
     hl_initial = optin.create_head_list(params, s_counts, substream(run_seed, 3))
     if hl_initial.k <= 1:
         raise ParamError("head-list creation admitted no records (thresholding starved)")
-    optin_out = optin.estimate_optin_probabilities(
+    hl_final, optin_est = optin.estimate_optin_probabilities(
         params, t_counts, hl_initial, substream(run_seed, 4)
     )
-    hl_final = optin_out.head_list
 
     hl_aug = hl_final.augment_for_clients()
     model = client.build_report_model(params, hl_aug)
@@ -186,7 +187,7 @@ def run_blender(
     counts = client.simulate_reports(held, model, hl_aug, crng)
     client_est = client.client_estimates_from_counts(counts, len(c_users), model, hl_aug)
 
-    blended = blend.blend_probabilities(optin_out.estimates, client_est, hl_final)
+    blended = blend.blend_probabilities(optin_est, client_est, hl_final)
 
     truth = dataset.true_distribution
     if truth is None:
@@ -197,7 +198,7 @@ def run_blender(
     row = MetricsRow.for_params(
         params, run_seed, l1=l1, ndcg=ndcg, headlist_short=n_regular_queries < params.M
     )
-    result = RunResult(hl_final, optin_out, client_est, blended, row)
+    result = RunResult(hl_final, optin_est, client_est, blended, row)
     if out_dir is not None:
         write_artifacts(result, Path(out_dir))
     return result
@@ -229,15 +230,14 @@ def write_record_table(
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "headlist.tsv").write_text(result.head_list.to_tsv(), encoding="utf-8")
-    opt_est = result.optin_out.estimates
     write_record_table(
         out_dir / "optin_estimates.csv", result.head_list.records(),
-        p_hat=opt_est.record_probs, var_hat=opt_est.record_vars,
+        p_hat=result.optin_est.record_probs, var_hat=result.optin_est.record_vars,
     )
     write_record_table(
         out_dir / "blended.csv", result.head_list.records(),
         p_blend=result.blended.probs, w=result.blended.weights,
-        p_optin=opt_est.record_probs, var_optin=opt_est.record_vars,
+        p_optin=result.optin_est.record_probs, var_optin=result.optin_est.record_vars,
         p_client=result.client_est.record_probs, var_client=result.client_est.record_vars,
     )
     write_csv(out_dir / "metrics.csv", MetricsRow.FIELDS, [result.row.as_csv_row()])

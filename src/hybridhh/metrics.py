@@ -29,11 +29,6 @@ class RankedEstimate:
     url_orders: Mapping[str, tuple[str, ...]]
     record_probs: Mapping[Record, float]
 
-    def __post_init__(self):
-        object.__setattr__(self, "query_probs", dict(self.query_probs))
-        object.__setattr__(self, "url_orders", dict(self.url_orders))
-        object.__setattr__(self, "record_probs", dict(self.record_probs))
-
     def conditional_url_probs(self, query: str) -> dict[str, float]:
         total = self.query_probs[query]
         return {

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -30,19 +29,16 @@ from .core import (
 from .sampling import laplace_samples
 
 
-@dataclass(frozen=True)
-class OptinOutput:
+class OptinOutput(NamedTuple):
     head_list: HeadList            # Final stage, <= M queries plus wildcard
     estimates: EstimateVector      # p_hat / var_hat over the final list
-    b_S: float
-    tau: float
-    b_T: float
 
 
 def compute_threshold(params: PrivacyParams) -> tuple[float, float]:
-    """Noise scale and admission threshold for head-list creation.
+    """The curator's Laplace scale b_S and admission threshold tau.
 
     b_S = 2 m_O / eps; tau = b_S * (ln(exp(eps/2) + m_O - 1) - ln(delta)).
+    Opt-in estimation draws at the same scale: b_T = b_S.
     Requires eps > ln 2 and the resulting tau >= 1; outside that range
     the admission mechanism's privacy guarantee does not hold.
     """
@@ -116,8 +112,7 @@ def estimate_optin_probabilities(
     """
     if hl_initial.stage is not Stage.INITIAL:
         raise ParamError("expected an initial-stage head list")
-    b_s, tau = compute_threshold(params)
-    b_t = 2.0 * params.m_O / params.epsilon
+    b_t, _ = compute_threshold(params)
 
     counts: Counter[Record] = Counter()
     for record, c in Counter(t_records).items():
@@ -156,4 +151,4 @@ def estimate_optin_probabilities(
         query_vars={q: optin_variance(marginals[q], n, b_t) for q in order},
         sample_size=n,
     )
-    return OptinOutput(hl_final, estimates, b_S=b_s, tau=tau, b_T=b_t)
+    return OptinOutput(hl_final, estimates)

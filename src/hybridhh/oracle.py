@@ -46,12 +46,6 @@ class ExactDistribution:
 
     probs: Mapping[Record, mp.mpf]
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", dict(self.probs))
-
-    def total(self):
-        return sum(self.probs.values())
-
     def as_float(self) -> dict[Record, float]:
         return {r: float(p) for r, p in self.probs.items()}
 

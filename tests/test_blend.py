@@ -85,7 +85,6 @@ class TestBlendProbabilities:
         b = make_vector(hl, [0.6, 0.3, 0.0, 0.2, 0.15], 0.01)
         out = blend_probabilities(a, b, hl, project=True)
         vals = np.array(list(out.probs.values()))
-        assert out.projected
         assert (vals >= 0).all()
         assert vals.sum() == pytest.approx(1.0, abs=1e-9)
 

@@ -152,7 +152,6 @@ class TestPrivacyParams:
             {"delta": 0},
             {"delta": 1},
             {"m_O": 2},
-            {"m_C": 0},
             {"f_O": 1.0},
             {"f_C": 0.0},
             {"M": 0},

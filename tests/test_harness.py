@@ -74,6 +74,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown config keys: \\['projection'\\]"):
             parse_config("projection = true\n")
 
+    def test_m_C_key_rejected(self):
+        # Each user reports one record, so there is no per-client record count.
+        with pytest.raises(ConfigError, match="unknown config keys: \\['m_C'\\]"):
+            parse_config("m_C = 1\n")
+
+    def test_empty_out_rejected(self):
+        with pytest.raises(ConfigError, match="out must name a directory"):
+            parse_config("out =\n")
+        with pytest.raises(ConfigError, match="out must name a directory"):
+            replace(ExperimentConfig(), out_dir="")
+
     def test_sweep_seeds_below_one_rejected(self):
         with pytest.raises(ConfigError, match="seeds"):
             parse_config("[sweep]\nseeds = 0\n")
@@ -136,7 +147,6 @@ class TestParseConfig:
         ("epsilon = 2.5", "params.epsilon", 2.5),
         ("delta = 1e-6", "params.delta", 1e-6),
         ("m_O = 1", "params.m_O", 1),
-        ("m_C = 1", "params.m_C", 1),
         ("f_O = 0.9", "params.f_O", 0.9),
         ("f_C = 0.8", "params.f_C", 0.8),
         ("M = 10", "params.M", 10),
@@ -507,6 +517,54 @@ class TestCli:
         config.write_text(f"dataset = {log}\n", encoding="utf-8")
         assert cli.main(["run", "--config", str(config)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_empty_out_exits_1(self, tmp_path, capsys, monkeypatch, command, route):
+        monkeypatch.chdir(tmp_path)
+        text = CONFIG_TEXT.split("[sweep]")[0]
+        if route == "config":
+            text = text.replace("out = results_test", "out =")
+        config = tmp_path / "config.txt"
+        config.write_text(text, encoding="utf-8")
+        argv = [command, "--config", str(config)] + (["--out", ""] if route == "flag" else [])
+        assert cli.main(argv) == 1
+        assert "out must name a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+    def test_unreadable_config_exits_1_naming_it(self, tmp_path, capsys):
+        not_utf8 = tmp_path / "latin1.txt"
+        not_utf8.write_bytes(b"# caf\xe9\nseed = 1\n")
+        for path in (tmp_path, not_utf8):
+            out = tmp_path / "out"
+            assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+            assert f"cannot read {path}" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_undecodable_dataset_exits_1_naming_it(self, tmp_path, capsys, command):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(b"u1\tq\xff\tu\n")
+        config = tmp_path / "config.txt"
+        config.write_text(f"dataset = {log}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert f"cannot read {log}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("broken", ["blended", "truth"])
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_metrics_input_exits_1_naming_it(self, tmp_path, capsys, broken, kind):
+        good = tmp_path / "good.csv"
+        good.write_text("query,url,p\nq0,u0,1.0\n", encoding="utf-8")
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"query,url,p\nq0,u\xff,1.0\n")
+        paths = {"blended": good, "truth": good, broken: bad}
+        err = self.metrics_input_error(capsys, paths["blended"], paths["truth"])
+        assert f"cannot read {bad}" in err
 
 
 def write_multi_record_log(path: Path, interleave: bool = False) -> None:

@@ -150,7 +150,6 @@ class TestEstimateOptinProbabilities:
         assert est.record_probs[WILDCARD] == pytest.approx(0.20)
         assert sum(est.record_probs.values()) == pytest.approx(1.0)
         assert est.sample_size == 100
-        assert out.b_T == 0.5
 
     def test_final_list_ordered_by_marginal(self, default_params, initial_hl):
         with fixed_noise(0.0):

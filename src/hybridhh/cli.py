@@ -42,8 +42,19 @@ def _load_config(args) -> harness.ExperimentConfig:
     return config
 
 
+def _check_output(path: Path, directory: bool) -> None:
+    """Reject, before any work, an output path that exists as the other
+    kind (a file where a directory is wanted, or the reverse) or that
+    lies under a file."""
+    blocker = next(p for p in (path, *path.parents) if p.exists())
+    if blocker.is_dir() != (directory or blocker != path):
+        kind = "directory" if blocker.is_dir() else "file"
+        raise ConfigError(f"cannot write output {str(path)!r}: {str(blocker)!r} is a {kind}")
+
+
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    _check_output(Path(config.out_dir), directory=True)
     dataset = harness.load_dataset(config)
     result = harness.run_blender(config, dataset, out_dir=Path(config.out_dir))
     print(f"head list: {result.head_list.k - 1} queries (+wildcard), "
@@ -56,6 +67,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
     out_path = Path(config.out_dir) / "sweep.csv"
+    _check_output(Path(config.out_dir), directory=True)
+    _check_output(out_path, directory=False)
     rows = harness.sweep(config, out_path=out_path)
     ok = sum(1 for r in rows if r.status == "ok")
     print(f"{len(rows)} runs ({ok} ok); results in {out_path}")
@@ -63,15 +76,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if not args.out:
+        raise ConfigError("--out must name a file, not be empty")
+    out = Path(args.out)
+    truth_path = out.with_suffix(out.suffix + ".truth.csv")
+    _check_output(out, directory=False)
+    _check_output(truth_path, directory=False)
     spec = harness.SynthSpec(args.users, args.queries, args.urls, args.exponent)
     dataset = harness.load_dataset(harness.ExperimentConfig(seed=args.seed, synth=spec))
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         data.serialize_log(dataset, fh)
-    truth_path = out.with_suffix(out.suffix + ".truth.csv")
     truth = dataset.true_distribution
-    harness.write_record_table(truth_path, truth, p=truth)
+    harness.write_record_table(truth_path, list(truth), p=harness.cells(truth, truth))
     print(f"wrote {len(dataset)} users to {out} (truth: {truth_path})")
     return 0
 

@@ -12,6 +12,7 @@ estimates from the aggregated report fractions.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -143,10 +144,6 @@ def record_slots(table: Sequence[Record], hl: HeadList) -> np.ndarray:
     return slots
 
 
-def _uniform(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)
-
-
 def simulate_reports(
     held: np.ndarray,
     model: ReportModel,
@@ -170,27 +167,34 @@ def simulate_reports(
     records = list(hl.records())
     queries = hl.queries
     starts = np.cumsum([0] + [model.k_q[q] for q in queries]).tolist()
+    # Uniform probabilities over w entries, built once per width in a call.
+    uniform = functools.cache(lambda w: np.full(w, 1.0 / w))
     reports = np.zeros(len(records), dtype=np.int64)
-    other_query = np.zeros(model.k, dtype=np.int64)   # by true-query index
+    other_query = [0] * model.k   # by true-query index
     for qi, q in enumerate(queries):
-        start, kq = starts[qi], model.k_q[q]
-        for ui in np.flatnonzero(held[start:start + kq]).tolist():
-            n = int(held[start + ui])
+        start, kq, tq = starts[qi], model.k_q[q], model.t_q[q]
+        for ui, n in enumerate(held[start:start + kq].tolist()):
+            if not n:
+                continue
             n_q = int(rng.binomial(n, model.t))
-            n_u = int(rng.binomial(n_q, model.t_q[q]))
+            n_u = int(rng.binomial(n_q, tq))
             other_query[qi] += n - n_q
             reports[start + ui] += n_u
             if n_q > n_u:
-                j = np.arange(kq - 1)
-                reports[start + j + (j >= ui)] += rng.multinomial(n_q - n_u, _uniform(kq - 1))
+                # The other urls are the query's urls before and after ui.
+                moved = rng.multinomial(n_q - n_u, uniform(kq - 1))
+                reports[start:start + ui] += moved[:ui]
+                reports[start + ui + 1:start + kq] += moved[ui:]
 
     landed = np.zeros(model.k, dtype=np.int64)
-    j = np.arange(model.k - 1)
-    for qi in np.flatnonzero(other_query).tolist():
-        landed[j + (j >= qi)] += rng.multinomial(int(other_query[qi]), _uniform(model.k - 1))
+    for qi, n in enumerate(other_query):
+        if n:
+            moved = rng.multinomial(n, uniform(model.k - 1))
+            landed[:qi] += moved[:qi]
+            landed[qi + 1:] += moved[qi:]
     for qi in np.flatnonzero(landed).tolist():
         start, kq = starts[qi], model.k_q[queries[qi]]
-        reports[start:start + kq] += rng.multinomial(int(landed[qi]), _uniform(kq))
+        reports[start:start + kq] += rng.multinomial(int(landed[qi]), uniform(kq))
 
     return {r: c for r, c in zip(records, reports.tolist()) if c}
 

@@ -145,14 +145,18 @@ def sample_per_user(
 ) -> np.ndarray:
     """Counts of one uniformly chosen record per user, by record id.
 
-    `users` holds positions in `dataset.user_ids`. The picks are one
-    `rng.integers` draw over the users' record counts, in the order
-    given; a user with one record consumes no randomness. The result has
-    one entry per record of `dataset.record_table`.
+    `users` holds positions in `dataset.user_ids`. Only the users with
+    several records draw: one `rng.integers` call over their record
+    counts, in the order given. A user with one record takes it, as a
+    draw over a range of one would, which consumes no randomness, so the
+    stream is that of one draw over every user. The result has one entry
+    per record of `dataset.record_table`.
     """
-    draws = rng.integers(dataset.lengths[users])
-    picked = dataset.record_ids[dataset.offsets[users] + draws]
-    return np.bincount(picked, minlength=len(dataset.record_table))
+    lengths = dataset.lengths[users]
+    at = dataset.offsets[users]
+    several = np.flatnonzero(lengths > 1)
+    at[several] += rng.integers(lengths[several])
+    return np.bincount(dataset.record_ids[at], minlength=len(dataset.record_table))
 
 
 def record_counts(dataset: Dataset, counts: np.ndarray) -> dict[Record, int]:
@@ -237,8 +241,9 @@ def synth_zipf(
 def empirical_distribution(
     records: Iterable[Record] | Mapping[Record, int],
 ) -> dict[Record, float]:
-    """Relative frequencies of a record list or of record counts."""
-    counts = Counter(records)
+    """Relative frequencies of a record list or of record counts; counts
+    are read in place."""
+    counts = records if isinstance(records, Mapping) else Counter(records)
     total = sum(counts.values())
     if total == 0:
         raise ParamError("no records to build a distribution from")

@@ -191,7 +191,12 @@ def run_blender(
 
     truth = dataset.true_distribution
     if truth is None:
-        truth = data.empirical_distribution(data.record_counts(dataset, s_picks + t_picks))
+        # The opt-in users' picks, folded onto the list's slots as the
+        # clients' are: the score reads only the star-free listed records.
+        on_list = np.bincount(slots, weights=s_picks + t_picks, minlength=hl_aug.num_records())
+        truth = data.empirical_distribution(
+            dict(zip(hl_aug.records(), on_list.astype(np.int64).tolist()))
+        )
     l1, ndcg = metrics.score(blended.probs, truth)
 
     n_regular_queries = sum(1 for q in hl_final.queries if q != STAR)
@@ -212,17 +217,20 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) 
         w.writerows(rows)
 
 
-def write_record_table(
-    path: Path, records: Iterable[Record], **columns: Mapping[Record, float]
-) -> None:
-    """One row per record: the star-encoded query and url, then `repr` of each column."""
+def cells(records: Iterable[Record], column: Mapping[Record, float]) -> list[str]:
+    """`repr` of each record's value in `column`, in record order."""
+    return [repr(column[rec]) for rec in records]
+
+
+def write_record_table(path: Path, records: Sequence[Record], **columns: Sequence[str]) -> None:
+    """One row per record: the star-encoded query and url, then its cell of each column."""
     write_csv(
         path,
         ["query", "url", *columns],
-        (
-            [encode_star(rec.query), encode_star(rec.url)]
-            + [repr(col[rec]) for col in columns.values()]
-            for rec in records
+        zip(
+            [encode_star(rec.query) for rec in records],
+            [encode_star(rec.url) for rec in records],
+            *columns.values(),
         ),
     )
 
@@ -230,15 +238,17 @@ def write_record_table(
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "headlist.tsv").write_text(result.head_list.to_tsv(), encoding="utf-8")
+    records = list(result.head_list.records())
+    optin_est, client_est = result.optin_est, result.client_est
+    # Both tables carry the opt-in estimates; each is formatted once.
+    p_optin, var_optin = cells(records, optin_est.record_probs), cells(records, optin_est.record_vars)
+    write_record_table(out_dir / "optin_estimates.csv", records, p_hat=p_optin, var_hat=var_optin)
     write_record_table(
-        out_dir / "optin_estimates.csv", result.head_list.records(),
-        p_hat=result.optin_est.record_probs, var_hat=result.optin_est.record_vars,
-    )
-    write_record_table(
-        out_dir / "blended.csv", result.head_list.records(),
-        p_blend=result.blended.probs, w=result.blended.weights,
-        p_optin=result.optin_est.record_probs, var_optin=result.optin_est.record_vars,
-        p_client=result.client_est.record_probs, var_client=result.client_est.record_vars,
+        out_dir / "blended.csv", records,
+        p_blend=cells(records, result.blended.probs), w=cells(records, result.blended.weights),
+        p_optin=p_optin, var_optin=var_optin,
+        p_client=cells(records, client_est.record_probs),
+        var_client=cells(records, client_est.record_vars),
     )
     write_csv(out_dir / "metrics.csv", MetricsRow.FIELDS, [result.row.as_csv_row()])
 

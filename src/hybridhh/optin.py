@@ -24,7 +24,6 @@ from .core import (
     PrivacyParams,
     Record,
     Stage,
-    canonicalize,
 )
 from .sampling import laplace_samples
 
@@ -62,16 +61,20 @@ def create_head_list(
     Each distinct record gets one independent Lap(b_S) draw; the record's
     query and url are admitted iff count + noise exceeds tau. The draws
     follow the records' sorted order so the sequence is reproducible.
-    Records whose query or url is the star are never admitted: their
-    mass is already unlisted mass.
+    The threshold is one array comparison, so only admitted records are
+    visited one by one. Records whose query or url is the star are never
+    admitted: their mass is already unlisted mass.
     """
     b_s, tau = compute_threshold(params)
-    counts = Counter(s_records)
+    counts = s_records if isinstance(s_records, Mapping) else Counter(s_records)
     distinct = sorted(counts)
-    noise = laplace_samples(b_s, len(distinct), rng).tolist()
+    # int64 + float64 rounds as Python's int + float does.
+    held = np.fromiter(map(counts.__getitem__, distinct), np.int64, len(distinct))
+    cleared = held + laplace_samples(b_s, len(distinct), rng) > tau
     entries: dict[str, list[str]] = {}
-    for record, z in zip(distinct, noise):
-        if STAR not in record and counts[record] + z > tau:
+    for i in np.flatnonzero(cleared).tolist():
+        record = distinct[i]
+        if STAR not in record:
             entries.setdefault(record.query, []).append(record.url)
     entries[STAR] = [STAR]
     return HeadList(entries, Stage.INITIAL)
@@ -104,24 +107,25 @@ def estimate_optin_probabilities(
 
     `t_records` holds partition T's records, as a list or as counts.
     Records outside the initial list are collapsed onto the wildcard
-    before counting, each distinct record once. The M queries with the
-    highest estimated marginal are retained (ties broken
-    lexicographically); trimmed records' probabilities are folded into
-    the wildcard entry and its variance is recomputed with the same
-    formula. The final list is ordered by descending estimated marginal.
+    before counting: each listed record keeps its own count and the
+    wildcard takes the rest. The M queries with the highest estimated
+    marginal are retained (ties broken lexicographically); trimmed
+    records' probabilities are folded into the wildcard entry and its
+    variance is recomputed with the same formula. The final list is
+    ordered by descending estimated marginal.
     """
     if hl_initial.stage is not Stage.INITIAL:
         raise ParamError("expected an initial-stage head list")
     b_t, _ = compute_threshold(params)
 
-    counts: Counter[Record] = Counter()
-    for record, c in Counter(t_records).items():
-        counts[canonicalize(record, hl_initial)] += c
-    n = counts.total()
+    held = t_records if isinstance(t_records, Mapping) else Counter(t_records)
+    n = sum(held.values())
     if n < 2:
         raise ParamError("need at least 2 records in partition T")
-
     records = list(hl_initial.records())
+    counts = {r: held.get(r, 0) for r in records if r != WILDCARD}
+    counts[WILDCARD] = n - sum(counts.values())
+
     noise = laplace_samples(b_t, len(records), rng).tolist()
     p_hat = {r: (counts[r] + z) / n for r, z in zip(records, noise)}
 

@@ -222,6 +222,81 @@ class TestSimulateReports:
         assert simulate_reports(held, noiseless_model(hl), hl, substream(1, 0)) == counts
 
 
+def simulate_reports_reference(held, model, hl, rng):
+    """simulate_reports as first written: a `flatnonzero` per query, a
+    fresh uniform vector per draw, and each spread added through a fancy
+    index that skips the true entry."""
+
+    def uniform(n):
+        return np.full(n, 1.0 / n)
+
+    records = list(hl.records())
+    queries = hl.queries
+    starts = np.cumsum([0] + [model.k_q[q] for q in queries]).tolist()
+    reports = np.zeros(len(records), dtype=np.int64)
+    other_query = np.zeros(model.k, dtype=np.int64)
+    for qi, q in enumerate(queries):
+        start, kq = starts[qi], model.k_q[q]
+        for ui in np.flatnonzero(held[start:start + kq]).tolist():
+            n = int(held[start + ui])
+            n_q = int(rng.binomial(n, model.t))
+            n_u = int(rng.binomial(n_q, model.t_q[q]))
+            other_query[qi] += n - n_q
+            reports[start + ui] += n_u
+            if n_q > n_u:
+                j = np.arange(kq - 1)
+                reports[start + j + (j >= ui)] += rng.multinomial(n_q - n_u, uniform(kq - 1))
+    landed = np.zeros(model.k, dtype=np.int64)
+    j = np.arange(model.k - 1)
+    for qi in np.flatnonzero(other_query).tolist():
+        landed[j + (j >= qi)] += rng.multinomial(int(other_query[qi]), uniform(model.k - 1))
+    for qi in np.flatnonzero(landed).tolist():
+        start, kq = starts[qi], model.k_q[queries[qi]]
+        reports[start:start + kq] += rng.multinomial(int(landed[qi]), uniform(kq))
+    return {r: c for r, c in zip(records, reports.tolist()) if c}
+
+
+class TestSimulateReportsMatchesReference:
+    # "e" lists only the star url (k_q = 1), as does the star query; no
+    # client holds a record of "f", so its other-query pool stays empty.
+    HL = HeadList(
+        {
+            "a": ("a1", STAR),
+            "b": ("b1", "b2", "b3", STAR),
+            "e": (STAR,),
+            "f": ("f1", "f2", STAR),
+            STAR: (STAR,),
+        },
+        Stage.CLIENT_AUGMENTED,
+    )
+    HELD = (40, 0, 300, 0, 25, 60, 12, 0, 0, 0, 90)
+    # The smallest list a channel allows: one regular query (k = 2).
+    PAIR = HeadList({"a": ("a1", "a2", STAR), STAR: (STAR,)}, Stage.CLIENT_AUGMENTED)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_counts_and_stream(self, epsilon, seed):
+        cases = [
+            (self.HL, np.array(self.HELD, dtype=np.int64)),
+            (self.PAIR, np.array([0, 500, 7, 30], dtype=np.int64)),
+        ]
+        for hl, held in cases:
+            model = build_report_model(PrivacyParams(epsilon=epsilon), hl)
+            rng_a, rng_b = substream(0x5EF, seed), substream(0x5EF, seed)
+            got = simulate_reports(held, model, hl, rng_a)
+            assert got == simulate_reports_reference(held, model, hl, rng_b)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_zero_clients_draw_nothing(self):
+        hl = self.HL
+        model = build_report_model(PrivacyParams(), hl)
+        rng = substream(0x5EF, 9)
+        before = rng.bit_generator.state
+        held = np.zeros(hl.num_records(), dtype=np.int64)
+        assert simulate_reports(held, model, hl, rng) == {}
+        assert rng.bit_generator.state == before
+
+
 # Log fields: queries that prefix each other, the star both spelled "*"
 # and literal, and non-ASCII strings. List fields add words no log holds.
 LOG_WORDS = ("q1", "q10", "q2", "*", STAR, "\u00e9", "\u65e5\u672c", "q1/u")

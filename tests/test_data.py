@@ -239,6 +239,21 @@ class TestSamplePerUser:
         assert by_record(ds, counts) == Counter(user.records[0] for user in ds.users)
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize(
+        "sizes", [[1, 3, 1, 1, 2, 7, 1, 1, 40, 1, 5] * 30, [1] * 300], ids=["mixed", "all-one"]
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stream_is_one_draw_over_every_user(self, sizes, seed):
+        # Reference: one `rng.integers` call over every user's record
+        # count, users of one record included.
+        ds = dataset_of(sizes)
+        users = np.random.default_rng(seed).permutation(len(ds))[:250]
+        rng_a, rng_b = substream(56, seed), substream(56, seed)
+        picked = ds.record_ids[ds.offsets[users] + rng_b.integers(ds.lengths[users])]
+        want = np.bincount(picked, minlength=len(ds.record_table))
+        assert np.array_equal(sample_per_user(ds, users, rng_a), want)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
     def test_record_counts_keys_nonzero_ids_in_table_order(self):
         ds = dataset_of([3, 1, 4, 1, 5, 9, 2, 6], shared=True)
         counts = sample_per_user(ds, np.arange(len(ds)), substream(55, 0))

@@ -532,6 +532,41 @@ class TestCli:
         assert "out must name a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("command, where", [
+        ("run", "file"), ("run", "under a file"),
+        ("sweep", "file"), ("sweep", "under a file"), ("sweep", "sweep.csv a directory"),
+    ])
+    def test_unusable_out_exits_1_before_loading(self, tmp_path, capsys, monkeypatch, command, where):
+        loads = []
+        monkeypatch.setattr(harness, "load_dataset", lambda config: loads.append(config))
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out = {"file": blocker, "under a file": blocker / "out"}.get(where, tmp_path / "out")
+        if where == "sweep.csv a directory":
+            (out / "sweep.csv").mkdir(parents=True)
+        config = self.write_config(tmp_path)
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert loads == []
+        assert "error: cannot write output" in capsys.readouterr().err
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+    @pytest.mark.parametrize("where", ["empty", "directory", "under a file", "truth a directory"])
+    def test_unusable_synth_out_exits_1_before_synthesis(self, tmp_path, capsys, monkeypatch, where):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(data, "synth_zipf", lambda *args: pytest.fail("synthesized"))
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out = {"empty": "", "directory": str(tmp_path), "under a file": str(blocker / "log.tsv")}.get(
+            where, str(tmp_path / "log.tsv")
+        )
+        if where == "truth a directory":
+            (tmp_path / "log.tsv.truth.csv").mkdir()
+        argv = ["synth", "--users", "100", "--queries", "5", "--urls", "2", "--out", out]
+        assert cli.main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+        assert not (tmp_path / "log.tsv").exists()
+
     def test_unreadable_config_exits_1_naming_it(self, tmp_path, capsys):
         not_utf8 = tmp_path / "latin1.txt"
         not_utf8.write_bytes(b"# caf\xe9\nseed = 1\n")

@@ -269,8 +269,10 @@ class TestScore:
 
     @pytest.mark.parametrize("source", ["synthetic", "tsv"])
     def test_raw_truth_scores_as_the_truth_folded_onto_the_list(self, source, monkeypatch):
-        """`run` used to fold the truth onto the final head list before
-        scoring; scoring the raw truth must give the same floats."""
+        """The truth over every record, that truth folded onto the final
+        head list, and the truth the run hands `score` give the same
+        floats. A TSV log's raw truth is rebuilt from the run's own S and
+        T picks, the first two `sample_per_user` results."""
         config = ExperimentConfig(
             params=PrivacyParams(M=10), synth=SynthSpec(users=3000, queries=40, urls=3), seed=5
         )
@@ -281,15 +283,22 @@ class TestScore:
                 f"u{i // 2}\t{user.records[0].query}\t{user.records[0].url}\n"
                 for i, user in enumerate(dataset.users)
             ))
-        truths = []
-        real_score = metrics.score
+        truths, picks = [], []
+        real_score, real_sample = metrics.score, data.sample_per_user
         monkeypatch.setattr(
             metrics, "score", lambda est, truth: truths.append(truth) or real_score(est, truth)
+        )
+        monkeypatch.setattr(
+            data, "sample_per_user", lambda *args: picks.append(real_sample(*args)) or picks[-1]
         )
         result = harness.run_blender(config, dataset)
         monkeypatch.undo()
 
-        (raw,) = truths
+        (passed,) = truths
+        if source == "tsv":
+            raw = data.empirical_distribution(data.record_counts(dataset, picks[0] + picks[1]))
+        else:
+            raw = dataset.true_distribution
         hl = result.head_list
         assert any(rec not in hl for rec in raw), "the truth should reach past the list"
         folded = {r: 0.0 for r in hl.records()}
@@ -297,4 +306,5 @@ class TestScore:
             folded[canonicalize(rec, hl)] += mass
         by_raw = score(result.blended.probs, raw)
         assert by_raw == score(result.blended.probs, folded)
+        assert by_raw == score(result.blended.probs, passed)
         assert by_raw == (result.row.l1, result.row.ndcg)

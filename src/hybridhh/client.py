@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -29,6 +27,7 @@ from .core import (
     ParamError,
     PrivacyParams,
     Record,
+    RecordTable,
     Stage,
     canonicalize,
 )
@@ -117,30 +116,28 @@ def local_privatize(
     return Record(q, u)
 
 
-def record_slots(table: Sequence[Record], hl: HeadList) -> np.ndarray:
-    """Each record's slot in `hl.records()` order, once canonicalized as in
-    `local_privatize`.
+def record_slots(table: RecordTable, hl: HeadList) -> np.ndarray:
+    """Each table record's slot in `hl.records()` order, once
+    canonicalized as in `local_privatize`.
 
-    `table` holds distinct records in sorted order, so a listed query's
-    records form one contiguous range: it is found by bisection on the
-    query, and each listed url by bisection inside it. Records of
-    unlisted queries keep the wildcard's slot, and unlisted urls their
-    query's star slot. The bisections grow with the list; the result
-    holds one slot for each of the table's records.
+    The table is sorted, so a listed query's records hold one contiguous
+    id range, found by `np.searchsorted` on its query ids; they take the
+    query's star slot, and each listed record the table holds takes its
+    own, found by a search on the (query id, url id) pairs. Records of
+    unlisted queries keep the wildcard's slot. The result holds one slot
+    for each of the table's records.
     """
     if hl.stage is not Stage.CLIENT_AUGMENTED:
         raise ParamError("record slots require a client-augmented head list")
-    slot = {r: i for i, r in enumerate(hl.records())}
+    records = list(hl.records())
+    slot = {r: i for i, r in enumerate(records)}
     slots = np.full(len(table), slot[WILDCARD], dtype=np.int64)
-    query = attrgetter("query")
-    for q in hl.queries:
-        lo = bisect_left(table, q, key=query)
-        hi = bisect_right(table, q, lo, key=query)
-        slots[lo:hi] = slot[Record(q, STAR)]
-        for u in hl.urls(q):
-            i = bisect_left(table, Record(q, u), lo, hi)
-            if i < hi and table[i].url == u:
-                slots[i] = slot[Record(q, u)]
+    lo, hi = table.query_ranges(hl.queries)
+    for q, start, stop in zip(hl.queries, lo.tolist(), hi.tolist()):
+        slots[start:stop] = slot[Record(q, STAR)]
+    ids = table.ids(records)
+    listed = np.flatnonzero(ids >= 0)
+    slots[ids[listed]] = listed
     return slots
 
 

@@ -1,18 +1,24 @@
 """Domain types shared by every stage of the pipeline.
 
-A record is a (query, url) pair. The head list is an ordered map from
-queries to url lists; the reserved wildcard entry aggregates everything
-that fell outside the list. Strings are compared by exact byte equality
-after stripping surrounding whitespace; no case folding or url
-normalization is performed.
+A record is a (query, url) pair. A record table holds a dataset's
+distinct records in sorted order as columns, and record counts are
+arrays over its ids. The head list is an ordered map from queries to url
+lists; the reserved wildcard entry aggregates everything that fell
+outside the list. Strings are compared by exact byte equality after
+stripping surrounding whitespace; no case folding or url normalization
+is performed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 # Reserved sentinel for the wildcard query/url. Serialized as "*" in all
 # external file formats.
@@ -25,6 +31,131 @@ class Record(NamedTuple):
 
 
 WILDCARD = Record(STAR, STAR)
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable(Sequence[Record]):
+    """Distinct records in sorted order, held as columns: the sorted
+    distinct query and url strings, and each record's int32 ids into
+    them. Strings and ids both sort in code-point order, so record ids
+    follow record order and each query's records hold one contiguous id
+    range. Indexing builds the record."""
+
+    queries: tuple[str, ...]
+    urls: tuple[str, ...]
+    query_ids: np.ndarray = field(repr=False)
+    url_ids: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        # Consumers find a query's records by searching the id columns.
+        step_q, step_u = np.diff(self.query_ids), np.diff(self.url_ids)
+        if not (
+            all(map(operator.lt, self.queries, self.queries[1:]))
+            and all(map(operator.lt, self.urls, self.urls[1:]))
+            and np.all((step_q > 0) | (step_q == 0) & (step_u > 0))
+        ):
+            raise ParamError("record table is not strictly increasing")
+
+    @classmethod
+    def of(cls, queries: Sequence[str], urls: Sequence[str]) -> tuple[RecordTable, np.ndarray]:
+        """The table of the records (queries[i], urls[i]), and the int32
+        array that maps each i to its record's id."""
+        query_names, query_ids = _names(queries)
+        url_names, url_ids = _names(urls)
+        order = np.lexsort((url_ids, query_ids))
+        query_ids, url_ids = query_ids[order], url_ids[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (np.diff(query_ids) != 0) | (np.diff(url_ids) != 0)
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.cumsum(new) - 1
+        return cls(query_names, url_names, query_ids[new], url_ids[new]), rank
+
+    def __len__(self) -> int:
+        return len(self.query_ids)
+
+    def __getitem__(self, i: int) -> Record:
+        return Record(self.queries[self.query_ids[i]], self.urls[self.url_ids[i]])
+
+    def __iter__(self) -> Iterator[Record]:
+        return map(
+            Record,
+            map(self.queries.__getitem__, self.query_ids.tolist()),
+            map(self.urls.__getitem__, self.url_ids.tolist()),
+        )
+
+    def query_ranges(self, queries: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Each query's id range [lo, hi), by `np.searchsorted` on the
+        query ids; empty for a query the table does not hold."""
+        at = _positions(self.queries, queries)
+        return (
+            np.searchsorted(self.query_ids, at),
+            np.searchsorted(self.query_ids, at, side="right"),
+        )
+
+    def ids(self, records: Iterable[Record]) -> np.ndarray:
+        """Each record's id, or -1 for a record the table does not hold."""
+        records = list(records)
+        query = _positions(self.queries, [r.query for r in records])
+        url = _positions(self.urls, [r.url for r in records])
+        # Ids are ordered by (query id, url id), and so by this key.
+        keys = self.query_ids.astype(np.int64) * len(self.urls) + self.url_ids
+        want = query * len(self.urls) + url
+        at = np.searchsorted(keys, want)
+        hit = (query >= 0) & (url >= 0) & (np.append(keys, -1)[at] == want)
+        return np.where(hit, at, -1)
+
+
+def _names(strings: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted distinct strings, and each string's int32 position there."""
+    names = sorted(set(strings))
+    index = dict(zip(names, range(len(names))))
+    return tuple(names), np.fromiter(map(index.__getitem__, strings), np.int32, len(strings))
+
+
+def _positions(names: tuple[str, ...], strings: Sequence[str]) -> np.ndarray:
+    """Each string's position in the sorted tuple `names`, or -1 if absent."""
+    at = [bisect_left(names, s) for s in strings]
+    return np.array(
+        [i if i < len(names) and names[i] == s else -1 for i, s in zip(at, strings)],
+        dtype=np.int64,
+    )
+
+
+class RecordCounts(Mapping[Record, int]):
+    """A count array over a record table's ids, read as a mapping from
+    record to count without copying it. Its keys are the records of
+    nonzero count, in table order."""
+
+    def __init__(self, table: RecordTable, counts: np.ndarray):
+        self.table = table
+        self.counts = counts
+        self.nonzero = np.flatnonzero(counts)
+
+    @classmethod
+    def of(cls, counts: Mapping[Record, int]) -> RecordCounts:
+        """The counts of a record-keyed mapping, over a table of its keys."""
+        records = list(counts)
+        table, rank = RecordTable.of([r.query for r in records], [r.url for r in records])
+        held = np.zeros(len(table), dtype=np.int64)
+        held[rank] = list(counts.values())
+        return cls(table, held)
+
+    def __len__(self) -> int:
+        return len(self.nonzero)
+
+    def __iter__(self) -> Iterator[Record]:
+        return map(self.table.__getitem__, self.nonzero.tolist())
+
+    def __getitem__(self, record: Record) -> int:
+        (i,) = self.table.ids([record]).tolist()
+        if i < 0 or not self.counts[i]:
+            raise KeyError(record)
+        return int(self.counts[i])
+
+    def at(self, records: Iterable[Record]) -> np.ndarray:
+        """The count of each record, 0 for one the table does not hold."""
+        # Id -1 reads the appended 0.
+        return np.append(self.counts, 0)[self.table.ids(records)]
 
 
 class Stage(Enum):

@@ -5,11 +5,15 @@ generator draws one record per user from a power-law joint distribution
 with a known ground truth, which the metrics stage can score against.
 
 A dataset is a columnar index of its users' records, built by the parser
-or the generator that makes it. Its table of distinct records is sorted,
-so record ids follow record order and each query's records hold one
-contiguous id range. Partitioning and per-user sampling work on its
-integer arrays and return record counts by id. `Dataset.users` rebuilds
-the users one at a time from the index, for writing a log back out.
+or the generator that makes it: its record table holds the distinct
+records in sorted order as query and url id columns (`RecordTable`), so
+record ids follow record order and each query's records hold one
+contiguous id range. The parser reads the log's bytes with numpy and
+hands Python only each distinct user, each distinct query-and-url tail
+and each line that may be blank or a comment. Partitioning and per-user
+sampling work on the integer arrays and return record counts by id.
+`Dataset.users` rebuilds the users one at a time from the index, for
+writing a log back out.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ import operator
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ParamError, Record, decode_star, encode_star
+from .core import ParamError, Record, RecordTable, decode_star, encode_star
 
 
 class ParseError(ValueError):
@@ -48,13 +53,12 @@ class UserLog(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Users in first-seen order and distinct records in sorted order, so
-    that record ids follow record order and each query's records hold one
-    contiguous id range; each user's records as int32 ids into the table,
-    user-major, at `offsets` for `lengths`."""
+    """Users in first-seen order and the table of distinct records; each
+    user's records as int32 ids into the table, user-major, at `offsets`
+    for `lengths`."""
 
     user_ids: tuple[str, ...]
-    record_table: tuple[Record, ...]
+    record_table: RecordTable
     record_ids: np.ndarray = field(repr=False)
     lengths: np.ndarray = field(repr=False)
     true_distribution: Optional[Mapping[Record, float]] = None
@@ -65,9 +69,6 @@ class Dataset:
             total = sum(self.true_distribution.values())
             if abs(total - 1.0) > 1e-9:
                 raise ParamError(f"true distribution sums to {total}, not 1")
-        # Consumers find a query's records by bisection on the table.
-        if not all(map(operator.lt, self.record_table, self.record_table[1:])):
-            raise ParamError("record table is not strictly increasing")
         object.__setattr__(self, "offsets", np.cumsum(self.lengths) - self.lengths)
 
     def __len__(self) -> int:
@@ -75,11 +76,21 @@ class Dataset:
 
     @property
     def users(self) -> Iterator[UserLog]:
-        """Each user's records, rebuilt from the index one user at a time."""
-        table, end = self.record_table, 0
+        """Each user's records, rebuilt from the index one user at a time;
+        equal records are one object."""
+        table, end = tuple(self.record_table), 0
         for user_id, n in zip(self.user_ids, self.lengths.tolist()):
             start, end = end, end + n
             yield UserLog(user_id, tuple(table[i] for i in self.record_ids[start:end].tolist()))
+
+
+# First bytes of '#' and of the UTF-8 form of every character that
+# `str.isspace` accepts: only a line that starts with one of them can be
+# blank or a comment.
+_MAYBE_SKIPPED = np.zeros(256, dtype=bool)
+_MAYBE_SKIPPED[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f #\xc2\xe1\xe2\xe3")] = True
+# Bytes of whole lines parsed at a time, which bounds the parser's arrays.
+_BLOCK = 1 << 20
 
 
 def parse_log(stream: IO[str] | str) -> Dataset:
@@ -89,49 +100,196 @@ def parse_log(stream: IO[str] | str) -> Dataset:
     or empty-field rows abort with the offending line number. Users are
     numbered in first-seen order and records in sorted order, and each
     user keeps its rows in log order.
+
+    A str ends a line at each '\\n' only. A text file (as `open_input`
+    opens it) is read through its binary buffer as UTF-8, and '\\n',
+    '\\r\\n' and a lone '\\r' each end a line, as in Python's universal
+    newlines. The bytes are parsed a block of whole lines at a time:
+    numpy finds each line's breaks and tabs, counts its fields, and
+    numbers equal user fields and equal query-and-url tails exactly,
+    first in the block and then across blocks. Python decodes and strips
+    each distinct user and tail once, and reads whole only the lines
+    that start with '#' or with the first byte of a whitespace
+    character, to tell whether each is blank or a comment.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    user_index: dict[str, int] = {}
-    by_fields: dict[tuple[str, str], int] = {}
-    record_index: dict[Record, int] = {}
-    owners: list[int] = []
-    ids: list[int] = []
-    for lineno, line in enumerate(stream, start=1):
-        head = line.lstrip()
-        if not head or head[0] == "#":
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
-        user, q, u = parts
-        user, q, u = user.strip(), q.strip(), u.strip()
-        if not user or not q or not u:
-            raise ParseError(f"line {lineno}: empty field")
-        rid = by_fields.get((q, u))
-        if rid is None:
-            # "*" and a literal star decode to the same record.
-            rec = Record(decode_star(q), decode_star(u))
-            rid = by_fields[q, u] = record_index.setdefault(rec, len(record_index))
-        owners.append(user_index.setdefault(user, len(user_index)))
-        ids.append(rid)
-    owner = np.array(owners, dtype=np.int64)
-    table, rank = _sorted_table(record_index)
+    (user_of_row, user_line, user_text), (tail_of_row, tail_line, tail_text), wrong = (
+        _scan(stream)
+    )
+    raw_users = user_text.split("\t")[:-1]
+    users = [s.strip() for s in raw_users]
+    parts = tail_text.split("\t")
+    # "*" and a literal star decode alike; RecordTable.of merges equal records.
+    queries = [decode_star(s.strip()) for s in parts[1::2]]
+    urls = [decode_star(s.strip()) for s in parts[2::2]]
+    empty_lines = np.concatenate((
+        user_line[[not s for s in users]],
+        tail_line[[not (q and u) for q, u in zip(queries, urls)]],
+    ))
+    if empty_lines.size and (wrong is None or empty_lines.min() < wrong[0]):
+        raise ParseError(f"line {empty_lines.min() + 1}: empty field")
+    if wrong is not None:
+        raise ParseError(f"line {wrong[0] + 1}: expected 3 tab-separated fields, got {wrong[1]}")
+    # Fields that strip to the same user take its number; when stripping
+    # changed no field, the fields are the users.
+    merge = any(map(operator.ne, map(len, raw_users), map(len, users)))
+    user_ids, owner = _first_seen(users, user_line, user_of_row, merge)
+    table, rank = RecordTable.of(queries, urls)
     return Dataset(
-        tuple(user_index),
+        user_ids,
         table,
-        rank[np.array(ids, dtype=np.int32)[np.argsort(owner, kind="stable")]],
-        np.bincount(owner, minlength=len(user_index)),
+        rank[tail_of_row[np.argsort(owner, kind="stable")]],
+        np.bincount(owner, minlength=len(user_ids)),
     )
 
 
-def _sorted_table(index: Mapping[Record, int]) -> tuple[tuple[Record, ...], np.ndarray]:
-    """The distinct records of `index` in sorted order, and the int32 rank
-    array that maps each of its ids to that record's position there."""
-    table = tuple(sorted(index))
-    rank = np.empty(len(table), dtype=np.int32)
-    rank[np.fromiter(map(index.__getitem__, table), np.int64, len(table))] = np.arange(len(table))
-    return table, rank
+def _scan(stream: IO[str] | str) -> tuple[tuple[np.ndarray, np.ndarray, str], ...]:
+    """Read the log a block at a time. Returns its rows' user fields and
+    their query-and-url tails, each as `_merge` numbers them, and the
+    line number and field count of its first line of a wrong field
+    count, or None."""
+    read, in_file = _reader(stream)
+    user_parts, tail_parts = [], []
+    line, wrong = 0, None
+    for block in _blocks(read):
+        if in_file and not block.isascii():
+            block.decode("utf-8")  # bytes that are not UTF-8 fail as a text reader fails
+        b = np.frombuffer(block, dtype=np.uint8)
+        starts, stops, fields, first_tab = _layout(b, in_file)
+        kept = np.ones(len(starts), dtype=bool)
+        maybe = np.flatnonzero(_MAYBE_SKIPPED[b[starts]])
+        for i, start, stop in zip(maybe.tolist(), starts[maybe].tolist(), stops[maybe].tolist()):
+            head = block[start:stop].decode("utf-8", "surrogatepass").lstrip()
+            kept[i] = bool(head) and head[0] != "#"
+        rows = np.flatnonzero(kept & (fields == 3))
+        # A user field is numbered with the tab that ends it, and a tail
+        # with the tab that starts it, so that no slice is empty.
+        for parts, lo, hi in (
+            (user_parts, starts[rows], first_tab[rows] + 1),
+            (tail_parts, first_tab[rows], stops[rows]),
+        ):
+            number, first, data, widths = _distinct(b, lo, hi)
+            parts.append((number, rows[first] + line, data, widths))
+        bad = np.flatnonzero(kept & (fields != 3))
+        if bad.size:
+            # No later line can hold the first error.
+            wrong = (line + int(bad[0]), int(fields[bad[0]]))
+            break
+        line += len(starts)
+    users = _merge(user_parts)
+    del user_parts
+    return users, _merge(tail_parts), wrong
+
+
+def _first_seen(
+    users: list[str], first_line: np.ndarray, of_row: np.ndarray, merge: bool
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The users in first-seen order, and each row's user number, given
+    each raw user field's user, first line and number by row. With
+    `merge`, fields whose users are equal take one number."""
+    seen = np.argsort(first_line, kind="stable")
+    ordered = np.array(users, dtype=object)[seen]
+    number = np.empty(len(users), dtype=np.int32)
+    if not merge:
+        number[seen] = np.arange(len(users))
+        return tuple(ordered), number[of_row]
+    user_ids = tuple(dict.fromkeys(ordered))
+    index = dict(zip(user_ids, range(len(user_ids))))
+    number[seen] = np.fromiter(map(index.__getitem__, ordered), np.int32, len(users))
+    return user_ids, number[of_row]
+
+
+def _reader(stream: IO[str] | str) -> tuple[Callable[[int], bytes], bool]:
+    """A function that reads the log's UTF-8 bytes, and whether the log
+    is a text file read through its binary buffer."""
+    if isinstance(stream, str):
+        return io.BytesIO(stream.encode("utf-8", "surrogatepass")).read, False
+    binary = getattr(stream, "buffer", None)
+    if binary is None:
+        return io.BytesIO(stream.read().encode("utf-8", "surrogatepass")).read, False
+    return binary.read, True
+
+
+def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
+    """The log in blocks of whole lines: each is read as about `_BLOCK`
+    bytes and cut after its last '\\n'. The last block, which may be
+    empty, holds the rest."""
+    pending: list[bytes] = []
+    while chunk := read(_BLOCK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*pending, chunk[:cut]])
+            pending = []
+        pending.append(chunk[cut:])
+    yield b"".join(pending)
+
+
+def _layout(b: np.ndarray, cr_ends_line: bool) -> tuple[np.ndarray, ...]:
+    """Each line's start and stop offset in `b` (line break excluded),
+    field count, and first tab (its stop if it has none)."""
+    # Tabs and line breaks are among the bytes up to 13.
+    at = np.flatnonzero(b <= 13)
+    kind = b[at]
+    is_break = kind == 10
+    if cr_ends_line:
+        # A '\\r' right before a '\\n' is trailing blank of its line.
+        is_break |= (kind == 13) & (b[np.minimum(at + 1, len(b) - 1)] != 10)
+    keep = is_break | (kind == 9)
+    at, is_break = at[keep], is_break[keep]
+    if len(b) and not (len(at) and is_break[-1] and at[-1] == len(b) - 1):
+        # A break past the end ends a last line that lacks one.
+        at, is_break = np.append(at, len(b)), np.append(is_break, True)
+    ends = np.flatnonzero(is_break)
+    stops = at[ends]
+    # A line starts, and its first tab or break follows, after the
+    # previous line's break.
+    starts, after = np.roll(stops + 1, 1), np.roll(ends + 1, 1)
+    starts[:1] = after[:1] = 0
+    return starts, stops, np.diff(ends, prepend=-1), at[after]
+
+
+def _distinct(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Number the distinct byte strings b[lo[i]:hi[i]], none of them empty.
+
+    Returns each slice's number, each number's first slice, and the
+    numbered strings' bytes, concatenated, and widths, in number order.
+    Equal strings have equal widths, so the slices of one width are
+    compared as fixed-width `S{w}` rows, with one `np.unique` per width.
+    The strings are read back as the rows' bytes: numpy's `S` values
+    drop trailing NULs.
+    """
+    width = hi - lo
+    by_width = np.argsort(width, kind="stable")
+    widths, cuts = np.unique(width[by_width], return_index=True)
+    number = np.empty(len(lo), dtype=np.int32)
+    firsts, data, counts = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.uint8)], []
+    for w, at in zip(widths.tolist(), np.split(by_width, cuts[1:])):
+        values = sliding_window_view(b, w)[lo[at]].view(f"S{w}").ravel()
+        distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+        number[at] = inverse + sum(counts)
+        counts.append(len(distinct))
+        firsts.append(at[first].astype(np.int32))
+        data.append(distinct.view(np.uint8))
+    widths = np.repeat(widths.astype(np.int32), counts)
+    return number, np.concatenate(firsts), np.concatenate(data), widths
+
+
+def _merge(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, np.ndarray, str]:
+    """Number the distinct strings of all blocks, given each block's
+    `_distinct` numbers, first lines, bytes and widths: each row's number,
+    each number's first line, and the numbered strings, concatenated and
+    decoded once."""
+    numbers, first_lines, data, widths = zip(*parts)
+    width = np.concatenate(widths)
+    hi = np.cumsum(width)
+    number, first, distinct, _ = _distinct(np.concatenate(data), hi - width, hi)
+    # Each block's strings follow those of the blocks before it.
+    of_row = np.empty(sum(map(len, numbers)), dtype=np.int32)
+    row = base = 0
+    for n, w in zip(numbers, widths):
+        of_row[row:row + len(n)] = number[base:][n]
+        row, base = row + len(n), base + len(w)
+    text = distinct.tobytes().decode("utf-8", "surrogatepass")
+    return of_row, np.concatenate(first_lines)[first], text
 
 
 def serialize_log(dataset: Dataset, stream: IO[str]) -> None:
@@ -157,13 +315,6 @@ def sample_per_user(
     several = np.flatnonzero(lengths > 1)
     at[several] += rng.integers(lengths[several])
     return np.bincount(dataset.record_ids[at], minlength=len(dataset.record_table))
-
-
-def record_counts(dataset: Dataset, counts: np.ndarray) -> dict[Record, int]:
-    """The nonzero entries of a count array by record id, keyed by record
-    in table order, which is sorted order."""
-    ids = np.flatnonzero(counts)
-    return dict(zip(map(dataset.record_table.__getitem__, ids.tolist()), counts[ids].tolist()))
 
 
 def partition_users(
@@ -211,8 +362,9 @@ def synth_zipf(
 
     Query marginals and per-query url conditionals are both Zipf with the
     given exponent. Urls live in per-query namespaces ("q{i}/u{j}") so
-    lists never collide across queries. The draws and the truth follow
-    the (i, j) order; the table holds the records sorted.
+    lists never collide across queries. The draws follow the (i, j) grid
+    order, and so does the truth, a dict, which is the order `synth`
+    writes it in; the table holds the grid's records sorted, as columns.
     """
     if min(num_users, num_queries, urls_per_query) < 1:
         raise ParamError("all counts must be >= 1")
@@ -221,14 +373,12 @@ def synth_zipf(
     q_probs = zipf_weights(num_queries, exponent)
     u_probs = zipf_weights(urls_per_query, exponent)
     joint = np.outer(q_probs, u_probs).ravel()
-    records = [
-        Record(f"q{i}", f"q{i}/u{j}")
-        for i in range(num_queries)
-        for j in range(urls_per_query)
-    ]
-    draws = rng.choice(len(records), size=num_users, p=joint)
-    truth = {rec: float(p) for rec, p in zip(records, joint)}
-    table, rank = _sorted_table({rec: i for i, rec in enumerate(records)})
+    names = [f"q{i}" for i in range(num_queries)]
+    queries = [q for q in names for _ in range(urls_per_query)]
+    urls = [f"{q}/u{j}" for q in names for j in range(urls_per_query)]
+    draws = rng.choice(len(urls), size=num_users, p=joint)
+    truth = {Record(q, u): float(p) for q, u, p in zip(queries, urls, joint)}
+    table, rank = RecordTable.of(queries, urls)
     return Dataset(
         tuple(f"user{n:07d}" for n in range(num_users)),
         table,

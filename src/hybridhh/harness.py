@@ -28,6 +28,7 @@ from .core import (
     ParamError,
     PrivacyParams,
     Record,
+    RecordCounts,
     encode_star,
 )
 # client_stream_id has no caller here; perfbench/tracing.py wraps it by name on this module.
@@ -163,15 +164,15 @@ def run_blender(
     )
     s_picks = data.sample_per_user(dataset, s_users, substream(run_seed, 1))
     t_picks = data.sample_per_user(dataset, t_users, substream(run_seed, 2))
-    # Table order is sorted order, so the head list's sort finds S in order.
-    s_counts = data.record_counts(dataset, s_picks)
-    t_counts = data.record_counts(dataset, t_picks)
+    table = dataset.record_table
 
-    hl_initial = optin.create_head_list(params, s_counts, substream(run_seed, 3))
+    hl_initial = optin.create_head_list(
+        params, RecordCounts(table, s_picks), substream(run_seed, 3)
+    )
     if hl_initial.k <= 1:
         raise ParamError("head-list creation admitted no records (thresholding starved)")
     hl_final, optin_est = optin.estimate_optin_probabilities(
-        params, t_counts, hl_initial, substream(run_seed, 4)
+        params, RecordCounts(table, t_picks), hl_initial, substream(run_seed, 4)
     )
 
     hl_aug = hl_final.augment_for_clients()
@@ -181,7 +182,7 @@ def run_blender(
     # counted per head-list slot and pushed through the channel in aggregate.
     crng = substream(run_seed, 5)
     picks = data.sample_per_user(dataset, c_users, crng)
-    slots = client.record_slots(dataset.record_table, hl_aug)
+    slots = client.record_slots(table, hl_aug)
     # Float sums of integer counts are exact below 2**53.
     held = np.bincount(slots, weights=picks, minlength=hl_aug.num_records()).astype(np.int64)
     counts = client.simulate_reports(held, model, hl_aug, crng)

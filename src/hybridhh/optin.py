@@ -23,6 +23,7 @@ from .core import (
     ParamError,
     PrivacyParams,
     Record,
+    RecordCounts,
     Stage,
 )
 from .sampling import laplace_samples
@@ -50,30 +51,39 @@ def compute_threshold(params: PrivacyParams) -> tuple[float, float]:
     return b_s, tau
 
 
+def _as_counts(records: Iterable[Record] | Mapping[Record, int]) -> RecordCounts:
+    """Records, or counts keyed by record, as counts over a sorted record
+    table; a `RecordCounts` is one already."""
+    if isinstance(records, RecordCounts):
+        return records
+    return RecordCounts.of(records if isinstance(records, Mapping) else Counter(records))
+
+
 def create_head_list(
     params: PrivacyParams,
     s_records: Iterable[Record] | Mapping[Record, int],
     rng: np.random.Generator,
 ) -> HeadList:
     """Noisy-threshold admission over the records held by partition S,
-    given as a record list or as record counts.
+    given as a record list, as record counts, or as a `RecordCounts` over
+    a dataset's record table, as a run passes them.
 
     Each distinct record gets one independent Lap(b_S) draw; the record's
     query and url are admitted iff count + noise exceeds tau. The draws
-    follow the records' sorted order so the sequence is reproducible.
-    The threshold is one array comparison, so only admitted records are
-    visited one by one. Records whose query or url is the star are never
-    admitted: their mass is already unlisted mass.
+    follow the record table's order, which is the records' sorted order,
+    so the sequence is reproducible. The threshold is one array
+    comparison, so only admitted records are visited one by one. Records
+    whose query or url is the star are never admitted: their mass is
+    already unlisted mass.
     """
     b_s, tau = compute_threshold(params)
-    counts = s_records if isinstance(s_records, Mapping) else Counter(s_records)
-    distinct = sorted(counts)
+    counts = _as_counts(s_records)
     # int64 + float64 rounds as Python's int + float does.
-    held = np.fromiter(map(counts.__getitem__, distinct), np.int64, len(distinct))
-    cleared = held + laplace_samples(b_s, len(distinct), rng) > tau
+    held = counts.counts[counts.nonzero]
+    cleared = held + laplace_samples(b_s, len(held), rng) > tau
     entries: dict[str, list[str]] = {}
-    for i in np.flatnonzero(cleared).tolist():
-        record = distinct[i]
+    for i in counts.nonzero[cleared].tolist():
+        record = counts.table[i]
         if STAR not in record:
             entries.setdefault(record.query, []).append(record.url)
     entries[STAR] = [STAR]
@@ -105,7 +115,8 @@ def estimate_optin_probabilities(
 ) -> OptinOutput:
     """Laplace-mechanism estimates over the initial head list, trimmed to M.
 
-    `t_records` holds partition T's records, as a list or as counts.
+    `t_records` holds partition T's records, as `create_head_list` takes
+    S's.
     Records outside the initial list are collapsed onto the wildcard
     before counting: each listed record keeps its own count and the
     wildcard takes the rest. The M queries with the highest estimated
@@ -118,12 +129,12 @@ def estimate_optin_probabilities(
         raise ParamError("expected an initial-stage head list")
     b_t, _ = compute_threshold(params)
 
-    held = t_records if isinstance(t_records, Mapping) else Counter(t_records)
-    n = sum(held.values())
+    held = _as_counts(t_records)
+    n = int(held.counts.sum())
     if n < 2:
         raise ParamError("need at least 2 records in partition T")
     records = list(hl_initial.records())
-    counts = {r: held.get(r, 0) for r in records if r != WILDCARD}
+    counts = {r: c for r, c in zip(records, held.at(records).tolist()) if r != WILDCARD}
     counts[WILDCARD] = n - sum(counts.values())
 
     noise = laplace_samples(b_t, len(records), rng).tolist()

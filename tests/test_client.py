@@ -298,9 +298,10 @@ class TestSimulateReportsMatchesReference:
 
 
 # Log fields: queries that prefix each other, the star both spelled "*"
-# and literal, and non-ASCII strings. List fields add words no log holds.
-LOG_WORDS = ("q1", "q10", "q2", "*", STAR, "\u00e9", "\u65e5\u672c", "q1/u")
-LIST_WORDS = ("q1", "q10", "q2", "\u00e9", "\u65e5\u672c", "q1/u", "absent", "q100")
+# and literal, non-ASCII strings, and a trailing NUL. List fields add
+# words no log holds.
+LOG_WORDS = ("q1", "q10", "q2", "*", STAR, "\u00e9", "\u65e5\u672c", "q1/u", "q1\x00")
+LIST_WORDS = ("q1", "q10", "q2", "\u00e9", "\u65e5\u672c", "q1/u", "absent", "q100", "q1\x00")
 
 
 class TestRecordSlots:
@@ -333,11 +334,15 @@ class TestRecordSlots:
         records = list(hl.records())
         want = [records.index(canonicalize(rec, hl)) for rec in table]
         assert record_slots(table, hl).tolist() == want
+        # The lookup behind the listed records' own slots.
+        held = set(table)
+        found = [table[i] if i >= 0 else None for i in table.ids(records).tolist()]
+        assert found == [rec if rec in held else None for rec in records]
 
     def test_rejects_a_list_not_augmented_for_clients(self):
         hl = HeadList({"q": ("u",), STAR: (STAR,)}, Stage.FINAL)
         with pytest.raises(ParamError):
-            record_slots((Record("q", "u"),), hl)
+            record_slots(parse_log("u\tq\tu\n").record_table, hl)
 
 
 class TestDenoise:

@@ -1,21 +1,23 @@
 import io
 import random
 import re
+import sys
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from hybridhh.core import STAR, ParamError, Record, decode_star
+from hybridhh.core import STAR, ParamError, Record, RecordCounts, RecordTable, decode_star
 from hybridhh.data import (
     ParseError,
     UserLog,
     empirical_distribution,
+    open_input,
     parse_log,
     partition_users,
-    record_counts,
     sample_per_user,
     serialize_log,
     synth_zipf,
@@ -38,6 +40,11 @@ class TestParseLog:
     def test_comments_and_blank_lines_skipped(self):
         ds = parse_log("# header\n\n" + LOG)
         assert len(ds) == 2
+        # Every whitespace character but the field separator, before a
+        # comment and before a user.
+        blanks = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace() and c != 9]
+        text = "".join(f"{c}# comment\n{c}u{i}\tq\tu\n" for i, c in enumerate(blanks))
+        assert list(parse_log(text).users) == parse_log_reference(text)
 
     def test_star_is_decoded(self):
         ds = parse_log("u1\t*\t*\n")
@@ -110,11 +117,37 @@ def interleaved_log(seed, users=300):
     return "".join(lines)
 
 
+# Byte-level edge cases: values that differ only by a trailing NUL, an
+# ideographic space before a comment's '#', non-ASCII and control
+# whitespace that `str.strip` strips, and a last line without a newline.
+BYTE_EDGE_LOGS = [
+    "a\tq\tu\na\x00\tq\tu\x00\na\tq\tu\x00\n",
+    "\u3000# c\nu\tq\tu\n",
+    "\xa0u\x85\t\x1cq\x0b\t\x85u\xa0\nu\tq\tu\n\x0bv\x1c\t\xa0*\t*\u3000\n",
+    "u1\tq\tu\nu2\tq\tv",
+]
+# A lone '\r' does not end a line of a str: it stays inside the field.
+CR_IN_FIELD_LOG = "u1\tq\ra\tu\nu2\tq\r\tu\r\n"
+
+
+LOG_ALPHABET = ["a", "\u00e9", STAR, "*", "#", " ", "\t", "\n", "\r", "\x00", "\u3000"]
+LOG_TEXT = st.text(alphabet=LOG_ALPHABET)
+# Lines of 1-4 tab-separated fields, most of them 3, drawn without tabs
+# and newlines.
+LOG_FIELD = st.text(alphabet=LOG_ALPHABET[:6] + LOG_ALPHABET[8:], min_size=1, max_size=3)
+LOG_LINES = st.lists(
+    st.one_of(
+        st.lists(LOG_FIELD, min_size=3, max_size=3), st.lists(LOG_FIELD, min_size=1, max_size=4)
+    ).map("\t".join),
+    max_size=4,
+).map("\n".join)
+
+
 class TestParseLogMatchesReference:
     @pytest.mark.parametrize(
         "text",
         [
-            LOG, EDGE_LOG, "# only a comment\n", "",
+            LOG, EDGE_LOG, "# only a comment\n", "", *BYTE_EDGE_LOGS, CR_IN_FIELD_LOG,
             pytest.param(interleaved_log(0), id="interleaved0"),
             pytest.param(interleaved_log(1), id="interleaved1"),
         ],
@@ -122,11 +155,20 @@ class TestParseLogMatchesReference:
     def test_same_dataset(self, text):
         assert list(parse_log(text).users) == parse_log_reference(text)
 
-    def test_same_dataset_from_a_file(self, tmp_path):
+    def test_same_dataset_from_a_file(self, tmp_path, monkeypatch):
         path = tmp_path / "log.tsv"
-        path.write_bytes(EDGE_LOG.encode("utf-8") + b"\r\nu4\tq\tu\r")
-        with open(path, encoding="utf-8") as a, open(path, encoding="utf-8") as b:
-            assert list(parse_log(a).users) == parse_log_reference(b)
+        path.write_bytes(EDGE_LOG.encode("utf-8") + b"\r\nu4\tq\tu\ru5\tq\tv\r\r\nu4\tq\tw\r")
+        readers = (
+            lambda: open(path, encoding="utf-8"),
+            # The harness's reader: CRLF and a lone '\r' each end a line.
+            lambda: open_input(str(path)),
+        )
+        # 4-byte blocks cut the log at most of its line breaks.
+        for block in (1 << 20, 4):
+            monkeypatch.setattr("hybridhh.data._BLOCK", block)
+            for reader in readers:
+                with reader() as a, reader() as b:
+                    assert list(parse_log(a).users) == parse_log_reference(b)
 
     @pytest.mark.parametrize("text", [
         "u1\tq\tu\nbadline\n",
@@ -135,12 +177,36 @@ class TestParseLogMatchesReference:
         "u1\tq\t \r\n",
         " \tq\tu\n",
         "u1\tq\tu\t\n",
+        "u1\t\u3000\tu\n",
+        "u1\tq\t\xa0\x85\n",
+        "u1\tq\tu\nu2\t\tu\nu3\tq\n",
+        "u1\tq\tu\nu3\tq\nu2\t\tu\n",
+        "u1\tq\tu\nu2\tq\tu\n\x00",
     ])
     def test_same_error(self, text):
         with pytest.raises(ParseError) as want:
             parse_log_reference(text)
         with pytest.raises(ParseError, match=f"^{re.escape(str(want.value))}$"):
             parse_log(text)
+
+    @given(st.one_of(LOG_TEXT, LOG_LINES))
+    @example("a\tq\tu\na\x00\tq\tu\x00\n")
+    @example("\u3000# c\na\ta\ta")
+    @example("\r\u3000a \t*\t\u00e9\r\na\t#\t\u22c6\x00\ra\ta\ta")
+    @example("\xa0a\x85\t\x1ca\x0b\t\x85a\xa0\na\ta\ta\n")
+    @example("a\t\ta\na\ta\n")
+    @example("a\ta\na\t\ta\n")
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.parametrize("block", [1 << 20, 3], ids=["one-block", "3-byte-blocks"])
+    def test_matches_reference_from_str_and_file(self, tmp_path, monkeypatch, block, text):
+        # Small blocks cut the log at most of its line breaks.
+        monkeypatch.setattr("hybridhh.data._BLOCK", block)
+        path = tmp_path / "log.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with open_input(str(path)) as a, open(path, newline="", encoding="utf-8") as b:
+            assert parse_outcome(parse_log, a) == parse_outcome(parse_log_reference, b)
+        assert parse_outcome(parse_log, text) == parse_outcome(parse_log_reference, text)
 
     def test_equal_records_are_one_object(self):
         ds = parse_log(EDGE_LOG + "\nu5\tq\tu\nu6\t\u22c6\t\u22c6\n")
@@ -151,6 +217,15 @@ class TestParseLogMatchesReference:
         assert len(by_value) == 4
 
 
+def parse_outcome(parse, source):
+    """`parse(source)` as `[(user_id, records)]`, or the message of its ParseError."""
+    try:
+        got = parse(source)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+    return got if isinstance(got, list) else list(got.users)
+
+
 class TestDataset:
     def test_truth_must_sum_to_one(self):
         ds = parse_log("u\tq\tu\n")
@@ -158,11 +233,17 @@ class TestDataset:
             replace(ds, true_distribution={Record("q", "u"): 0.5})
 
     def test_unsorted_table_is_rejected(self):
-        ds = parse_log("a\tq1\tu\nb\tq2\tu\n")
-        with pytest.raises(ParamError, match="strictly increasing"):
-            replace(ds, record_table=ds.record_table[::-1])
-        with pytest.raises(ParamError, match="strictly increasing"):
-            replace(ds, record_table=ds.record_table[:1] * 2)
+        table = parse_log("a\tq1\tu\nb\tq1\tv\nc\tq2\tu\n").record_table
+        queries, urls, qids, uids = table.queries, table.urls, table.query_ids, table.url_ids
+        for columns in (
+            (queries, urls, qids[::-1], uids[::-1]),
+            (queries, urls, qids, uids[[1, 0, 2]]),
+            (queries, urls, qids[[0, 0, 2]], uids[[0, 0, 2]]),
+            (queries[::-1], urls, qids, uids),
+            (queries, urls[::-1], qids, uids),
+        ):
+            with pytest.raises(ParamError, match="strictly increasing"):
+                RecordTable(*columns)
 
     def test_users_is_a_lazy_view(self):
         ds = parse_log(LOG)
@@ -257,9 +338,14 @@ class TestSamplePerUser:
     def test_record_counts_keys_nonzero_ids_in_table_order(self):
         ds = dataset_of([3, 1, 4, 1, 5, 9, 2, 6], shared=True)
         counts = sample_per_user(ds, np.arange(len(ds)), substream(55, 0))
-        held = record_counts(ds, counts)
+        held = RecordCounts(ds.record_table, counts)
         assert held == by_record(ds, counts)
         assert list(held) == sorted(held)
+        unpicked = [rec for rec, n in zip(ds.record_table, counts.tolist()) if not n]
+        absent = [Record("q0", "u9"), Record("q9", "u0"), Record("", "")]
+        assert unpicked and not any(rec in held for rec in unpicked + absent)
+        every = list(ds.record_table) + absent
+        assert held.at(every).tolist() == counts.tolist() + [0] * len(absent)
 
 
 class TestDatasetIndex:
@@ -276,7 +362,8 @@ class TestDatasetIndex:
 
     def test_table_is_in_sorted_order(self):
         ds = parse_log("a\tq2\tu\nb\tq1\tu\na\tq1\tu\nc\tq2\tu\n")
-        assert ds.record_table == (Record("q1", "u"), Record("q2", "u"))
+        assert tuple(ds.record_table) == (Record("q1", "u"), Record("q2", "u"))
+        assert ds.record_table.ids([Record("q2", "u"), Record("q1", "v")]).tolist() == [1, -1]
         # Users a, b, c in first-seen order; a keeps its rows in log order.
         assert ds.record_ids.tolist() == [1, 0, 0, 1]
 
@@ -287,13 +374,15 @@ class TestDatasetIndex:
         lambda: synth_zipf(500, 12, 3, 1.0, substream(9, 0)),
     ], ids=["shared", "interleaved", "stars-and-non-ascii", "synth"])
     def test_constructors_yield_strictly_increasing_tables(self, make):
-        table = make().record_table
+        table = tuple(make().record_table)
         assert len(table) > 1
         assert all(a < b for a, b in zip(table, table[1:]))
 
     def test_parse_is_deterministic_and_index_stays_out_of_repr(self):
         a, b = parse_log(LOG), parse_log(LOG)
-        assert (a.user_ids, a.record_table) == (b.user_ids, b.record_table)
+        assert (a.user_ids, tuple(a.record_table)) == (b.user_ids, tuple(b.record_table))
+        assert a.record_table.query_ids.tolist() == b.record_table.query_ids.tolist()
+        assert a.record_table.url_ids.tolist() == b.record_table.url_ids.tolist()
         assert a.record_ids.tolist() == b.record_ids.tolist()
         assert a.lengths.tolist() == b.lengths.tolist()
         assert "record_ids" not in repr(a) and "offsets" not in repr(a)

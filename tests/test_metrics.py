@@ -3,7 +3,9 @@ import math
 import pytest
 
 from hybridhh import data, harness, metrics
-from hybridhh.core import STAR, WILDCARD, ParamError, PrivacyParams, Record, canonicalize
+from hybridhh.core import (
+    STAR, WILDCARD, ParamError, PrivacyParams, Record, RecordCounts, canonicalize,
+)
 from hybridhh.harness import ExperimentConfig, SynthSpec
 from hybridhh.metrics import (
     RankedEstimate,
@@ -296,7 +298,9 @@ class TestScore:
 
         (passed,) = truths
         if source == "tsv":
-            raw = data.empirical_distribution(data.record_counts(dataset, picks[0] + picks[1]))
+            raw = data.empirical_distribution(
+                RecordCounts(dataset.record_table, picks[0] + picks[1])
+            )
         else:
             raw = dataset.true_distribution
         hl = result.head_list

@@ -13,9 +13,11 @@ from hybridhh.core import (
     ParamError,
     PrivacyParams,
     Record,
+    RecordCounts,
     Stage,
     canonicalize,
 )
+from hybridhh.data import parse_log, sample_per_user
 from hybridhh.optin import (
     compute_threshold,
     create_head_list,
@@ -319,7 +321,8 @@ class TestVectorDraws:
         assert list(est.query_probs.items()) == list(ref_qprobs.items())
 
     def test_record_counts_give_the_same_output_as_record_lists(self):
-        # A run passes record counts, the acceptance tests pass lists.
+        # A run passes count views over its dataset's table, the acceptance
+        # tests pass lists.
         params = PrivacyParams(M=5)
         rng = substream(32, 0)
         pool = [Record(f"q{i}", f"q{i}/u{j}") for i in range(30) for j in range(3)]
@@ -327,11 +330,23 @@ class TestVectorDraws:
         weights /= weights.sum()
         s_records = [pool[d] for d in rng.choice(len(pool), size=3000, p=weights)]
         t_records = [pool[d] for d in rng.choice(len(pool), size=1500, p=weights)]
+        # One record per user: S's users come first, then T's.
+        ds = parse_log("".join(
+            f"u{i}\t{rec.query}\t{rec.url}\n" for i, rec in enumerate(s_records + t_records)
+        ))
+        s_view, t_view = (
+            RecordCounts(ds.record_table, sample_per_user(ds, users, substream(32, 1)))
+            for users in (np.arange(3000), np.arange(3000, 4500))
+        )
 
         outputs = []
-        for s_in, t_in in ((s_records, t_records), (Counter(s_records), Counter(t_records))):
-            hl_initial = create_head_list(params, s_in, substream(32, 3))
-            out = estimate_optin_probabilities(params, t_in, hl_initial, substream(32, 4))
-            outputs.append((list(hl_initial.entries.items()), out))
-        assert outputs[0] == outputs[1]
+        for s_in, t_in in (
+            (s_records, t_records), (Counter(s_records), Counter(t_records)), (s_view, t_view),
+        ):
+            rngs = substream(32, 3), substream(32, 4)
+            hl_initial = create_head_list(params, s_in, rngs[0])
+            out = estimate_optin_probabilities(params, t_in, hl_initial, rngs[1])
+            states = [rng.bit_generator.state for rng in rngs]
+            outputs.append((list(hl_initial.entries.items()), out, states))
+        assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[1][1].estimates.sample_size == 1500

@@ -5,6 +5,9 @@ synth (write a synthetic log), verify-dp (exact privacy check for a
 head-list shape, in closed form by class of input pair), metrics
 (score a blended output against a truth file). Exit codes: 0 success,
 1 config error, 2 runtime failure.
+
+Only verify-dp imports `oracle`, and with it mpmath: importing this
+module, or running any other subcommand, leaves mpmath unloaded.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import client, data, harness, metrics, oracle
+from . import client, data, harness, metrics
 from .core import (
     STAR,
     HeadList,
@@ -94,6 +97,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify_dp(args) -> int:
+    from . import oracle  # the one subcommand that needs mpmath
+
     params = PrivacyParams(
         epsilon=args.epsilon, delta=args.delta, f_C=args.f_c
     )

@@ -23,7 +23,7 @@ import operator
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,9 +55,10 @@ class UserLog(NamedTuple):
 class Dataset:
     """Users in first-seen order and the table of distinct records; each
     user's records as int32 ids into the table, user-major, at `offsets`
-    for `lengths`."""
+    for `lengths`. A parsed log holds its user ids as a tuple; a
+    synthetic one as `SynthUserIds`, which names each id when read."""
 
-    user_ids: tuple[str, ...]
+    user_ids: Sequence[str]
     record_table: RecordTable
     record_ids: np.ndarray = field(repr=False)
     lengths: np.ndarray = field(repr=False)
@@ -82,6 +83,23 @@ class Dataset:
         for user_id, n in zip(self.user_ids, self.lengths.tolist()):
             start, end = end, end + n
             yield UserLog(user_id, tuple(table[i] for i in self.record_ids[start:end].tolist()))
+
+
+class SynthUserIds(Sequence[str]):
+    """The ids of `n` synthetic users: id i is `user{i:07d}`, formatted
+    only when it is read."""
+
+    def __init__(self, n: int):
+        self._range = range(n)
+
+    def __len__(self) -> int:
+        return len(self._range)
+
+    def __getitem__(self, i: int) -> str:
+        return f"user{self._range[operator.index(i)]:07d}"
+
+    def __iter__(self) -> Iterator[str]:
+        return map("user{:07d}".format, self._range)
 
 
 # First bytes of '#' and of the UTF-8 form of every character that
@@ -365,6 +383,7 @@ def synth_zipf(
     lists never collide across queries. The draws follow the (i, j) grid
     order, and so does the truth, a dict, which is the order `synth`
     writes it in; the table holds the grid's records sorted, as columns.
+    User n is named `user{n:07d}` when its id is read (`SynthUserIds`).
     """
     if min(num_users, num_queries, urls_per_query) < 1:
         raise ParamError("all counts must be >= 1")
@@ -380,7 +399,7 @@ def synth_zipf(
     truth = {Record(q, u): float(p) for q, u, p in zip(queries, urls, joint)}
     table, rank = RecordTable.of(queries, urls)
     return Dataset(
-        tuple(f"user{n:07d}" for n in range(num_users)),
+        SynthUserIds(num_users),
         table,
         rank[draws],
         np.ones(num_users, dtype=np.int64),

@@ -2,6 +2,7 @@ import io
 import random
 import re
 import sys
+import tracemalloc
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import replace
@@ -465,6 +466,24 @@ class TestSynthZipf:
         want = [UserLog(f"user{n:07d}", (records[d],)) for n, d in enumerate(draws.tolist())]
         assert list(ds.users) == want
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        ids = ds.user_ids
+        assert len(ids) == num_users
+        first, last = want[0].user_id, want[-1].user_id
+        assert (ids[0], ids[num_users - 1], ids[-1]) == (first, last, last)
+        for past_end in (num_users, -num_users - 1):
+            with pytest.raises(IndexError):
+                ids[past_end]
+        assert list(ids) == [user_id for user_id, _ in want]
+
+    def test_user_ids_are_not_held(self):
+        # A tuple of one str per user takes about 13 MB at 200k users.
+        tracemalloc.start()
+        try:
+            synth_zipf(200_000, 50, 4, 1.0, substream(0, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_empirical_matches_truth_at_scale(self):
         ds = synth_zipf(200_000, 5, 2, 1.0, substream(63, 0))

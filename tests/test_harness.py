@@ -2,7 +2,10 @@ import csv
 import hashlib
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -462,6 +465,30 @@ class TestCli:
         )
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    @staticmethod
+    def fresh_python(*args):
+        """Run a fresh interpreter on the package under test, so that no
+        earlier test's imports count."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    def test_import_leaves_mpmath_unloaded(self):
+        done = self.fresh_python(
+            "-c", "import sys, hybridhh.cli, hybridhh.harness; print('mpmath' in sys.modules)"
+        )
+        assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr
+
+    def test_verify_dp_loads_the_oracle_when_run(self):
+        done = self.fresh_python(
+            "-m", "hybridhh.cli", "verify-dp", "--k", "4", "--kq", "3",
+            "--epsilon", "4", "--delta", "1e-5",
+        )
+        assert done.returncode == 0, done.stderr
+        assert "PASS" in done.stdout
 
     def test_config_errors_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -196,15 +196,35 @@ def simulate_reports(
     return {r: c for r, c in zip(records, reports.tolist()) if c}
 
 
+def _affine_form(t: float, k: int, t_q: float, k_q: int) -> tuple[float, ...]:
+    """The channel inverse for a query listing k_q urls, as affine forms in
+    the report fractions: p_q = (r_q - background) / g_q and
+    p_qu = a * r_qu + b_p * p_q + c_p. Returns (background, g_q, a, b_p, c_p).
+
+    A single-url query carries no information at the url stage, so its
+    record estimate is its query estimate: (a, b_p, c_p) = (0, 1, 0).
+    """
+    if k < 2:
+        raise ParamError("denoising needs k >= 2")
+    background = (1.0 - t) / (k - 1)
+    g_q = t - background
+    if abs(g_q) <= _GAP_EPS:
+        raise DegenerateChannelError("uninformative randomizer: t = 1/k")
+    if k_q == 1:
+        return background, g_q, 0.0, 1.0, 0.0
+    g_u = t_q - (1.0 - t_q) / (k_q - 1)
+    if abs(g_u) <= _GAP_EPS:
+        raise DegenerateChannelError("uninformative url randomizer: t_q = 1/k_q")
+    a = 1.0 / (t * g_u)
+    spill = background / k_q    # other-query reports landing on each url of q
+    return background, g_q, a, a * (spill - t * (1.0 - t_q) / (k_q - 1)), -a * spill
+
+
 def denoise_query(r_hat_q: float, t: float, k: int) -> float:
     """Invert the query-stage channel: p = (r - (1-t)/(k-1)) / (t - (1-t)/(k-1))."""
-    if k < 2:
-        raise ParamError("query denoising needs k >= 2")
-    background = (1.0 - t) / (k - 1)
-    gap = t - background
-    if abs(gap) <= _GAP_EPS:
-        raise DegenerateChannelError("uninformative randomizer: t = 1/k")
-    return (r_hat_q - background) / gap
+    # The query stage does not depend on the url stage; any list length reads it.
+    background, g_q, *_ = _affine_form(t, k, 1.0, 1)
+    return (r_hat_q - background) / g_q
 
 
 def denoise_record(
@@ -216,60 +236,8 @@ def denoise_record(
     k_q: int,
 ) -> float:
     """Invert the record-level channel given the query-level estimate."""
-    if k < 2:
-        raise ParamError("record denoising needs k >= 2")
-    if k_q == 1:
-        # A single-url query carries no information at the url stage; the
-        # record probability is the query probability.
-        return p_hat_q
-    gap = t_q - (1.0 - t_q) / (k_q - 1)
-    if abs(gap) <= _GAP_EPS:
-        raise DegenerateChannelError("uninformative url randomizer: t_q = 1/k_q")
-    numer = (
-        r_hat_qu
-        - (1.0 - t_q) * t * p_hat_q / (k_q - 1)
-        - (1.0 - t) * (1.0 - p_hat_q) / ((k - 1) * k_q)
-    )
-    return numer / (t * gap)
-
-
-def query_variance(r_hat_q: float, n: int, t: float, k: int) -> float:
-    """Sample variance of the denoised query estimate (Bessel-corrected)."""
-    if n < 2:
-        raise ParamError("variance estimate needs n >= 2")
-    gap = t - (1.0 - t) / (k - 1)
-    return (1.0 / gap) ** 2 * r_hat_q * (1.0 - r_hat_q) / (n - 1)
-
-
-def record_variance(
-    r_hat_qu: float,
-    var_hat_q: float,
-    n: int,
-    t: float,
-    t_q: float,
-    k: int,
-    k_q: int,
-) -> float:
-    """Sample variance of the denoised record estimate.
-
-    Combines the report-fraction sampling variance, the propagated
-    query-estimate variance, and their (negative) covariance term, all
-    Bessel-corrected. The covariance term can overshoot for extreme
-    report fractions, so the result is clamped at zero.
-    """
-    if n < 2:
-        raise ParamError("variance estimate needs n >= 2")
-    if k_q == 1:
-        # The record estimate is the query estimate (see denoise_record).
-        return var_hat_q
-    gap = t_q - (1.0 - t_q) / (k_q - 1)
-    coef = (1.0 - t) / ((k - 1) * k_q) - (t - t * t_q) / (k_q - 1)
-    inner = (
-        r_hat_qu * (1.0 - r_hat_qu) / (n - 1)
-        + coef**2 * var_hat_q
-        + (2.0 / (n - 1)) * coef * ((k - 2 + t) / (k * t - 1)) * r_hat_qu
-    )
-    return max(0.0, inner / (t**2 * gap**2))
+    _, _, a, b_p, c_p = _affine_form(t, k, t_q, k_q)
+    return a * r_hat_qu + b_p * p_hat_q + c_p
 
 
 def client_estimates_from_counts(
@@ -278,9 +246,16 @@ def client_estimates_from_counts(
     model: ReportModel,
     hl: HeadList,
 ) -> EstimateVector:
-    """Denoised estimates from aggregated report counts.
+    """Denoised estimates from aggregated report counts, with their
+    Bessel-corrected sample variances.
 
     Counts must be keyed by members of the client-augmented head list.
+    With b = b_p / g_q a record's estimate is a * r_qu + b * r_q plus a
+    constant, and Cov(r_qu, r_q) = r_qu (1 - r_q) / n, so its variance is
+    that of a * [report on (q, u)] + b * [report on q], a variable taking
+    a + b, b and 0 with probabilities r_qu, r_q - r_qu and 1 - r_q. It is
+    summed pairwise, one non-negative term per pair of values, and so
+    never rounds below zero.
     """
     if hl.stage is not Stage.CLIENT_AUGMENTED:
         raise ParamError("client estimation requires a client-augmented head list")
@@ -290,19 +265,23 @@ def client_estimates_from_counts(
         if r not in hl:
             raise ParamError(f"report {r} is not in the head list")
 
-    query_probs: dict[str, float] = {}
-    query_vars: dict[str, float] = {}
-    record_probs: dict[Record, float] = {}
-    record_vars: dict[Record, float] = {}
-    t, k = model.t, model.k
-    for q in hl.queries:
-        kq, tq = model.k_q[q], model.t_q[q]
-        reported = [counts.get(Record(q, u), 0) for u in hl.urls(q)]
-        r_hat_q = sum(reported) / n
-        p_hat_q = query_probs[q] = denoise_query(r_hat_q, t, k)
-        var_hat_q = query_vars[q] = query_variance(r_hat_q, n, t, k)
-        for u, c in zip(hl.urls(q), reported):
-            rec = Record(q, u)
-            record_probs[rec] = denoise_record(c / n, p_hat_q, t, tq, k, kq)
-            record_vars[rec] = record_variance(c / n, var_hat_q, n, t, tq, k, kq)
-    return EstimateVector(record_probs, record_vars, query_probs, query_vars, n)
+    queries = hl.queries
+    records = list(hl.records())
+    forms = [_affine_form(model.t, model.k, model.t_q[q], model.k_q[q]) for q in queries]
+    background, g_q, a, b_p, c_p = np.array(forms).T
+    of_query = np.repeat(np.arange(len(queries)), [hl.k_q(q) for q in queries])
+    c = np.array([counts.get(r, 0) for r in records], dtype=np.float64)
+    c_q = np.bincount(of_query, weights=c, minlength=len(queries))
+    r_q, off_q = c_q / n, (n - c_q) / n
+    p_q = (r_q - background) / g_q
+    var_q = (1.0 / g_q) ** 2 * r_q * off_q / (n - 1)
+
+    a, b_p, c_p = a[of_query], b_p[of_query], c_p[of_query]
+    b = b_p / g_q[of_query]
+    r_qu, r_other, off = c / n, (c_q[of_query] - c) / n, off_q[of_query]
+    p = a * r_qu + b_p * p_q[of_query] + c_p
+    var = (a**2 * r_qu * r_other + (a + b) ** 2 * r_qu * off + b**2 * r_other * off) / (n - 1)
+    return EstimateVector(
+        dict(zip(records, p.tolist())), dict(zip(records, var.tolist())),
+        dict(zip(queries, p_q.tolist())), dict(zip(queries, var_q.tolist())), n,
+    )

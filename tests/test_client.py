@@ -14,9 +14,7 @@ from hybridhh.client import (
     denoise_query,
     denoise_record,
     local_privatize,
-    query_variance,
     record_slots,
-    record_variance,
     simulate_reports,
 )
 from hybridhh.core import (
@@ -368,72 +366,130 @@ class TestDenoise:
             denoise_record(0.5, 0.5, 0.8, 1.0 / 3.0, 4, 3)
 
 
+def _single_query_estimates(c, c_q, n, t, tq, k, kq):
+    """Estimates of a k-query list whose query "q0" gets c_q of n reports,
+    c of them on its first url; the rest land on the star query."""
+    hl = make_augmented_head_list(k, kq)
+    model = ReportModel(
+        k=hl.k,
+        t=t,
+        k_q={q: hl.k_q(q) for q in hl.queries},
+        t_q={q: tq for q in hl.queries},
+        budgets=(1.0, 0.0, 1.0, 0.0),
+    )
+    urls = hl.urls("q0")
+    counts = {Record("q0", urls[0]): c, Record("q0", urls[1]): c_q - c, WILDCARD: n - c_q}
+    return client_estimates_from_counts({r: x for r, x in counts.items() if x}, n, model, hl)
+
+
 class TestVariances:
     def test_query_variance_frozen_example(self):
-        assert query_variance(0.5, 10_000, 0.75, 3) == pytest.approx(6.4006e-5, rel=1e-4)
+        est = _single_query_estimates(2500, 5000, 10_000, 0.75, 0.75, 3, 3)
+        assert est.query_vars["q0"] == pytest.approx(6.4006e-5, rel=1e-4)
 
     def test_query_variance_vanishes_at_degenerate_fraction(self):
-        assert query_variance(0.0, 100, 0.75, 3) == 0.0
-        assert query_variance(1.0, 100, 0.75, 3) == 0.0
+        for c_q in (0, 100):
+            est = _single_query_estimates(0, c_q, 100, 0.75, 0.75, 3, 3)
+            assert est.query_vars["q0"] == est.query_vars[STAR] == 0.0
 
     @given(
-        r=st.floats(0.0, 1.0),
         n=st.integers(2, 10**7),
+        r_q=st.floats(0.0, 1.0),
+        share=st.floats(0.0, 1.0),
         t=st.floats(0.5, 0.99),
         tq=st.floats(0.5, 0.99),
         k=st.integers(2, 50),
         kq=st.integers(2, 20),
     )
-    @settings(max_examples=200)
-    def test_record_variance_is_non_negative_and_finite(self, r, n, t, tq, k, kq):
+    @example(n=10**4, r_q=0.3, share=1.0, t=0.8, tq=0.7, k=5, kq=3)     # r_qu = r_q
+    @example(n=10**4, r_q=0.0, share=0.0, t=0.8, tq=0.7, k=5, kq=3)     # r_q = 0
+    @example(n=10**4, r_q=1.0, share=1.0, t=0.8, tq=0.7, k=5, kq=3)     # r_qu = r_q = 1
+    @example(n=10**4, r_q=1.0, share=0.0, t=0.8, tq=0.7, k=5, kq=3)     # r_q = 1, r_qu = 0
+    @settings(max_examples=200, deadline=None)
+    def test_record_variance_is_non_negative_and_finite(self, n, r_q, share, t, tq, k, kq):
         # A channel with t <= 1/k carries no signal and is rejected upstream.
         assume(t * k > 1.05 and tq * kq > 1.05)
-        var_q = query_variance(r, n, t, k)
-        v = record_variance(r, var_q, n, t, tq, k, kq)
-        assert math.isfinite(v) and v >= 0.0
+        c_q = round(r_q * n)
+        est = _single_query_estimates(round(share * c_q), c_q, n, t, tq, k, kq)
+        for v in (*est.record_vars.values(), *est.query_vars.values()):
+            assert math.isfinite(v) and v >= 0.0
 
     def test_single_url_query_inherits_query_variance(self):
-        assert record_variance(0.9, 2.5e-4, 100, 0.8, 1.0, 5, 1) == 2.5e-4
+        est = _single_query_estimates(30, 70, 100, 0.8, 0.7, 5, 3)
+        assert est.record_vars[WILDCARD] == est.query_vars[STAR] > 0
+        assert est.record_probs[WILDCARD] == est.query_probs[STAR]
 
     def test_record_variance_shrinks_with_n(self):
-        args = (0.3, 0.8, 0.7, 5, 3)
-        r = 0.3
-        small = record_variance(r, query_variance(r, 100, 0.8, 5), 100, 0.8, 0.7, 5, 3)
-        big = record_variance(r, query_variance(r, 10**6, 0.8, 5), 10**6, 0.8, 0.7, 5, 3)
+        rec = Record("q0", "q0/u0")
+        small = _single_query_estimates(30, 70, 100, 0.8, 0.7, 5, 3).record_vars[rec]
+        big = _single_query_estimates(300_000, 700_000, 10**6, 0.8, 0.7, 5, 3).record_vars[rec]
         assert big < small / 100
 
+    def test_record_variances_are_calibrated(self):
+        # Acceptance criterion 4's 3 x 3 + star instance: n client reports
+        # per repetition, one multinomial draw from the exact forward map.
+        # Bounds fixed before the run: summed empirical / reported variance
+        # within 1 +- 0.05, each record's within 1 +- 0.15.
+        entries = {q: tuple(f"{q}{j}" for j in range(1, 4)) for q in ("a", "b", "c")}
+        entries[STAR] = (STAR,)
+        hl = HeadList(entries, Stage.FINAL).augment_for_clients()
+        p_true = {
+            Record("a", "a1"): 0.18, Record("a", "a2"): 0.10, Record("a", "a3"): 0.07,
+            Record("b", "b1"): 0.14, Record("b", "b2"): 0.09, Record("b", "b3"): 0.05,
+            Record("c", "c1"): 0.12, Record("c", "c2"): 0.08, Record("c", "c3"): 0.04,
+            WILDCARD: 0.13,
+        }
+        model = build_report_model(PrivacyParams(M=3), hl)
+        r_rec, _ = forward_report_map(p_true, model, hl)
+        records = list(hl.records())
+        r_vec = np.array([r_rec[r] for r in records])
+        n, reps = 10_000, 2000
+        est = np.empty((reps, len(records)))
+        reported = np.empty((reps, len(records)))
+        for rep in range(reps):
+            draw = substream(0xCA1C, rep).multinomial(n, r_vec / r_vec.sum())
+            e = client_estimates_from_counts(dict(zip(records, draw.tolist())), n, model, hl)
+            est[rep] = [e.record_probs[r] for r in records]
+            reported[rep] = [e.record_vars[r] for r in records]
+        emp, rep_var = est.var(axis=0, ddof=1), reported.mean(axis=0)
+        assert abs(emp.sum() / rep_var.sum() - 1) <= 0.05
+        ratios = emp / rep_var
+        assert np.abs(ratios - 1).max() <= 0.15, dict(zip(records, ratios.round(3)))
 
-def _two_loop_reference(counts, n, model, hl):
-    """client_estimates_from_counts as first written: query totals from a
-    Counter, then a second loop over the records with a branch for
-    single-url queries."""
-    query_counts = Counter()
-    for r, c in counts.items():
-        query_counts[r.query] += c
-    query_probs, query_vars = {}, {}
-    for q in hl.queries:
-        r_hat = query_counts[q] / n
-        query_probs[q] = denoise_query(r_hat, model.t, model.k)
-        query_vars[q] = query_variance(r_hat, n, model.t, model.k)
-    record_probs, record_vars = {}, {}
+
+def _per_record_reference(counts, n, model, hl):
+    """client_estimates_from_counts read record by record in plain Python:
+    the channel inverted stage by stage, and each record's variance as
+    a^2 r_qu (1 - r_qu) + b^2 r_q (1 - r_q) + 2ab r_qu (1 - r_q), over n - 1,
+    where the estimate is a * r_qu + b * r_q plus a constant."""
+    t, k = model.t, model.k
+    background = (1 - t) / (k - 1)
+    g_q = t - background
+    probs, vars_, qprobs, qvars = {}, {}, {}, {}
     for q in hl.queries:
         kq, tq = model.k_q[q], model.t_q[q]
+        r_q = sum(counts.get(Record(q, u), 0) for u in hl.urls(q)) / n
+        qprobs[q] = (r_q - background) / g_q
+        qvars[q] = r_q * (1 - r_q) / (g_q**2 * (n - 1))
         for u in hl.urls(q):
             rec = Record(q, u)
-            r_hat = counts.get(rec, 0) / n
+            r_qu = counts.get(rec, 0) / n
             if kq == 1:
-                record_probs[rec] = query_probs[q]
-                record_vars[rec] = query_vars[q]
+                a, b = 0.0, 1 / g_q
+                probs[rec] = qprobs[q]
             else:
-                record_probs[rec] = denoise_record(r_hat, query_probs[q], model.t, tq, model.k, kq)
-                record_vars[rec] = record_variance(
-                    r_hat, query_vars[q], n, model.t, tq, model.k, kq
-                )
-    return record_probs, record_vars, query_probs, query_vars
+                a = 1 / (t * (tq - (1 - tq) / (kq - 1)))
+                b = a * (background / kq - t * (1 - tq) / (kq - 1)) / g_q
+                spill = background * (1 - qprobs[q]) / kq
+                probs[rec] = a * (r_qu - t * (1 - tq) * qprobs[q] / (kq - 1) - spill)
+            vars_[rec] = (
+                a * a * r_qu * (1 - r_qu) + b * b * r_q * (1 - r_q) + 2 * a * b * r_qu * (1 - r_q)
+            ) / (n - 1)
+    return probs, vars_, qprobs, qvars
 
 
 class TestAggregation:
-    def test_one_pass_matches_two_loop_reference(self):
+    def test_matches_per_record_reference(self):
         # Mixed k_q, the star query (k_q = 1) included; seeded report counts.
         hl = TestSimulateReports.HL
         model = build_report_model(PrivacyParams(), hl)
@@ -443,11 +499,15 @@ class TestAggregation:
             )
             n = sum(counts.values())
             est = client_estimates_from_counts(counts, n, model, hl)
-            probs, vars_, qprobs, qvars = _two_loop_reference(counts, n, model, hl)
-            assert list(est.record_probs.items()) == list(probs.items())
-            assert list(est.record_vars.items()) == list(vars_.items())
-            assert list(est.query_probs.items()) == list(qprobs.items())
-            assert list(est.query_vars.items()) == list(qvars.items())
+            probs, vars_, qprobs, qvars = _per_record_reference(counts, n, model, hl)
+            # The same formulas in another order of float64 operations:
+            # equal to a few ulps, in absolute terms for the probabilities.
+            for have, want, floor in (
+                (est.record_probs, probs, 1e-15), (est.query_probs, qprobs, 1e-15),
+                (est.record_vars, vars_, 0.0), (est.query_vars, qvars, 0.0),
+            ):
+                assert list(have) == list(want)
+                assert list(have.values()) == pytest.approx(list(want.values()), rel=1e-12, abs=floor)
             assert est.record_vars[WILDCARD] == est.query_vars[STAR] > 0
 
     def test_deterministic_channel_recovers_point_mass(self):

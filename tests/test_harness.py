@@ -235,16 +235,21 @@ class TestRunBlender:
         assert any(r["query"] == "*" and r["url"] == "*" for r in rows)
 
     def test_estimate_cells_are_plain_floats(self, tmp_path):
-        config = small_config()
-        run_blender(config, load_dataset(config), out_dir=tmp_path)
-        for name in ("optin_estimates.csv", "blended.csv"):
-            with open(tmp_path / name, newline="") as fh:
-                rows = list(csv.DictReader(fh))
-            for row in rows:
-                for column, cell in row.items():
-                    if column not in ("query", "url"):
-                        float(cell)
-
+        # Every estimate, variance and weight cell of a synthetic and a TSV
+        # run is a Python float's repr: it parses with float() and never
+        # reads "np.float64(...)".
+        write_multi_record_log(tmp_path / "log.tsv")
+        for config in (small_config(), small_config(dataset_path=str(tmp_path / "log.tsv"))):
+            out = tmp_path / ("tsv" if config.dataset_path else "synthetic")
+            run_blender(config, load_dataset(config), out_dir=out)
+            for name in ("optin_estimates.csv", "blended.csv"):
+                with open(out / name, newline="") as fh:
+                    rows = list(csv.DictReader(fh))
+                columns = [c for c in rows[0] if c.startswith(("p_", "var_")) or c == "w"]
+                assert len(columns) == len(rows[0]) - 2
+                for row in rows:
+                    for column in columns:
+                        assert "np." not in row[column] and math.isfinite(float(row[column]))
 
     def test_clients_are_mapped_to_the_list_without_canonicalize(self, monkeypatch):
         # The clients' records reach their head-list slots through
@@ -322,7 +327,7 @@ class TestSweep:
         assert len(rows) == 24
         assert sum(r.status == "failed:ParamError" for r in rows) == 8
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "b66d7ef42fa4fe5b2f856e82d42eb017b87f97062a25cef86d76238aebda10bb"
+            "21d12742b59e63271e6c38178ccb1c6c446a853024155e5fda56411fdbccc46b"
         )
 
     def test_distinct_seeds_per_repetition(self):
@@ -701,20 +706,20 @@ class TestGoldenArtifacts:
 SYNTH_DIGESTS = {
     "headlist.tsv": "5c5c33a43c0823d27a2e52fd8f3cf3e69912ac9ed0eb0996745e1741002b7dbd",
     "optin_estimates.csv": "4ce0fae40fdacebcc42daf258b3fdae209fd4e7383f1272929b4ab0a90cfb55d",
-    "blended.csv": "629bc0b96cc1a083d1de43c9e5264684ef03be2920fde8e0bd59d79cf5d363e7",
-    "metrics.csv": "011b4655cd70395fac7c2931d5c7f1d677b6a47920a51c75dd34a5fcf7212b3d",
+    "blended.csv": "747b8e29661cbda27cdd35d4bf30dd0598023d0bfb48daeef59775ff93a7ce5f",
+    "metrics.csv": "d588244d87fde331488d851e11169d6e82048380452ad034f67de4e84bb067f2",
 }
 TSV_DIGESTS = {
     "headlist.tsv": "142720ba949dcbbdc0123bde3e301f01c140c570d5fa19ca3025739b68450a6a",
     "optin_estimates.csv": "baa3ec7cf3286530e22dc7b0e789f890fdcb63a86900c030e5749e092a1cb994",
-    "blended.csv": "fdc8a5474d1f3cf9b905dee056012ab2a406adffc5c0154566ee295fa0a16e27",
-    "metrics.csv": "db42cfcaa29b901444b41343d7c7470eebd681e4ca6878a63a4304cb22615585",
+    "blended.csv": "a821815a8ccc89510998062766a2e93f851b5f6758287d464aadd1910ab09d48",
+    "metrics.csv": "c5aafeedef4d2ef5f8547209a01470f9a68f88fbef9c208fd8e56980a2194c3d",
 }
 INTERLEAVED_TSV_DIGESTS = {
     "headlist.tsv": "12b22c3941610f82051fd3119007baec95e43fb500f3b52fe20b9b0547274620",
     "optin_estimates.csv": "3be1f3dc244df07af4a22a7a029a1ac4e61185d4e05a43962d99d3ce681825c0",
-    "blended.csv": "788b360a80d03b5e22b3dd39c30f8d46641ebadc4213f909c31f0dc63423c4bb",
-    "metrics.csv": "a07f897bc1e9c4573462dad3653decc0b909e969cf62180286827e715a70a6d5",
+    "blended.csv": "21a840453611f169b3dcbe4f8b6d3e42de5389bc02ba3dc4a584bccf946a7887",
+    "metrics.csv": "3276ed33b8add89950349608dbd0ca7de573aa6036e277cd760e35a2a385d219",
 }
 SYNTH_COMMAND_DIGESTS = {
     "log.tsv": "684bd5f659ee8b119496d81f4d747d2241310d77c3f2020377ef321105411e86",

@@ -129,7 +129,7 @@ def record_slots(table: RecordTable, hl: HeadList) -> np.ndarray:
     """
     if hl.stage is not Stage.CLIENT_AUGMENTED:
         raise ParamError("record slots require a client-augmented head list")
-    records = list(hl.records())
+    records = hl.records()
     slot = {r: i for i, r in enumerate(records)}
     slots = np.full(len(table), slot[WILDCARD], dtype=np.int64)
     lo, hi = table.query_ranges(hl.queries)
@@ -161,7 +161,7 @@ def simulate_reports(
     lands on a query spreads uniformly over its urls. The result has the
     law of summing one `local_privatize` call per client.
     """
-    records = list(hl.records())
+    records = hl.records()
     queries = hl.queries
     starts = np.cumsum([0] + [model.k_q[q] for q in queries]).tolist()
     # Uniform probabilities over w entries, built once per width in a call.
@@ -266,7 +266,7 @@ def client_estimates_from_counts(
             raise ParamError(f"report {r} is not in the head list")
 
     queries = hl.queries
-    records = list(hl.records())
+    records = hl.records()
     forms = [_affine_form(model.t, model.k, model.t_q[q], model.k_q[q]) for q in queries]
     background, g_q, a, b_p, c_p = np.array(forms).T
     of_query = np.repeat(np.arange(len(queries)), [hl.k_q(q) for q in queries])

@@ -176,11 +176,12 @@ class HeadList:
 
     Iteration order is deterministic: insertion order as constructed
     (the opt-in module inserts in descending estimated probability for
-    the Final stage).
+    the Final stage). The records are built once, at construction.
     """
 
     entries: Mapping[str, tuple[str, ...]]
     stage: Stage
+    _records: tuple[Record, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         frozen = {q: tuple(urls) for q, urls in self.entries.items()}
@@ -204,6 +205,9 @@ class HeadList:
             for q, urls in frozen.items():
                 if STAR not in urls:
                     raise HeadListError(f"query {q!r} lacks the star url")
+        object.__setattr__(
+            self, "_records", tuple(Record(q, u) for q, urls in frozen.items() for u in urls)
+        )
 
     # -- shape accessors -------------------------------------------------
     @property
@@ -224,13 +228,12 @@ class HeadList:
         urls = self.entries.get(record.query)
         return urls is not None and record.url in urls
 
-    def records(self) -> Iterator[Record]:
-        for q, urls in self.entries.items():
-            for u in urls:
-                yield Record(q, u)
+    def records(self) -> tuple[Record, ...]:
+        """Every (query, url) pair, query by query in list order."""
+        return self._records
 
     def num_records(self) -> int:
-        return sum(len(urls) for urls in self.entries.values())
+        return len(self._records)
 
     # -- stage transitions ----------------------------------------------
     def augment_for_clients(self) -> "HeadList":
@@ -245,11 +248,7 @@ class HeadList:
 
     # -- serialization ---------------------------------------------------
     def to_tsv(self) -> str:
-        lines = []
-        for q, urls in self.entries.items():
-            for u in urls:
-                lines.append(f"{encode_star(q)}\t{encode_star(u)}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{encode_star(q)}\t{encode_star(u)}\n" for q, u in self._records)
 
     @classmethod
     def from_tsv(cls, text: str, stage: Stage) -> "HeadList":

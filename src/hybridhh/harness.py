@@ -239,7 +239,7 @@ def write_record_table(path: Path, records: Sequence[Record], **columns: Sequenc
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "headlist.tsv").write_text(result.head_list.to_tsv(), encoding="utf-8")
-    records = list(result.head_list.records())
+    records = result.head_list.records()
     optin_est, client_est = result.optin_est, result.client_est
     # Both tables carry the opt-in estimates; each is formatted once.
     p_optin, var_optin = cells(records, optin_est.record_probs), cells(records, optin_est.record_vars)

@@ -90,12 +90,13 @@ def create_head_list(
     return HeadList(entries, Stage.INITIAL)
 
 
-def optin_variance(p_hat: float, n: int, b_t: float) -> float:
-    """Unbiased sample variance of a Laplace-mechanism frequency estimate.
+def optin_variance(p_hat: np.ndarray, n: int, b_t: float) -> np.ndarray:
+    """Unbiased sample variance of Laplace-mechanism frequency estimates,
+    one per entry of `p_hat`.
 
     (n/(n-1)) * (p(1-p)/n + 2 (b/n)^2), i.e. the Bernoulli sampling term
     with Bessel's correction plus the Laplace noise term. Noise can push
-    the estimate outside [0,1]; the Bernoulli term is evaluated at the
+    an estimate outside [0,1]; the Bernoulli term is evaluated at the
     clamped value so the variance stays non-negative while the estimate
     itself is left unbiased.
     """
@@ -103,7 +104,7 @@ def optin_variance(p_hat: float, n: int, b_t: float) -> float:
         raise ParamError("variance estimate needs n >= 2")
     if not b_t > 0:
         raise ParamError("noise scale must be positive")
-    p_eff = min(max(p_hat, 0.0), 1.0)
+    p_eff = np.clip(p_hat, 0.0, 1.0)
     return (n / (n - 1.0)) * (p_eff * (1.0 - p_eff) / n + 2.0 * (b_t / n) ** 2)
 
 
@@ -133,37 +134,47 @@ def estimate_optin_probabilities(
     n = int(held.counts.sum())
     if n < 2:
         raise ParamError("need at least 2 records in partition T")
-    records = list(hl_initial.records())
-    counts = {r: c for r, c in zip(records, held.at(records).tolist()) if r != WILDCARD}
-    counts[WILDCARD] = n - sum(counts.values())
-
-    noise = laplace_samples(b_t, len(records), rng).tolist()
-    p_hat = {r: (counts[r] + z) / n for r, z in zip(records, noise)}
+    records = hl_initial.records()
+    wildcard = records.index(WILDCARD)
+    counts = held.at(records)
+    counts[wildcard] = 0
+    counts[wildcard] = n - counts.sum()
+    # int64 + float64 rounds as Python's int + float does.
+    p_hat = (counts + laplace_samples(b_t, len(records), rng)) / n
 
     # Trim to the top-M queries by estimated marginal probability. The
     # wildcard is always retained on top of the M regular queries, and
-    # the trimmed queries' mass joins it in list order.
-    regular = [q for q in hl_initial.queries if q != STAR]
-    marginals = {q: sum(p_hat[Record(q, u)] for u in hl_initial.urls(q)) for q in regular}
+    # the trimmed queries' mass joins it in list order. bincount sums
+    # each query's records left to right, as `sum` does.
+    queries = hl_initial.queries
+    sizes = [hl_initial.k_q(q) for q in queries]
+    of_query = np.repeat(np.arange(len(queries)), sizes)
+    marginals = dict(zip(queries, np.bincount(of_query, weights=p_hat).tolist()))
+    regular = [q for q in queries if q != STAR]
     ranked = sorted(regular, key=lambda q: (-marginals[q], q))
     trimmed = set(ranked[params.M:])
-    star_mass = p_hat[WILDCARD]
+    star_mass = float(p_hat[wildcard])
     for q in regular:
         if q in trimmed:
             star_mass += marginals[q]
-    marginals[STAR] = p_hat[WILDCARD] = star_mass
+    marginals[STAR] = p_hat[wildcard] = star_mass
 
     order = sorted(ranked[: params.M] + [STAR], key=lambda q: (-marginals[q], q))
     hl_final = HeadList({q: hl_initial.urls(q) for q in order}, Stage.FINAL)
-    record_probs = {r: p_hat[r] for r in hl_final.records()}
+    # Each final record's slot in the initial list.
+    first = dict(zip(queries, np.cumsum([0] + sizes).tolist()))
+    slots = [first[q] + j for q in order for j in range(hl_initial.k_q(q))]
+    record_probs = p_hat[slots]
+    query_probs = np.array([marginals[q] for q in order])
+    final = hl_final.records()
     estimates = EstimateVector(
-        record_probs=record_probs,
+        record_probs=dict(zip(final, record_probs.tolist())),
         # Reusing the record-level variance formula for the accumulated
         # wildcard mass is known to be statistically loose; kept for
         # faithfulness to the estimation procedure.
-        record_vars={r: optin_variance(p, n, b_t) for r, p in record_probs.items()},
-        query_probs={q: marginals[q] for q in order},
-        query_vars={q: optin_variance(marginals[q], n, b_t) for q in order},
+        record_vars=dict(zip(final, optin_variance(record_probs, n, b_t).tolist())),
+        query_probs=dict(zip(order, query_probs.tolist())),
+        query_vars=dict(zip(order, optin_variance(query_probs, n, b_t).tolist())),
         sample_size=n,
     )
     return OptinOutput(hl_final, estimates)

@@ -105,6 +105,26 @@ class TestHeadList:
         assert initial_hl.num_records() == 4
         assert Record("yahoo", "yahoo.com") in initial_hl
 
+    def test_records_follow_entries_query_by_query(self, initial_hl):
+        for hl in (initial_hl, initial_hl.augment_for_clients()):
+            nested = []
+            for q, urls in hl.entries.items():
+                for u in urls:
+                    nested.append(Record(q, u))
+            assert list(hl.records()) == nested
+            assert hl.num_records() == len(nested)
+
+    def test_records_are_built_once(self, initial_hl):
+        assert initial_hl.records() is initial_hl.records()
+
+    def test_cached_records_stay_out_of_equality_and_repr(self, initial_hl):
+        twin = HeadList(dict(initial_hl.entries), Stage.INITIAL)
+        assert twin == initial_hl
+        assert twin != HeadList(dict(initial_hl.entries), Stage.FINAL)
+        assert repr(twin) == (
+            f"HeadList(entries={initial_hl.entries!r}, stage={Stage.INITIAL!r})"
+        )
+
     def test_tsv_round_trip(self, initial_hl):
         text = initial_hl.to_tsv()
         assert "*\t*" in text

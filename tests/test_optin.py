@@ -296,23 +296,40 @@ def _per_record_reference(params, s_records, t_records, s_rng, t_rng):
 
 
 class TestVectorDraws:
-    def test_matches_per_record_reference(self):
-        params = PrivacyParams(M=5)
-        rng = substream(31, 0)
-        pool = [Record(f"q{i}", f"q{i}/u{j}") for i in range(30) for j in range(3)]
+    @pytest.mark.parametrize("seed, M, t_skips", [
+        pytest.param(31, 5, 0, id="trims"),
+        pytest.param(35, 2, 0, id="trims-to-two"),
+        # M exceeds the admitted queries.
+        pytest.param(33, 1000, 0, id="trims-nothing"),
+        # T holds no record of three admitted queries.
+        pytest.param(34, 1000, 3, id="clamps"),
+    ])
+    def test_matches_per_record_reference(self, seed, M, t_skips):
+        params = PrivacyParams(M=M)
+        rng = substream(seed, 0)
+        # The heaviest query, "solo", lists a single url.
+        pool = [Record("solo", "solo/u")] + [
+            Record(f"q{i}", f"q{i}/u{j}") for i in range(30) for j in range(3)
+        ]
         weights = 1.0 / np.arange(1, len(pool) + 1)
-        weights /= weights.sum()
-        s_records = [pool[d] for d in rng.choice(len(pool), size=3000, p=weights)]
-        t_records = [pool[d] for d in rng.choice(len(pool), size=1500, p=weights)]
+        s_records = [pool[d] for d in rng.choice(len(pool), size=3000, p=weights / weights.sum())]
+        # T skips the records of queries q0 .. q{t_skips - 1}; their
+        # estimates are pure noise, and some fall below 0.
+        weights[1:1 + 3 * t_skips] = 0.0
+        t_records = [pool[d] for d in rng.choice(len(pool), size=1500, p=weights / weights.sum())]
 
         ref_initial, ref_entries, ref_probs, ref_vars, ref_qprobs = _per_record_reference(
-            params, s_records, t_records, substream(31, 3), substream(31, 4)
+            params, s_records, t_records, substream(seed, 3), substream(seed, 4)
         )
-        hl_initial = create_head_list(params, s_records, substream(31, 3))
-        out = estimate_optin_probabilities(params, t_records, hl_initial, substream(31, 4))
+        hl_initial = create_head_list(params, s_records, substream(seed, 3))
+        out = estimate_optin_probabilities(params, t_records, hl_initial, substream(seed, 4))
 
-        # Some admitted queries are trimmed, so the fold into the wildcard runs.
-        assert len(ref_initial.queries) - 1 > params.M
+        assert ref_initial.urls("solo") == ("solo/u",)
+        # The fold into the wildcard runs exactly when queries are trimmed.
+        assert (len(ref_initial.queries) - 1 > params.M) == (M < 1000)
+        if t_skips:
+            # The variance's clamp runs.
+            assert min(ref_probs.values()) < 0
         assert list(hl_initial.entries.items()) == list(ref_initial.entries.items())
         assert list(out.head_list.entries.items()) == list(ref_entries.items())
         est = out.estimates

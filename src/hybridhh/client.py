@@ -12,7 +12,6 @@ estimates from the aggregated report fractions.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -129,13 +128,12 @@ def record_slots(table: RecordTable, hl: HeadList) -> np.ndarray:
     """
     if hl.stage is not Stage.CLIENT_AUGMENTED:
         raise ParamError("record slots require a client-augmented head list")
-    records = hl.records()
-    slot = {r: i for i, r in enumerate(records)}
+    slot = {r: i for i, r in enumerate(hl.records())}
     slots = np.full(len(table), slot[WILDCARD], dtype=np.int64)
     lo, hi = table.query_ranges(hl.queries)
     for q, start, stop in zip(hl.queries, lo.tolist(), hi.tolist()):
         slots[start:stop] = slot[Record(q, STAR)]
-    ids = table.ids(records)
+    ids = table.ids(hl.records())
     listed = np.flatnonzero(ids >= 0)
     slots[ids[listed]] = listed
     return slots
@@ -154,44 +152,43 @@ def simulate_reports(
     `record_slots`). The server sees only how many reports land on each
     record, and the n clients holding r report independently, so their
     counts are one multinomial draw of size n from r's row of the
-    channel; it is drawn stage by stage. Per row: Binomial(n, t) keep the
-    query, Binomial(that, t_q) of those keep the url, and the rest spread
-    uniformly over the other urls. The other-query reports are pooled per
-    true query, spread uniformly over the k-1 other queries, and what
-    lands on a query spreads uniformly over its urls. The result has the
-    law of summing one `local_privatize` call per client.
+    channel. Each stage is drawn in whole-array calls over the held
+    slots: Binomial(n, t) keep the query, Binomial(that, t_q) of those
+    the url, and the rest spread uniformly over the other urls, one
+    multinomial per url-list length. Each other-query report draws one
+    of the k-1 other queries, all in one `integers` call, and what lands
+    on a query spreads uniformly over its urls, one multinomial per
+    url-list length. "Other" draws shift an index past the true entry;
+    unheld slots draw nothing. The result has the law of summing one
+    `local_privatize` call per client.
     """
     records = hl.records()
-    queries = hl.queries
-    starts = np.cumsum([0] + [model.k_q[q] for q in queries]).tolist()
-    # Uniform probabilities over w entries, built once per width in a call.
-    uniform = functools.cache(lambda w: np.full(w, 1.0 / w))
+    widths = np.array([model.k_q[q] for q in hl.queries])
+    starts = np.cumsum(widths) - widths
+    slot = np.flatnonzero(held)
+    qi = np.repeat(np.arange(model.k), widths)[slot]
+    ui = slot - starts[qi]       # the slot's url within its query's list
+    n = held[slot]
+    n_q = rng.binomial(n, model.t)
+    n_u = rng.binomial(n_q, np.array([model.t_q[q] for q in hl.queries])[qi])
     reports = np.zeros(len(records), dtype=np.int64)
-    other_query = [0] * model.k   # by true-query index
-    for qi, q in enumerate(queries):
-        start, kq, tq = starts[qi], model.k_q[q], model.t_q[q]
-        for ui, n in enumerate(held[start:start + kq].tolist()):
-            if not n:
-                continue
-            n_q = int(rng.binomial(n, model.t))
-            n_u = int(rng.binomial(n_q, tq))
-            other_query[qi] += n - n_q
-            reports[start + ui] += n_u
-            if n_q > n_u:
-                # The other urls are the query's urls before and after ui.
-                moved = rng.multinomial(n_q - n_u, uniform(kq - 1))
-                reports[start:start + ui] += moved[:ui]
-                reports[start + ui + 1:start + kq] += moved[ui:]
+    reports[slot] = n_u
 
-    landed = np.zeros(model.k, dtype=np.int64)
-    for qi, n in enumerate(other_query):
-        if n:
-            moved = rng.multinomial(n, uniform(model.k - 1))
-            landed[:qi] += moved[:qi]
-            landed[qi + 1:] += moved[qi:]
-    for qi in np.flatnonzero(landed).tolist():
-        start, kq = starts[qi], model.k_q[queries[qi]]
-        reports[start:start + kq] += rng.multinomial(int(landed[qi]), uniform(kq))
+    spill = n_q - n_u
+    for w in sorted(set(widths[qi][spill > 0].tolist())):
+        rows = np.flatnonzero((widths[qi] == w) & (spill > 0))
+        j = np.arange(w - 1)
+        moved = rng.multinomial(spill[rows], np.full(w - 1, 1.0 / (w - 1)))
+        np.add.at(reports, starts[qi[rows], None] + j + (j >= ui[rows, None]), moved)
+
+    # One entry per other-query report; int32 draws the stream as int64 does.
+    dest = rng.integers(model.k - 1, size=int((n - n_q).sum()), dtype=np.int32)
+    dest += dest >= np.repeat(qi.astype(np.int32), n - n_q)
+    landed = np.bincount(dest, minlength=model.k)
+    for w in sorted(set(widths[landed > 0].tolist())):
+        got = np.flatnonzero((widths == w) & (landed > 0))
+        moved = rng.multinomial(landed[got], np.full(w, 1.0 / w))
+        reports[starts[got, None] + np.arange(w)] += moved
 
     return {r: c for r, c in zip(records, reports.tolist()) if c}
 

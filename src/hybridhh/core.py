@@ -205,9 +205,7 @@ class HeadList:
             for q, urls in frozen.items():
                 if STAR not in urls:
                     raise HeadListError(f"query {q!r} lacks the star url")
-        object.__setattr__(
-            self, "_records", tuple(Record(q, u) for q, urls in frozen.items() for u in urls)
-        )
+        object.__setattr__(self, "_records", tuple(Record(q, u) for q in frozen for u in frozen[q]))
 
     # -- shape accessors -------------------------------------------------
     @property
@@ -229,7 +227,6 @@ class HeadList:
         return urls is not None and record.url in urls
 
     def records(self) -> tuple[Record, ...]:
-        """Every (query, url) pair, query by query in list order."""
         return self._records
 
     def num_records(self) -> int:

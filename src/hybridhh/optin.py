@@ -91,8 +91,7 @@ def create_head_list(
 
 
 def optin_variance(p_hat: np.ndarray, n: int, b_t: float) -> np.ndarray:
-    """Unbiased sample variance of Laplace-mechanism frequency estimates,
-    one per entry of `p_hat`.
+    """Unbiased sample variances of Laplace-mechanism frequency estimates.
 
     (n/(n-1)) * (p(1-p)/n + 2 (b/n)^2), i.e. the Bernoulli sampling term
     with Bessel's correction plus the Laplace noise term. Noise can push
@@ -135,20 +134,18 @@ def estimate_optin_probabilities(
     if n < 2:
         raise ParamError("need at least 2 records in partition T")
     records = hl_initial.records()
-    wildcard = records.index(WILDCARD)
     counts = held.at(records)
-    counts[wildcard] = 0
-    counts[wildcard] = n - counts.sum()
+    # The wildcard takes what the listed records do not hold.
+    wildcard = records.index(WILDCARD)
+    counts[wildcard] += n - counts.sum()
     # int64 + float64 rounds as Python's int + float does.
     p_hat = (counts + laplace_samples(b_t, len(records), rng)) / n
 
-    # Trim to the top-M queries by estimated marginal probability. The
-    # wildcard is always retained on top of the M regular queries, and
-    # the trimmed queries' mass joins it in list order. bincount sums
-    # each query's records left to right, as `sum` does.
+    # Trim to the top-M queries by estimated marginal, which bincount sums
+    # left to right as `sum` does. The wildcard is always kept on top of
+    # the M regular queries; the trimmed queries' mass joins it in list order.
     queries = hl_initial.queries
-    sizes = [hl_initial.k_q(q) for q in queries]
-    of_query = np.repeat(np.arange(len(queries)), sizes)
+    of_query = np.repeat(np.arange(len(queries)), [hl_initial.k_q(q) for q in queries])
     marginals = dict(zip(queries, np.bincount(of_query, weights=p_hat).tolist()))
     regular = [q for q in queries if q != STAR]
     ranked = sorted(regular, key=lambda q: (-marginals[q], q))
@@ -161,12 +158,10 @@ def estimate_optin_probabilities(
 
     order = sorted(ranked[: params.M] + [STAR], key=lambda q: (-marginals[q], q))
     hl_final = HeadList({q: hl_initial.urls(q) for q in order}, Stage.FINAL)
-    # Each final record's slot in the initial list.
-    first = dict(zip(queries, np.cumsum([0] + sizes).tolist()))
-    slots = [first[q] + j for q in order for j in range(hl_initial.k_q(q))]
-    record_probs = p_hat[slots]
-    query_probs = np.array([marginals[q] for q in order])
     final = hl_final.records()
+    slot = dict(zip(records, range(len(records))))
+    record_probs = p_hat[[slot[r] for r in final]]
+    query_probs = np.array([marginals[q] for q in order])
     estimates = EstimateVector(
         record_probs=dict(zip(final, record_probs.tolist())),
         # Reusing the record-level variance formula for the accumulated

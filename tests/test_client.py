@@ -165,6 +165,27 @@ class TestLocalPrivatize:
         assert len(set(got)) > 1
 
 
+class CountingGenerator:
+    """A Generator that counts its binomial, multinomial and integers calls."""
+
+    COUNTED = ("binomial", "multinomial", "integers")
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+        if name not in self.COUNTED:
+            return method
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
 class TestSimulateReports:
     # Mixed url-list lengths: k_q = 2 and 4, and the star query with k_q = 1.
     HL = HeadList(
@@ -188,9 +209,12 @@ class TestSimulateReports:
     REPS = 2000
     Z_BOUND = 4.5   # per cell, over 13 cells
 
-    def test_mean_counts_match_forward_map(self):
+    def exact_and_drawn(self, epsilon):
+        """Each output's exact count mean, from the forward map, and exact
+        count variance, summed over the true records' channel rows, and
+        REPS count vectors drawn by simulate_reports."""
         hl = self.HL
-        model = build_report_model(PrivacyParams(epsilon=2.0), hl)
+        model = build_report_model(PrivacyParams(epsilon=epsilon), hl)
         n = sum(self.TRUE_COUNTS.values())
         held = Counter()
         for rec, c in self.TRUE_COUNTS.items():
@@ -203,15 +227,38 @@ class TestSimulateReports:
             var += [c * row[r] * (1 - row[r]) for r in outputs]
 
         rng = substream(0x51A, 0)
-        total = np.zeros(len(outputs))
-        for _ in range(self.REPS):
+        drawn = np.empty((self.REPS, len(outputs)))
+        for rep in range(self.REPS):
             counts = simulate_reports(held_of(self.TRUE_COUNTS, hl), model, hl, rng)
             assert sum(counts.values()) == n
             assert all(c > 0 and r in hl for r, c in counts.items())
-            total += [counts.get(r, 0) for r in outputs]
-        mean = total / self.REPS
-        z = (mean - n * np.array([r_rec[r] for r in outputs])) / np.sqrt(var / self.REPS)
+            drawn[rep] = [counts.get(r, 0) for r in outputs]
+        return outputs, n * np.array([r_rec[r] for r in outputs]), var, drawn
+
+    def test_mean_counts_match_forward_map(self):
+        outputs, mean, var, drawn = self.exact_and_drawn(2.0)
+        z = (drawn.mean(axis=0) - mean) / np.sqrt(var / self.REPS)
         assert np.abs(z).max() <= self.Z_BOUND, dict(zip(outputs, z.round(2)))
+
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0, 8.0])
+    def test_count_variances_match_multinomial(self, epsilon):
+        # Bound fixed before the run: each cell's empirical variance over
+        # REPS draws within [0.85, 1.15] of its exact variance.
+        outputs, _, var, drawn = self.exact_and_drawn(epsilon)
+        ratio = drawn.var(axis=0, ddof=1) / var
+        assert ((ratio >= 0.85) & (ratio <= 1.15)).all(), dict(zip(outputs, ratio.round(3)))
+
+    def test_draws_in_whole_array_calls(self):
+        # Two binomial calls, one integers call, and one multinomial per
+        # url-list length for each of the two spreads.
+        hl = make_augmented_head_list(200, 3)
+        model = build_report_model(PrivacyParams(), hl)
+        held = np.full(hl.num_records(), 40, dtype=np.int64)
+        rng = CountingGenerator(substream(0xCA11, 0))
+        counts = simulate_reports(held, model, hl, rng)
+        assert sum(counts.values()) == held.sum()
+        widths = {model.k_q[q] for q in hl.queries}
+        assert rng.calls <= 3 + 2 * len(widths)
 
     def test_noiseless_channel_is_identity(self):
         hl = make_augmented_head_list(4, 3)
@@ -221,37 +268,42 @@ class TestSimulateReports:
 
 
 def simulate_reports_reference(held, model, hl, rng):
-    """simulate_reports as first written: a `flatnonzero` per query, a
-    fresh uniform vector per draw, and each spread added through a fancy
-    index that skips the true entry."""
-
-    def uniform(n):
-        return np.full(n, 1.0 / n)
-
+    """simulate_reports read as plain loops over the same draw order:
+    each stage's scalar draws slot by slot in slot order, every
+    multinomial stage one url-list length at a time in increasing order,
+    and each spread added through the list without the true entry. Each
+    array call of simulate_reports consumes the stream as its scalar
+    draws in turn do, so no stage reuses an array call."""
     records = list(hl.records())
     queries = hl.queries
-    starts = np.cumsum([0] + [model.k_q[q] for q in queries]).tolist()
-    reports = np.zeros(len(records), dtype=np.int64)
-    other_query = np.zeros(model.k, dtype=np.int64)
-    for qi, q in enumerate(queries):
-        start, kq = starts[qi], model.k_q[q]
-        for ui in np.flatnonzero(held[start:start + kq]).tolist():
-            n = int(held[start + ui])
-            n_q = int(rng.binomial(n, model.t))
-            n_u = int(rng.binomial(n_q, model.t_q[q]))
-            other_query[qi] += n - n_q
-            reports[start + ui] += n_u
-            if n_q > n_u:
-                j = np.arange(kq - 1)
-                reports[start + j + (j >= ui)] += rng.multinomial(n_q - n_u, uniform(kq - 1))
-    landed = np.zeros(model.k, dtype=np.int64)
-    j = np.arange(model.k - 1)
-    for qi in np.flatnonzero(other_query).tolist():
-        landed[j + (j >= qi)] += rng.multinomial(int(other_query[qi]), uniform(model.k - 1))
-    for qi in np.flatnonzero(landed).tolist():
-        start, kq = starts[qi], model.k_q[queries[qi]]
-        reports[start:start + kq] += rng.multinomial(int(landed[qi]), uniform(kq))
-    return {r: c for r, c in zip(records, reports.tolist()) if c}
+    query_of = [q for q in queries for _ in hl.urls(q)]
+    slots_of = {q: [i for i, r in enumerate(records) if r.query == q] for q in queries}
+    live = [i for i in range(len(records)) if held[i]]
+    n_q = {i: int(rng.binomial(int(held[i]), model.t)) for i in live}
+    n_u = {i: int(rng.binomial(n_q[i], model.t_q[query_of[i]])) for i in live}
+    reports = [0] * len(records)
+    for i in live:
+        reports[i] += n_u[i]
+    spilled = [i for i in live if n_q[i] > n_u[i]]
+    for w in sorted({model.k_q[query_of[i]] for i in spilled}):
+        for i in spilled:
+            if model.k_q[query_of[i]] == w:
+                moved = rng.multinomial(n_q[i] - n_u[i], [1.0 / (w - 1)] * (w - 1))
+                others = [s for s in slots_of[query_of[i]] if s != i]
+                for s, c in zip(others, moved.tolist()):
+                    reports[s] += c
+    landed = dict.fromkeys(queries, 0)
+    for i in live:
+        others = [q for q in queries if q != query_of[i]]
+        for _ in range(int(held[i]) - n_q[i]):
+            landed[others[int(rng.integers(model.k - 1))]] += 1
+    for w in sorted({model.k_q[q] for q in queries if landed[q]}):
+        for q in queries:
+            if landed[q] and model.k_q[q] == w:
+                moved = rng.multinomial(landed[q], [1.0 / w] * w)
+                for s, c in zip(slots_of[q], moved.tolist()):
+                    reports[s] += c
+    return {r: c for r, c in zip(records, reports) if c}
 
 
 class TestSimulateReportsMatchesReference:

@@ -327,7 +327,7 @@ class TestSweep:
         assert len(rows) == 24
         assert sum(r.status == "failed:ParamError" for r in rows) == 8
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "21d12742b59e63271e6c38178ccb1c6c446a853024155e5fda56411fdbccc46b"
+            "07bb0dd82c650323e3d5f177fa73130188c0dc230aef684d17b1ddedf8dcb53c"
         )
 
     def test_distinct_seeds_per_repetition(self):
@@ -423,7 +423,7 @@ class TestCli:
         capsys.readouterr()
         argv = ["metrics", "--blended", str(out / "blended.csv"), "--truth", str(partial)]
         assert cli.main(argv) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "NDCG = 0.952979"
+        assert capsys.readouterr().out.splitlines()[1] == "NDCG = 0.952880"
 
     def metrics_input_error(self, capsys, blended, truth):
         capsys.readouterr()
@@ -706,20 +706,20 @@ class TestGoldenArtifacts:
 SYNTH_DIGESTS = {
     "headlist.tsv": "5c5c33a43c0823d27a2e52fd8f3cf3e69912ac9ed0eb0996745e1741002b7dbd",
     "optin_estimates.csv": "4ce0fae40fdacebcc42daf258b3fdae209fd4e7383f1272929b4ab0a90cfb55d",
-    "blended.csv": "747b8e29661cbda27cdd35d4bf30dd0598023d0bfb48daeef59775ff93a7ce5f",
-    "metrics.csv": "d588244d87fde331488d851e11169d6e82048380452ad034f67de4e84bb067f2",
+    "blended.csv": "60a44f270f2fb287435e65dae0d19f2d3d0cb63771c12fe1d2d0517e0b751a51",
+    "metrics.csv": "9ffbdf33b82542f1dc43e7863f1ebd1686fd6822dea4d17663c85021de70bf38",
 }
 TSV_DIGESTS = {
     "headlist.tsv": "142720ba949dcbbdc0123bde3e301f01c140c570d5fa19ca3025739b68450a6a",
     "optin_estimates.csv": "baa3ec7cf3286530e22dc7b0e789f890fdcb63a86900c030e5749e092a1cb994",
-    "blended.csv": "a821815a8ccc89510998062766a2e93f851b5f6758287d464aadd1910ab09d48",
-    "metrics.csv": "c5aafeedef4d2ef5f8547209a01470f9a68f88fbef9c208fd8e56980a2194c3d",
+    "blended.csv": "e35a2b22d5ad3d7450988e23b085300827fd2517ca90787785dfa969fc788947",
+    "metrics.csv": "ce0a9e2fa781276c592595863aa21324225810436e90072793c4a89f99a7e87b",
 }
 INTERLEAVED_TSV_DIGESTS = {
     "headlist.tsv": "12b22c3941610f82051fd3119007baec95e43fb500f3b52fe20b9b0547274620",
     "optin_estimates.csv": "3be1f3dc244df07af4a22a7a029a1ac4e61185d4e05a43962d99d3ce681825c0",
-    "blended.csv": "21a840453611f169b3dcbe4f8b6d3e42de5389bc02ba3dc4a584bccf946a7887",
-    "metrics.csv": "3276ed33b8add89950349608dbd0ca7de573aa6036e277cd760e35a2a385d219",
+    "blended.csv": "46e7406466e9ddb0c34c006dd694e50920569cdfed1a4aed668804b5ad3b149d",
+    "metrics.csv": "69a1e4eb9b4895d60b6deaed421611b9f4cecf2a47c3e416cd06f14755bb0b4d",
 }
 SYNTH_COMMAND_DIGESTS = {
     "log.tsv": "684bd5f659ee8b119496d81f4d747d2241310d77c3f2020377ef321105411e86",

@@ -2,37 +2,44 @@
 
 Each record's final probability is the convex combination of the two
 unbiased estimates weighted inversely to their sample variances, which
-minimizes the variance of the combination. A pipeline run always
-projects the fused vector onto the probability simplex; `project=False`
-keeps the raw combination, which acceptance criterion 5 measures.
+minimizes the variance of the combination, as array arithmetic over
+the final head list's slots. A pipeline run always projects the fused
+vector onto the probability simplex; `project=False` keeps the raw
+combination, which acceptance criterion 5 measures.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
 
 import numpy as np
 
-from .core import EstimateVector, HeadList, ParamError, Record
+from .core import EstimateVector, HeadList, ParamError, keyed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlendedOutput:
-    probs: Mapping[Record, float]
-    weights: Mapping[Record, float]   # weight on the opt-in estimate
+    head_list: HeadList
+    p: np.ndarray   # in head_list.records() order, as is w
+    w: np.ndarray   # weight on the opt-in estimate
+
+    probs = cached_property(lambda self: keyed(self.head_list.records(), self.p))
+    weights = cached_property(lambda self: keyed(self.head_list.records(), self.w))
 
 
-def blend_weight(var_optin: float, var_client: float) -> float:
-    """Weight on the opt-in estimate: var_C / (var_O + var_C)."""
-    if var_optin < 0 or var_client < 0:
+def blend_weight(
+    var_optin: float | np.ndarray, var_client: float | np.ndarray
+) -> float | np.ndarray:
+    """Weight on the opt-in estimate, var_C / (var_O + var_C), elementwise; 0.5 if both are 0."""
+    if np.any(np.minimum(var_optin, var_client) < 0):
         raise ParamError("variances must be non-negative")
-    total = var_optin + var_client
-    if total == 0:
+    total = np.add(var_optin, var_client)
+    if np.any(total == 0):
         warnings.warn("both variance estimates are zero; splitting the weight evenly")
-        return 0.5
-    return var_client / total
+    w = np.divide(var_client, total, out=np.full(np.shape(total), 0.5), where=total != 0)
+    return w if w.ndim else float(w)
 
 
 def blend_probabilities(
@@ -43,24 +50,19 @@ def blend_probabilities(
 ) -> BlendedOutput:
     """Per-record inverse-variance blend over the final head list.
 
-    The client vector may carry extra star-url entries from head-list
-    augmentation; blending covers exactly the opt-in keys, which must
-    all be present on the client side.
+    The opt-in vector is over `hl`; the client vector may carry extra
+    star-url entries from head-list augmentation, and is read at the
+    slots of `hl`'s records, which it must all hold.
     """
-    missing = [r for r in optin.record_probs if r not in client.record_probs]
-    if missing:
-        raise ParamError(f"client estimates missing records: {missing[:3]}")
-    probs: dict[Record, float] = {}
-    weights: dict[Record, float] = {}
-    for rec, p_o in optin.record_probs.items():
-        w = blend_weight(optin.record_vars[rec], client.record_vars[rec])
-        weights[rec] = w
-        probs[rec] = w * p_o + (1.0 - w) * client.record_probs[rec]
-    if project:
-        keys = list(probs)
-        projected = project_to_simplex(np.array([probs[r] for r in keys]))
-        probs = {r: float(p) for r, p in zip(keys, projected)}
-    return BlendedOutput(probs=probs, weights=weights)
+    if optin.head_list != hl:
+        raise ParamError("opt-in estimates are not over the given head list")
+    records = hl.records()
+    at = client.head_list.slots(records)
+    if np.any(at < 0):
+        raise ParamError(f"client estimates missing record {records[np.argmin(at)]}")
+    w = blend_weight(optin.var, client.var[at])
+    p = w * optin.p + (1.0 - w) * client.p[at]
+    return BlendedOutput(hl, project_to_simplex(p) if project else p, w)
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:

@@ -72,15 +72,11 @@ def build_report_model(params: PrivacyParams, hl: HeadList) -> ReportModel:
     t = _truth_probability(params.eps_q, params.delta_q, k)
     if t <= 1.0 / k + _GAP_EPS:
         raise DegenerateChannelError("query randomizer is uninformative (t ~ 1/k)")
-    k_q: dict[str, int] = {}
-    t_q: dict[str, float] = {}
-    for q in hl.queries:
-        kq = hl.k_q(q)
-        tq = _truth_probability(params.eps_u, params.delta_u, kq)
-        if kq >= 2 and tq <= 1.0 / kq + _GAP_EPS:
+    k_q = {q: hl.k_q(q) for q in hl.queries}
+    t_q = {q: _truth_probability(params.eps_u, params.delta_u, kq) for q, kq in k_q.items()}
+    for q, kq in k_q.items():
+        if kq >= 2 and t_q[q] <= 1.0 / kq + _GAP_EPS:
             raise DegenerateChannelError(f"url randomizer for {q!r} is uninformative")
-        k_q[q] = kq
-        t_q[q] = tq
     budgets = (params.eps_q, params.delta_q, params.eps_u, params.delta_u)
     return ReportModel(k=k, t=t, k_q=k_q, t_q=t_q, budgets=budgets)
 
@@ -128,11 +124,10 @@ def record_slots(table: RecordTable, hl: HeadList) -> np.ndarray:
     """
     if hl.stage is not Stage.CLIENT_AUGMENTED:
         raise ParamError("record slots require a client-augmented head list")
-    slot = {r: i for i, r in enumerate(hl.records())}
-    slots = np.full(len(table), slot[WILDCARD], dtype=np.int64)
+    slots = np.full(len(table), hl.slot[WILDCARD], dtype=np.int64)
     lo, hi = table.query_ranges(hl.queries)
     for q, start, stop in zip(hl.queries, lo.tolist(), hi.tolist()):
-        slots[start:stop] = slot[Record(q, STAR)]
+        slots[start:stop] = hl.slot[Record(q, STAR)]
     ids = table.ids(hl.records())
     listed = np.flatnonzero(ids >= 0)
     slots[ids[listed]] = listed
@@ -258,16 +253,15 @@ def client_estimates_from_counts(
         raise ParamError("client estimation requires a client-augmented head list")
     if n < 2:
         raise ParamError("need at least 2 client reports")
-    for r in counts:
-        if r not in hl:
-            raise ParamError(f"report {r} is not in the head list")
+    at = hl.slots(counts)
+    if np.any(at < 0):
+        raise ParamError(f"report {list(counts)[np.argmin(at)]} is not in the head list")
 
     queries = hl.queries
-    records = hl.records()
     forms = [_affine_form(model.t, model.k, model.t_q[q], model.k_q[q]) for q in queries]
     background, g_q, a, b_p, c_p = np.array(forms).T
     of_query = np.repeat(np.arange(len(queries)), [hl.k_q(q) for q in queries])
-    c = np.array([counts.get(r, 0) for r in records], dtype=np.float64)
+    c = np.bincount(at, weights=list(counts.values()), minlength=hl.num_records())
     c_q = np.bincount(of_query, weights=c, minlength=len(queries))
     r_q, off_q = c_q / n, (n - c_q) / n
     p_q = (r_q - background) / g_q
@@ -278,7 +272,4 @@ def client_estimates_from_counts(
     r_qu, r_other, off = c / n, (c_q[of_query] - c) / n, off_q[of_query]
     p = a * r_qu + b_p * p_q[of_query] + c_p
     var = (a**2 * r_qu * r_other + (a + b) ** 2 * r_qu * off + b**2 * r_other * off) / (n - 1)
-    return EstimateVector(
-        dict(zip(records, p.tolist())), dict(zip(records, var.tolist())),
-        dict(zip(queries, p_q.tolist())), dict(zip(queries, var_q.tolist())), n,
-    )
+    return EstimateVector(hl, p, var, p_q, var_q, n)

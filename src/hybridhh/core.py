@@ -4,19 +4,22 @@ A record is a (query, url) pair. A record table holds a dataset's
 distinct records in sorted order as columns, and record counts are
 arrays over its ids. The head list is an ordered map from queries to url
 lists; the reserved wildcard entry aggregates everything that fell
-outside the list. Strings are compared by exact byte equality after
-stripping surrounding whitespace; no case folding or url normalization
-is performed.
+outside the list, whose records are numbered once, as slots. Estimates
+are arrays over a list's slots and queries. Strings are compared by
+exact byte equality after stripping surrounding whitespace; no case
+folding or url normalization is performed.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from itertools import repeat
+from types import MappingProxyType
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -176,12 +179,14 @@ class HeadList:
 
     Iteration order is deterministic: insertion order as constructed
     (the opt-in module inserts in descending estimated probability for
-    the Final stage). The records are built once, at construction.
+    the Final stage). The records and `slot`, each record's position in
+    them, are built once, at construction.
     """
 
     entries: Mapping[str, tuple[str, ...]]
     stage: Stage
     _records: tuple[Record, ...] = field(init=False, compare=False, repr=False)
+    slot: Mapping[Record, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         frozen = {q: tuple(urls) for q, urls in self.entries.items()}
@@ -206,6 +211,7 @@ class HeadList:
                 if STAR not in urls:
                     raise HeadListError(f"query {q!r} lacks the star url")
         object.__setattr__(self, "_records", tuple(Record(q, u) for q in frozen for u in frozen[q]))
+        object.__setattr__(self, "slot", dict(zip(self._records, range(len(self._records)))))
 
     # -- shape accessors -------------------------------------------------
     @property
@@ -223,8 +229,11 @@ class HeadList:
         return len(self.entries[query])
 
     def __contains__(self, record: Record) -> bool:
-        urls = self.entries.get(record.query)
-        return urls is not None and record.url in urls
+        return record in self.slot
+
+    def slots(self, records: Collection[Record]) -> np.ndarray:
+        """Each record's slot, or -1 for a record the list does not hold."""
+        return np.fromiter(map(self.slot.get, records, repeat(-1)), np.int64, len(records))
 
     def records(self) -> tuple[Record, ...]:
         return self._records
@@ -235,13 +244,8 @@ class HeadList:
     # -- stage transitions ----------------------------------------------
     def augment_for_clients(self) -> "HeadList":
         """Append the star query and a star url to every query's list."""
-        entries: dict[str, tuple[str, ...]] = {}
-        for q, urls in self.entries.items():
-            if q == STAR:
-                continue
-            entries[q] = urls + (STAR,)
-        entries[STAR] = (STAR,)
-        return HeadList(entries, Stage.CLIENT_AUGMENTED)
+        entries = {q: urls + (STAR,) for q, urls in self.entries.items() if q != STAR}
+        return HeadList({**entries, STAR: (STAR,)}, Stage.CLIENT_AUGMENTED)
 
     # -- serialization ---------------------------------------------------
     def to_tsv(self) -> str:
@@ -349,25 +353,35 @@ class PrivacyParams:
         return self.delta_prime - self.delta_q
 
 
-@dataclass(frozen=True)
+def keyed(keys: Iterable, values: np.ndarray) -> Mapping:
+    """A read-only mapping from each key to its value in `values`."""
+    return MappingProxyType(dict(zip(keys, values.tolist())))
+
+
+@dataclass(frozen=True, eq=False)
 class EstimateVector:
-    """Probability and variance estimates keyed by head-list records.
+    """Probability and variance estimates over a head list, as float64 arrays
+    in `head_list.records()` order and, for queries, `head_list.queries` order."""
 
-    Query-level estimates are carried alongside the record-level ones;
-    both refer to the same head list.
-    """
-
-    record_probs: Mapping[Record, float]
-    record_vars: Mapping[Record, float]
-    query_probs: Mapping[str, float]
-    query_vars: Mapping[str, float]
+    head_list: HeadList
+    p: np.ndarray
+    var: np.ndarray
+    query_p: np.ndarray
+    query_var: np.ndarray
     sample_size: int
 
     def __post_init__(self):
         if self.sample_size < 1:
             raise ParamError("sample_size must be positive")
-        if set(self.record_probs) != set(self.record_vars):
-            raise ParamError("record prob/var keys differ")
-        for v in (*self.record_vars.values(), *self.query_vars.values()):
-            if not (math.isfinite(v) and v >= 0):
-                raise ParamError("variances must be finite and non-negative")
+        shapes = {self.p.shape, self.var.shape}, {self.query_p.shape, self.query_var.shape}
+        if shapes != ({(self.head_list.num_records(),)}, {(self.head_list.k,)}):
+            raise ParamError("estimate arrays do not match the head list's records and queries")
+        variances = np.concatenate([self.var, self.query_var])
+        if not np.all(np.isfinite(variances) & (variances >= 0)):
+            raise ParamError("variances must be finite and non-negative")
+
+    # Read-only readings by record and by query, each built on its first read.
+    record_probs = cached_property(lambda self: keyed(self.head_list.records(), self.p))
+    record_vars = cached_property(lambda self: keyed(self.head_list.records(), self.var))
+    query_probs = cached_property(lambda self: keyed(self.head_list.queries, self.query_p))
+    query_vars = cached_property(lambda self: keyed(self.head_list.queries, self.query_var))

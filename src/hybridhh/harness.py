@@ -16,13 +16,12 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import blend, client, data, metrics, optin
 from .core import (
-    STAR,
     EstimateVector,
     HeadList,
     ParamError,
@@ -200,9 +199,8 @@ def run_blender(
         )
     l1, ndcg = metrics.score(blended.probs, truth)
 
-    n_regular_queries = sum(1 for q in hl_final.queries if q != STAR)
     row = MetricsRow.for_params(
-        params, run_seed, l1=l1, ndcg=ndcg, headlist_short=n_regular_queries < params.M
+        params, run_seed, l1=l1, ndcg=ndcg, headlist_short=hl_final.k - 1 < params.M
     )
     result = RunResult(hl_final, optin_est, client_est, blended, row)
     if out_dir is not None:
@@ -218,9 +216,9 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) 
         w.writerows(rows)
 
 
-def cells(records: Iterable[Record], column: Mapping[Record, float]) -> list[str]:
-    """`repr` of each record's value in `column`, in record order."""
-    return [repr(column[rec]) for rec in records]
+def cells(values: Iterable[float]) -> list[str]:
+    """`repr` of each value, in order."""
+    return list(map(repr, values))
 
 
 def write_record_table(path: Path, records: Sequence[Record], **columns: Sequence[str]) -> None:
@@ -242,14 +240,14 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     records = result.head_list.records()
     optin_est, client_est = result.optin_est, result.client_est
     # Both tables carry the opt-in estimates; each is formatted once.
-    p_optin, var_optin = cells(records, optin_est.record_probs), cells(records, optin_est.record_vars)
+    p_optin, var_optin = cells(optin_est.p.tolist()), cells(optin_est.var.tolist())
     write_record_table(out_dir / "optin_estimates.csv", records, p_hat=p_optin, var_hat=var_optin)
+    at = client_est.head_list.slots(records)
     write_record_table(
         out_dir / "blended.csv", records,
-        p_blend=cells(records, result.blended.probs), w=cells(records, result.blended.weights),
+        p_blend=cells(result.blended.p.tolist()), w=cells(result.blended.w.tolist()),
         p_optin=p_optin, var_optin=var_optin,
-        p_client=cells(records, client_est.record_probs),
-        var_client=cells(records, client_est.record_vars),
+        p_client=cells(client_est.p[at].tolist()), var_client=cells(client_est.var[at].tolist()),
     )
     write_csv(out_dir / "metrics.csv", MetricsRow.FIELDS, [result.row.as_csv_row()])
 

@@ -136,7 +136,7 @@ def estimate_optin_probabilities(
     records = hl_initial.records()
     counts = held.at(records)
     # The wildcard takes what the listed records do not hold.
-    wildcard = records.index(WILDCARD)
+    wildcard = hl_initial.slot[WILDCARD]
     counts[wildcard] += n - counts.sum()
     # int64 + float64 rounds as Python's int + float does.
     p_hat = (counts + laplace_samples(b_t, len(records), rng)) / n
@@ -158,18 +158,12 @@ def estimate_optin_probabilities(
 
     order = sorted(ranked[: params.M] + [STAR], key=lambda q: (-marginals[q], q))
     hl_final = HeadList({q: hl_initial.urls(q) for q in order}, Stage.FINAL)
-    final = hl_final.records()
-    slot = dict(zip(records, range(len(records))))
-    record_probs = p_hat[[slot[r] for r in final]]
+    record_probs = p_hat[hl_initial.slots(hl_final.records())]
     query_probs = np.array([marginals[q] for q in order])
-    estimates = EstimateVector(
-        record_probs=dict(zip(final, record_probs.tolist())),
-        # Reusing the record-level variance formula for the accumulated
-        # wildcard mass is known to be statistically loose; kept for
-        # faithfulness to the estimation procedure.
-        record_vars=dict(zip(final, optin_variance(record_probs, n, b_t).tolist())),
-        query_probs=dict(zip(order, query_probs.tolist())),
-        query_vars=dict(zip(order, optin_variance(query_probs, n, b_t).tolist())),
-        sample_size=n,
-    )
+    # Reusing the record-level variance formula for the accumulated
+    # wildcard mass is known to be statistically loose; kept for
+    # faithfulness to the estimation procedure.
+    record_vars = optin_variance(record_probs, n, b_t)
+    query_vars = optin_variance(query_probs, n, b_t)
+    estimates = EstimateVector(hl_final, record_probs, record_vars, query_probs, query_vars, n)
     return OptinOutput(hl_final, estimates)

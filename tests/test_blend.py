@@ -7,20 +7,35 @@ from hybridhh.blend import (
     blend_weight,
     project_to_simplex,
 )
-from hybridhh.core import EstimateVector, ParamError, Record
+from hybridhh.core import STAR, EstimateVector, HeadList, ParamError, Record, Stage
 from hybridhh.sampling import substream
 
 from conftest import make_final_head_list
 
 
 def make_vector(hl, probs, var):
-    recs = list(hl.records())
-    p = {r: probs[i] for i, r in enumerate(recs)}
-    v = {r: var for r in recs}
-    q = {}
-    for r, pp in p.items():
-        q[r.query] = q.get(r.query, 0.0) + pp
-    return EstimateVector(p, v, q, {qq: var for qq in q}, 1000)
+    """Record probabilities `probs` in list order, their query sums, and
+    one variance `var` everywhere."""
+    p = np.array(probs, dtype=float)
+    of_query = [hl.queries.index(r.query) for r in hl.records()]
+    q = np.bincount(of_query, weights=p, minlength=hl.k)
+    return EstimateVector(hl, p, np.full(len(p), var), q, np.full(hl.k, var), 1000)
+
+
+def blend_reference(optin, client, project):
+    """The blend as one pass over the opt-in records in plain Python,
+    reading both vectors by record."""
+    probs, weights = {}, {}
+    for rec, p_o in optin.record_probs.items():
+        total = optin.record_vars[rec] + client.record_vars[rec]
+        w = 0.5 if total == 0 else client.record_vars[rec] / total
+        weights[rec] = w
+        probs[rec] = w * p_o + (1.0 - w) * client.record_probs[rec]
+    if project:
+        keys = list(probs)
+        projected = project_to_simplex(np.array([probs[r] for r in keys]))
+        probs = {r: float(p) for r, p in zip(keys, projected)}
+    return probs, weights
 
 
 class TestBlendWeight:
@@ -40,6 +55,27 @@ class TestBlendWeight:
     def test_rejects_negative(self):
         with pytest.raises(ParamError):
             blend_weight(-1.0, 0.5)
+
+    def test_arrays_match_scalar_calls(self):
+        rng = substream(34, 0)
+        a, b = rng.uniform(0.0, 2.0, size=(2, 200))
+        b[:5] = 0.0    # all weight on the client side
+        w = blend_weight(a, b)
+        assert isinstance(w, np.ndarray) and isinstance(blend_weight(1.0, 3.0), float)
+        assert w.tolist() == [blend_weight(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_any_negative_element_rejected(self, side):
+        variances = [np.full(6, 0.25), np.full(6, 0.5)]
+        variances[side][4] = -1e-300
+        with pytest.raises(ParamError):
+            blend_weight(*variances)
+
+    def test_zero_totals_warn_once_per_call(self):
+        with pytest.warns(UserWarning) as caught:
+            w = blend_weight(np.array([0.0, 1.0, 0.0, 0.0]), np.array([0.0, 3.0, 0.0, 2.0]))
+        assert len(caught) == 1
+        assert w.tolist() == [0.5, 0.75, 0.5, 1.0]
 
     def test_minimizes_blended_variance_on_grid(self):
         # w^2 a + (1-w)^2 b is minimized at w = b / (a + b).
@@ -91,11 +127,51 @@ class TestBlendProbabilities:
     def test_missing_client_key_rejected(self):
         hl = make_final_head_list(2, 2)
         a = make_vector(hl, [0.4, 0.2, 0.15, 0.15, 0.1], 0.02)
-        short = EstimateVector(
-            {Record("q0", "q0/u0"): 0.5}, {Record("q0", "q0/u0"): 0.1}, {"q0": 0.5}, {"q0": 0.1}, 10
-        )
-        with pytest.raises(ParamError):
+        short_hl = HeadList({"q0": ("q0/u0",), STAR: (STAR,)}, Stage.FINAL)
+        short = make_vector(short_hl, [0.5, 0.5], 0.1)
+        with pytest.raises(ParamError, match="missing record"):
             blend_probabilities(a, short, hl)
+
+    def test_optin_vector_over_another_list_rejected(self):
+        hl = make_final_head_list(2, 2)
+        a = make_vector(hl, [0.4, 0.2, 0.15, 0.15, 0.1], 0.02)
+        with pytest.raises(ParamError, match="opt-in"):
+            blend_probabilities(a, a, make_final_head_list(2, 3))
+
+    @pytest.mark.parametrize("project", [True, False])
+    def test_matches_per_record_reference(self, project):
+        # The client list holds every final record, in another order and
+        # between its star slots, as a client-augmented list may.
+        hl = make_final_head_list(3, 2)
+        client_hl = HeadList(
+            {
+                "q2": (STAR, "q2/u1", "q2/u0"),
+                "q0": ("q0/u1", STAR, "q0/u0"),
+                STAR: (STAR,),
+                "q1": ("q1/u0", "q1/u1", STAR),
+            },
+            Stage.CLIENT_AUGMENTED,
+        )
+        rng = substream(35, 0)
+        vectors = []
+        for head_list in (hl, client_hl):
+            n = head_list.num_records()
+            var = rng.uniform(0.0, 0.02, n)
+            var[head_list.slot[Record("q1", "q1/u0")]] = 0.0   # zero on both sides
+            queries = np.full(head_list.k, 0.01)
+            vectors.append(
+                EstimateVector(head_list, rng.normal(0.12, 0.1, n), var, queries, queries, 1000)
+            )
+        optin, client = vectors
+
+        with pytest.warns(UserWarning) as caught:
+            out = blend_probabilities(optin, client, hl, project=project)
+        assert len(caught) == 1
+        probs, weights = blend_reference(optin, client, project)
+        assert out.head_list is hl
+        assert out.p.tolist() == list(probs.values()) and out.probs == probs
+        assert out.w.tolist() == list(weights.values()) and out.weights == weights
+        assert weights[Record("q1", "q1/u0")] == 0.5
 
 
 class TestProjectToSimplex:

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hybridhh.core import (
     STAR,
     WILDCARD,
+    EstimateVector,
     HeadList,
     HeadListError,
     ParamError,
@@ -124,6 +126,38 @@ class TestHeadList:
         assert repr(twin) == (
             f"HeadList(entries={initial_hl.entries!r}, stage={Stage.INITIAL!r})"
         )
+        # Neither the records nor the slot index takes part in either.
+        object.__setattr__(twin, "slot", {})
+        object.__setattr__(twin, "_records", ())
+        assert twin == initial_hl
+        assert repr(twin) == repr(initial_hl)
+
+    def test_slot_index_follows_records(self, initial_hl):
+        for hl in (initial_hl, initial_hl.augment_for_clients()):
+            assert len(hl.slot) == hl.num_records()
+            for i, r in enumerate(hl.records()):
+                assert hl.slot[r] == i
+            unlisted = [Record("google", "unlisted.com"), Record("nope", STAR)]
+            assert hl.slots([*unlisted, *hl.records()]).tolist() == [-1, -1, *range(len(hl.slot))]
+
+    @given(
+        q=st.sampled_from(["google", "yahoo", STAR]) | st.text(max_size=4),
+        u=st.sampled_from(["google.com", "mail.google.com", "yahoo.com", STAR])
+        | st.text(max_size=4),
+    )
+    @example(q="google", u="unlisted.com")
+    @example(q=STAR, u=STAR)
+    @example(q="google", u=STAR)
+    @example(q=STAR, u="google.com")
+    def test_membership_matches_entries(self, q, u):
+        base = HeadList(
+            {"google": ("google.com", "mail.google.com"), "yahoo": ("yahoo.com",), STAR: (STAR,)},
+            Stage.INITIAL,
+        )
+        for hl in (base, base.augment_for_clients()):
+            listed = q in hl.entries and u in hl.entries[q]
+            assert (Record(q, u) in hl) == listed
+            assert hl.slots([Record(q, u)]).tolist() == [hl.slot[Record(q, u)] if listed else -1]
 
     def test_tsv_round_trip(self, initial_hl):
         text = initial_hl.to_tsv()
@@ -146,6 +180,40 @@ class TestHeadList:
     def test_iteration_order_is_insertion_order(self):
         hl = make_final_head_list(3, 2)
         assert hl.queries == ("q0", "q1", "q2", STAR)
+
+
+class TestEstimateVector:
+    def arrays(self, hl):
+        n, k = hl.num_records(), hl.k
+        return dict(p=np.full(n, 0.25), var=np.full(n, 0.01), query_p=np.full(k, 0.3),
+                    query_var=np.full(k, 0.02))
+
+    def test_accepts_arrays_shaped_like_the_list(self, initial_hl):
+        est = EstimateVector(initial_hl, **self.arrays(initial_hl), sample_size=10)
+        assert est.record_probs == dict.fromkeys(initial_hl.records(), 0.25)
+        assert list(est.query_vars.items()) == [(q, 0.02) for q in initial_hl.queries]
+        with pytest.raises(TypeError):
+            est.record_probs[WILDCARD] = 1.0   # the readings are read-only
+
+    @pytest.mark.parametrize("name", ["p", "var", "query_p", "query_var"])
+    @pytest.mark.parametrize("step", [-1, 1])
+    def test_rejects_arrays_of_the_wrong_length(self, initial_hl, name, step):
+        arrays = self.arrays(initial_hl)
+        arrays[name] = np.resize(arrays[name], len(arrays[name]) + step)
+        with pytest.raises(ParamError, match="do not match"):
+            EstimateVector(initial_hl, **arrays, sample_size=10)
+
+    @pytest.mark.parametrize("name", ["var", "query_var"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_rejects_non_finite_or_negative_variances(self, initial_hl, name, bad):
+        arrays = self.arrays(initial_hl)
+        arrays[name][1] = bad
+        with pytest.raises(ParamError, match="finite and non-negative"):
+            EstimateVector(initial_hl, **arrays, sample_size=10)
+
+    def test_rejects_an_empty_sample(self, initial_hl):
+        with pytest.raises(ParamError, match="sample_size"):
+            EstimateVector(initial_hl, **self.arrays(initial_hl), sample_size=0)
 
 
 def test_star_encoding_round_trips():

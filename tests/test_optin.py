@@ -365,5 +365,11 @@ class TestVectorDraws:
             out = estimate_optin_probabilities(params, t_in, hl_initial, rngs[1])
             states = [rng.bit_generator.state for rng in rngs]
             outputs.append((list(hl_initial.entries.items()), out, states))
-        assert outputs[0] == outputs[1] == outputs[2]
-        assert outputs[1][1].estimates.sample_size == 1500
+        (entries, first, states), *others = outputs
+        for other_entries, out, other_states in others:
+            assert (other_entries, other_states) == (entries, states)
+            assert out.head_list == out.estimates.head_list == first.head_list
+            for name in ("p", "var", "query_p", "query_var"):
+                got, want = getattr(out.estimates, name), getattr(first.estimates, name)
+                assert got.tolist() == want.tolist()
+            assert out.estimates.sample_size == first.estimates.sample_size == 1500

@@ -19,14 +19,11 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
-    STAR,
-    WILDCARD,
     EstimateVector,
     HeadList,
     ParamError,
     PrivacyParams,
     Record,
-    RecordTable,
     Stage,
     canonicalize,
 )
@@ -111,29 +108,6 @@ def local_privatize(
     return Record(q, u)
 
 
-def record_slots(table: RecordTable, hl: HeadList) -> np.ndarray:
-    """Each table record's slot in `hl.records()` order, once
-    canonicalized as in `local_privatize`.
-
-    The table is sorted, so a listed query's records hold one contiguous
-    id range, found by `np.searchsorted` on its query ids; they take the
-    query's star slot, and each listed record the table holds takes its
-    own, found by a search on the (query id, url id) pairs. Records of
-    unlisted queries keep the wildcard's slot. The result holds one slot
-    for each of the table's records.
-    """
-    if hl.stage is not Stage.CLIENT_AUGMENTED:
-        raise ParamError("record slots require a client-augmented head list")
-    slots = np.full(len(table), hl.slot[WILDCARD], dtype=np.int64)
-    lo, hi = table.query_ranges(hl.queries)
-    for q, start, stop in zip(hl.queries, lo.tolist(), hi.tolist()):
-        slots[start:stop] = hl.slot[Record(q, STAR)]
-    ids = table.ids(hl.records())
-    listed = np.flatnonzero(ids >= 0)
-    slots[ids[listed]] = listed
-    return slots
-
-
 def simulate_reports(
     held: np.ndarray,
     model: ReportModel,
@@ -144,7 +118,7 @@ def simulate_reports(
 
     `held[i]` clients hold the i-th record of `hl.records()`, their own
     record once canonicalized as in `local_privatize` (see
-    `record_slots`). The server sees only how many reports land on each
+    `core.record_slots`). The server sees only how many reports land on each
     record, and the n clients holding r report independently, so their
     counts are one multinomial draw of size n from r's row of the
     channel. Each stage is drawn in whole-array calls over the held
@@ -158,10 +132,10 @@ def simulate_reports(
     `local_privatize` call per client.
     """
     records = hl.records()
-    widths = np.array([model.k_q[q] for q in hl.queries])
+    widths = np.bincount(hl.of_query)
     starts = np.cumsum(widths) - widths
     slot = np.flatnonzero(held)
-    qi = np.repeat(np.arange(model.k), widths)[slot]
+    qi = hl.of_query[slot]
     ui = slot - starts[qi]       # the slot's url within its query's list
     n = held[slot]
     n_q = rng.binomial(n, model.t)
@@ -260,7 +234,7 @@ def client_estimates_from_counts(
     queries = hl.queries
     forms = [_affine_form(model.t, model.k, model.t_q[q], model.k_q[q]) for q in queries]
     background, g_q, a, b_p, c_p = np.array(forms).T
-    of_query = np.repeat(np.arange(len(queries)), [hl.k_q(q) for q in queries])
+    of_query = hl.of_query
     c = np.bincount(at, weights=list(counts.values()), minlength=hl.num_records())
     c_q = np.bincount(of_query, weights=c, minlength=len(queries))
     r_q, off_q = c_q / n, (n - c_q) / n

@@ -48,14 +48,17 @@ class RecordTable(Sequence[Record]):
     urls: tuple[str, ...]
     query_ids: np.ndarray = field(repr=False)
     url_ids: np.ndarray = field(repr=False)
+    # Each record's (query id, url id) pair as one int64, built once.
+    keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        keys = self.query_ids.astype(np.int64) * len(self.urls) + self.url_ids
+        object.__setattr__(self, "keys", keys)
         # Consumers find a query's records by searching the id columns.
-        step_q, step_u = np.diff(self.query_ids), np.diff(self.url_ids)
         if not (
             all(map(operator.lt, self.queries, self.queries[1:]))
             and all(map(operator.lt, self.urls, self.urls[1:]))
-            and np.all((step_q > 0) | (step_q == 0) & (step_u > 0))
+            and np.all(np.diff(keys) > 0)
         ):
             raise ParamError("record table is not strictly increasing")
 
@@ -98,13 +101,15 @@ class RecordTable(Sequence[Record]):
     def ids(self, records: Iterable[Record]) -> np.ndarray:
         """Each record's id, or -1 for a record the table does not hold."""
         records = list(records)
+        if not len(self):
+            return np.full(len(records), -1, dtype=np.int64)
         query = _positions(self.queries, [r.query for r in records])
         url = _positions(self.urls, [r.url for r in records])
-        # Ids are ordered by (query id, url id), and so by this key.
-        keys = self.query_ids.astype(np.int64) * len(self.urls) + self.url_ids
+        # Ids are ordered by (query id, url id), and so by the keys. A key
+        # past the last record's is compared with that one, and differs.
         want = query * len(self.urls) + url
-        at = np.searchsorted(keys, want)
-        hit = (query >= 0) & (url >= 0) & (np.append(keys, -1)[at] == want)
+        at = np.searchsorted(self.keys, want)
+        hit = (query >= 0) & (url >= 0) & (self.keys[np.minimum(at, len(self) - 1)] == want)
         return np.where(hit, at, -1)
 
 
@@ -155,11 +160,6 @@ class RecordCounts(Mapping[Record, int]):
             raise KeyError(record)
         return int(self.counts[i])
 
-    def at(self, records: Iterable[Record]) -> np.ndarray:
-        """The count of each record, 0 for one the table does not hold."""
-        # Id -1 reads the appended 0.
-        return np.append(self.counts, 0)[self.table.ids(records)]
-
 
 class Stage(Enum):
     """Lifecycle stage of a head list."""
@@ -179,14 +179,16 @@ class HeadList:
 
     Iteration order is deterministic: insertion order as constructed
     (the opt-in module inserts in descending estimated probability for
-    the Final stage). The records and `slot`, each record's position in
-    them, are built once, at construction.
+    the Final stage). The records, `slot`, each record's position in
+    them, and `of_query`, each slot's position in `queries`, are built
+    once, at construction.
     """
 
     entries: Mapping[str, tuple[str, ...]]
     stage: Stage
     _records: tuple[Record, ...] = field(init=False, compare=False, repr=False)
     slot: Mapping[Record, int] = field(init=False, compare=False, repr=False)
+    of_query: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         frozen = {q: tuple(urls) for q, urls in self.entries.items()}
@@ -212,6 +214,8 @@ class HeadList:
                     raise HeadListError(f"query {q!r} lacks the star url")
         object.__setattr__(self, "_records", tuple(Record(q, u) for q in frozen for u in frozen[q]))
         object.__setattr__(self, "slot", dict(zip(self._records, range(len(self._records)))))
+        widths = list(map(len, frozen.values()))
+        object.__setattr__(self, "of_query", np.repeat(np.arange(len(frozen)), widths))
 
     # -- shape accessors -------------------------------------------------
     @property
@@ -287,6 +291,27 @@ def canonicalize(record: Record, hl: HeadList) -> Record:
         u = record.url if record.url in hl.entries[q] else STAR
         return Record(q, u)
     return record if record in hl else WILDCARD
+
+
+def record_slots(table: RecordTable, hl: HeadList) -> np.ndarray:
+    """Each table record's slot in `hl.records()` order, once
+    canonicalized as in `canonicalize`.
+
+    Every record starts on the wildcard's slot. On a client-augmented
+    list, a listed query's records hold one contiguous id range of the
+    sorted table, found by `np.searchsorted` on its query ids; they take
+    the query's star slot. Each listed record the table holds then takes
+    its own, found by a search on the table's keys.
+    """
+    slots = np.full(len(table), hl.slot[WILDCARD], dtype=np.int64)
+    if hl.stage is Stage.CLIENT_AUGMENTED:
+        lo, hi = table.query_ranges(hl.queries)
+        for q, start, stop in zip(hl.queries, lo.tolist(), hi.tolist()):
+            slots[start:stop] = hl.slot[Record(q, STAR)]
+    ids = table.ids(hl.records())
+    listed = np.flatnonzero(ids >= 0)
+    slots[ids[listed]] = listed
+    return slots
 
 
 class ParamError(ValueError):

@@ -29,6 +29,7 @@ from .core import (
     Record,
     RecordCounts,
     encode_star,
+    record_slots,
 )
 # client_stream_id has no caller here; perfbench/tracing.py wraps it by name on this module.
 from .sampling import client_stream_id, substream  # noqa: F401
@@ -181,7 +182,7 @@ def run_blender(
     # counted per head-list slot and pushed through the channel in aggregate.
     crng = substream(run_seed, 5)
     picks = data.sample_per_user(dataset, c_users, crng)
-    slots = client.record_slots(table, hl_aug)
+    slots = record_slots(table, hl_aug)
     # Float sums of integer counts are exact below 2**53.
     held = np.bincount(slots, weights=picks, minlength=hl_aug.num_records()).astype(np.int64)
     counts = client.simulate_reports(held, model, hl_aug, crng)

@@ -25,6 +25,7 @@ from .core import (
     Record,
     RecordCounts,
     Stage,
+    record_slots,
 )
 from .sampling import laplace_samples
 
@@ -116,10 +117,9 @@ def estimate_optin_probabilities(
     """Laplace-mechanism estimates over the initial head list, trimmed to M.
 
     `t_records` holds partition T's records, as `create_head_list` takes
-    S's.
-    Records outside the initial list are collapsed onto the wildcard
-    before counting: each listed record keeps its own count and the
-    wildcard takes the rest. The M queries with the highest estimated
+    S's. They are counted on the initial list's slots, each record
+    canonicalized (see `core.record_slots`): a listed record keeps its
+    own count and the wildcard takes the rest. The M queries with the highest estimated
     marginal are retained (ties broken lexicographically); trimmed
     records' probabilities are folded into the wildcard entry and its
     variance is recomputed with the same formula. The final list is
@@ -133,20 +133,18 @@ def estimate_optin_probabilities(
     n = int(held.counts.sum())
     if n < 2:
         raise ParamError("need at least 2 records in partition T")
-    records = hl_initial.records()
-    counts = held.at(records)
-    # The wildcard takes what the listed records do not hold.
-    wildcard = hl_initial.slot[WILDCARD]
-    counts[wildcard] += n - counts.sum()
-    # int64 + float64 rounds as Python's int + float does.
-    p_hat = (counts + laplace_samples(b_t, len(records), rng)) / n
+    size = hl_initial.num_records()
+    # Float sums of integer counts are exact below 2**53, and so is their
+    # sum with a float64 draw, as Python's int + float is.
+    counts = np.bincount(record_slots(held.table, hl_initial), weights=held.counts, minlength=size)
+    p_hat = (counts + laplace_samples(b_t, size, rng)) / n
 
     # Trim to the top-M queries by estimated marginal, which bincount sums
     # left to right as `sum` does. The wildcard is always kept on top of
     # the M regular queries; the trimmed queries' mass joins it in list order.
     queries = hl_initial.queries
-    of_query = np.repeat(np.arange(len(queries)), [hl_initial.k_q(q) for q in queries])
-    marginals = dict(zip(queries, np.bincount(of_query, weights=p_hat).tolist()))
+    marginals = dict(zip(queries, np.bincount(hl_initial.of_query, weights=p_hat).tolist()))
+    wildcard = hl_initial.slot[WILDCARD]
     regular = [q for q in queries if q != STAR]
     ranked = sorted(regular, key=lambda q: (-marginals[q], q))
     trimmed = set(ranked[params.M:])

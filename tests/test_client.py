@@ -14,7 +14,6 @@ from hybridhh.client import (
     denoise_query,
     denoise_record,
     local_privatize,
-    record_slots,
     simulate_reports,
 )
 from hybridhh.core import (
@@ -26,6 +25,7 @@ from hybridhh.core import (
     Record,
     Stage,
     canonicalize,
+    record_slots,
 )
 from hybridhh.data import parse_log
 from hybridhh.oracle import enumerate_report_distribution, forward_report_map
@@ -380,19 +380,16 @@ class TestRecordSlots:
     @settings(max_examples=300, deadline=None)
     def test_matches_canonicalize(self, rows, entries):
         table = parse_log("".join(f"u{user}\t{q}\t{u}\n" for user, q, u in rows)).record_table
-        hl = HeadList({**entries, STAR: (STAR,)}, Stage.FINAL).augment_for_clients()
-        records = list(hl.records())
-        want = [records.index(canonicalize(rec, hl)) for rec in table]
-        assert record_slots(table, hl).tolist() == want
-        # The lookup behind the listed records' own slots.
+        final = HeadList({**entries, STAR: (STAR,)}, Stage.FINAL)
+        initial = HeadList(final.entries, Stage.INITIAL)
         held = set(table)
-        found = [table[i] if i >= 0 else None for i in table.ids(records).tolist()]
-        assert found == [rec if rec in held else None for rec in records]
-
-    def test_rejects_a_list_not_augmented_for_clients(self):
-        hl = HeadList({"q": ("u",), STAR: (STAR,)}, Stage.FINAL)
-        with pytest.raises(ParamError):
-            record_slots(parse_log("u\tq\tu\n").record_table, hl)
+        for hl in (initial, final, final.augment_for_clients()):
+            records = list(hl.records())
+            want = [records.index(canonicalize(rec, hl)) for rec in table]
+            assert record_slots(table, hl).tolist() == want
+            # The lookup behind the listed records' own slots.
+            found = [table[i] if i >= 0 else None for i in table.ids(records).tolist()]
+            assert found == [rec if rec in held else None for rec in records]
 
 
 class TestDenoise:

@@ -27,6 +27,7 @@ from .core import (
     Record,
     Stage,
     decode_star,
+    encode_star,
 )
 from .data import ParseError
 from .harness import ConfigError
@@ -118,6 +119,7 @@ def _cmd_verify_dp(args) -> int:
 
 def _read_prob_csv(path: str) -> dict[Record, float]:
     probs: dict[Record, float] = {}
+    first_line: dict[Record, int] = {}
     with data.open_input(path) as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -132,7 +134,14 @@ def _read_prob_csv(path: str) -> dict[Record, float]:
                 raise ParseError(
                     f"{path}, line {reader.line_num}: {key} is {row[key]!r}, not a number"
                 ) from None
-            probs[Record(decode_star(row["query"]), decode_star(row["url"]))] = p
+            record = Record(decode_star(row["query"]), decode_star(row["url"]))
+            if record in first_line:
+                raise ParseError(
+                    f"{path}, line {reader.line_num}: record ({encode_star(record.query)!r}, "
+                    f"{encode_star(record.url)!r}) repeats line {first_line[record]}"
+                )
+            first_line[record] = reader.line_num
+            probs[record] = p
     return probs
 
 

@@ -7,7 +7,9 @@ or a uniformly random other query; if truthful at the query stage, it
 then decides whether to report its true url (probability t_q) or a
 uniformly random other url from the query's list. The server knows the
 channel exactly and inverts it to recover unbiased probability
-estimates from the aggregated report fractions.
+estimates from the aggregated report fractions. The simulation and the
+server take the clients' records already folded onto the list's slots
+by `core.record_slots`.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ A record is a (query, url) pair. A record table holds a dataset's
 distinct records in sorted order as columns, and record counts are
 arrays over its ids. The head list is an ordered map from queries to url
 lists; the reserved wildcard entry aggregates everything that fell
-outside the list, whose records are numbered once, as slots. Estimates
-are arrays over a list's slots and queries. Strings are compared by
+outside the list, whose records are numbered once, as slots. Where a
+record lands on a list is decided here alone: `canonicalize` for one
+record, `record_slots` for a whole table. Estimates are arrays over a
+list's slots and queries. Strings are compared by
 exact byte equality after stripping surrounding whitespace; no case
 folding or url normalization is performed.
 """
@@ -258,7 +260,8 @@ class HeadList:
     @classmethod
     def from_tsv(cls, text: str, stage: Stage) -> "HeadList":
         entries: dict[str, list[str]] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        # Only "\n" ends a line: a name may hold any other line break.
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line:
                 continue

@@ -3,7 +3,8 @@
 Head-list admission adds Laplace noise to each distinct record's count
 and keeps records whose noisy count clears a threshold calibrated to
 the privacy budget. Probabilities over the admitted list are then
-estimated on held-out opt-in data with the Laplace mechanism, and the
+estimated on held-out opt-in data with the Laplace mechanism, its
+records counted on the list's slots by `core.record_slots`, and the
 list is trimmed to the M queries with the highest estimated marginal.
 """
 

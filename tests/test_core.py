@@ -126,17 +126,20 @@ class TestHeadList:
         assert repr(twin) == (
             f"HeadList(entries={initial_hl.entries!r}, stage={Stage.INITIAL!r})"
         )
-        # Neither the records nor the slot index takes part in either.
+        # Neither the records nor the slot and query indexes take part in either.
         object.__setattr__(twin, "slot", {})
         object.__setattr__(twin, "_records", ())
+        object.__setattr__(twin, "of_query", np.zeros(0, dtype=np.int64))
         assert twin == initial_hl
         assert repr(twin) == repr(initial_hl)
 
     def test_slot_index_follows_records(self, initial_hl):
-        for hl in (initial_hl, initial_hl.augment_for_clients()):
+        final = HeadList(initial_hl.entries, Stage.FINAL)
+        for hl in (initial_hl, final, initial_hl.augment_for_clients()):
             assert len(hl.slot) == hl.num_records()
             for i, r in enumerate(hl.records()):
                 assert hl.slot[r] == i
+            assert hl.of_query.tolist() == [hl.queries.index(r.query) for r in hl.records()]
             unlisted = [Record("google", "unlisted.com"), Record("nope", STAR)]
             assert hl.slots([*unlisted, *hl.records()]).tolist() == [-1, -1, *range(len(hl.slot))]
 
@@ -168,8 +171,12 @@ class TestHeadList:
     @pytest.mark.parametrize("stage", [Stage.INITIAL, Stage.FINAL])
     def test_tsv_round_trip_keeps_hash_fields(self, stage):
         # A log may hold a query or url that starts with '#'; it is a
-        # field like any other, not a comment.
-        hl = HeadList({"#tag": ("a.com", "#frag"), "q": ("b.com",), STAR: (STAR,)}, stage)
+        # field like any other, not a comment. It may also hold any line
+        # break but "\n" inside a field.
+        breaks = {f"q{c}r": (f"a{c}b", "c.com") for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+        hl = HeadList(
+            {"#tag": ("a.com", "#frag"), "q": ("b.com",), **breaks, STAR: (STAR,)}, stage
+        )
         back = HeadList.from_tsv(hl.to_tsv(), stage)
         assert back.entries == hl.entries
 

@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from hybridhh.core import STAR, ParamError, Record, RecordCounts, RecordTable, decode_star
+from hybridhh.core import (
+    STAR,
+    HeadList,
+    ParamError,
+    Record,
+    RecordCounts,
+    RecordTable,
+    Stage,
+    decode_star,
+    record_slots,
+)
 from hybridhh.data import (
     ParseError,
     UserLog,
@@ -365,6 +375,18 @@ class TestDatasetIndex:
         assert ds.record_table.ids([Record("q2", "u"), Record("q1", "v")]).tolist() == [1, -1]
         # Users a, b, c in first-seen order; a keeps its rows in log order.
         assert ds.record_ids.tolist() == [1, 0, 0, 1]
+
+    def test_ids_miss_past_the_last_record_and_on_an_empty_table(self):
+        # The table holds q2 and v, but (q2, v) sorts after its last record.
+        table = parse_log("a\tq1\tv\nb\tq2\tu\n").record_table
+        got = table.ids([Record("q2", "v"), Record("q2", "u"), Record("q1", "u")])
+        assert got.tolist() == [-1, 1, -1]
+        empty = RecordCounts.of({})
+        assert len(empty.table) == 0 and Record("q", "u") not in empty
+        assert empty.table.ids([Record("q", "u"), Record(STAR, STAR)]).tolist() == [-1, -1]
+        initial = HeadList({"q": ("u",), STAR: (STAR,)}, Stage.INITIAL)
+        for hl in (initial, initial.augment_for_clients()):
+            assert record_slots(empty.table, hl).tolist() == []
 
     @pytest.mark.parametrize("make", [
         lambda: parse_log(log_of([3, 1, 4, 1, 5], shared=True)),

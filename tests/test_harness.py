@@ -447,6 +447,19 @@ class TestCli:
         err = self.metrics_input_error(capsys, out / "blended.csv", truth)
         assert str(truth) in err and "line 3" in err and "'abc'" in err
 
+    def test_metrics_repeated_record_exits_1(self, tmp_path, capsys):
+        once = tmp_path / "once.csv"
+        once.write_text("query,url,p\nq,u,0.7\n", encoding="utf-8")
+        twice = tmp_path / "twice.csv"
+        twice.write_text("query,url,p_blend\nq,u,0.6\nq,u,0.1\n", encoding="utf-8")
+        err = self.metrics_input_error(capsys, twice, once)
+        assert str(twice) in err and "line 3" in err and "repeats line 2" in err
+        # "*" and "⋆" name the same record once star-decoded.
+        stars = tmp_path / "stars.csv"
+        stars.write_text(f"query,url,p\nq,u,0.5\nq,*,0.2\nq,{STAR},0.3\n", encoding="utf-8")
+        err = self.metrics_input_error(capsys, once, stars)
+        assert str(stars) in err and "line 4" in err and "repeats line 3" in err
+
     def test_synth_log_matches_load_dataset(self, tmp_path, capsys):
         log = tmp_path / "log.tsv"
         rc = cli.main(

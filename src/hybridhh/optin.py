@@ -120,11 +120,11 @@ def estimate_optin_probabilities(
     `t_records` holds partition T's records, as `create_head_list` takes
     S's. They are counted on the initial list's slots, each record
     canonicalized (see `core.record_slots`): a listed record keeps its
-    own count and the wildcard takes the rest. The M queries with the highest estimated
-    marginal are retained (ties broken lexicographically); trimmed
-    records' probabilities are folded into the wildcard entry and its
-    variance is recomputed with the same formula. The final list is
-    ordered by descending estimated marginal.
+    own count and the wildcard takes the rest. The M queries with the
+    highest estimated marginal are retained (ties broken
+    lexicographically); trimmed records' probabilities are folded into
+    the wildcard entry and its variance is recomputed with the same
+    formula. The final list is ordered by descending estimated marginal.
     """
     if hl_initial.stage is not Stage.INITIAL:
         raise ParamError("expected an initial-stage head list")
@@ -135,9 +135,11 @@ def estimate_optin_probabilities(
     if n < 2:
         raise ParamError("need at least 2 records in partition T")
     size = hl_initial.num_records()
-    # Float sums of integer counts are exact below 2**53, and so is their
-    # sum with a float64 draw, as Python's int + float is.
-    counts = np.bincount(record_slots(held.table, hl_initial), weights=held.counts, minlength=size)
+    # Only T's held records are counted, not the whole table. Float sums of
+    # integer counts are exact below 2**53, so adding the float64 draws
+    # rounds as Python's int + float does.
+    slots = record_slots(held.table, hl_initial)[held.nonzero]
+    counts = np.bincount(slots, weights=held.counts[held.nonzero], minlength=size)
     p_hat = (counts + laplace_samples(b_t, size, rng)) / n
 
     # Trim to the top-M queries by estimated marginal, which bincount sums

@@ -253,7 +253,7 @@ class TestRunBlender:
 
     def test_clients_are_mapped_to_the_list_without_canonicalize(self, monkeypatch):
         # The clients' records reach their head-list slots through
-        # `client.record_slots`; none is canonicalized one at a time.
+        # `core.record_slots`; none is canonicalized one at a time.
         def refuse(record, hl):
             raise AssertionError(f"canonicalize({record}) on the client side")
 

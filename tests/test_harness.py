@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import math
 import operator
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from hybridhh import cli, client, data, harness
-from hybridhh.core import STAR, PrivacyParams
+from hybridhh.core import STAR, PrivacyParams, encode_star
 from hybridhh.harness import (
     ConfigError,
     ExperimentConfig,
@@ -667,6 +668,57 @@ def write_multi_record_log(path: Path, interleave: bool = False) -> None:
         random.Random(21).shuffle(body)
         lines[1:] = body
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# Names that `csv.writer` must quote: commas, quotes, and both.
+QUOTED_QUERIES = ("a,b", 'say "hi"', '"x",y', "plain", 'q,"r"')
+
+
+class TestQuotedNames:
+    """A run on a log whose queries and urls hold `,` and `"` writes its
+    estimate tables as `csv.writer` writes the same rows."""
+
+    @staticmethod
+    def expected(header, records, *columns) -> bytes:
+        out = io.StringIO(newline="")
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(
+            [encode_star(r.query), encode_star(r.url), *map(repr, cells)]
+            for r, *cells in zip(records, *(c.tolist() for c in columns))
+        )
+        return out.getvalue().encode("utf-8")
+
+    def test_tables_match_csv_writer_and_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        picks = rng.zipf(1.6, size=(6000, 2)) - 1
+        log = tmp_path / "log.tsv"
+        log.write_text("".join(
+            f"u{i}\t{QUOTED_QUERIES[q % 5]}\t{QUOTED_QUERIES[q % 5]}/{u % 3},\"{u % 3}\"\n"
+            for i, (q, u) in enumerate(picks.tolist())
+        ), encoding="utf-8")
+        config = small_config(params=PrivacyParams(M=10, optin_fraction=0.2), dataset_path=str(log))
+        result = run_blender(config, load_dataset(config), out_dir=tmp_path / "out")
+        records = result.head_list.records()
+        assert {'"x",y', "a,b"} <= set(result.head_list.queries)
+        optin_est, client_est = result.optin_est, result.client_est
+        at = client_est.head_list.slots(records)
+        want = {
+            "optin_estimates.csv": self.expected(
+                ["query", "url", "p_hat", "var_hat"], records, optin_est.p, optin_est.var
+            ),
+            "blended.csv": self.expected(
+                ["query", "url", "p_blend", "w", "p_optin", "var_optin", "p_client", "var_client"],
+                records, result.blended.p, result.blended.w, optin_est.p, optin_est.var,
+                client_est.p[at], client_est.var[at],
+            ),
+        }
+        for name, content in want.items():
+            written = (tmp_path / "out" / name).read_bytes()
+            assert written == content, name
+            with open(tmp_path / "out" / name, newline="", encoding="utf-8") as fh:
+                names = [tuple(row[:2]) for row in list(csv.reader(fh))[1:]]
+            assert names == [(encode_star(r.query), encode_star(r.url)) for r in records]
 
 
 class TestGoldenArtifacts:

@@ -92,7 +92,8 @@ def _cmd_synth(args) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         data.serialize_log(dataset, fh)
     truth = dataset.true_distribution
-    harness.write_record_table(truth_path, list(truth), p=harness.cells(truth.values()))
+    names = harness.name_columns(truth)
+    harness.write_record_table(truth_path, names, p=harness.cells(truth.values()))
     print(f"wrote {len(dataset)} users to {out} (truth: {truth_path})")
     return 0
 

@@ -26,6 +26,7 @@ from .core import (
     ParamError,
     PrivacyParams,
     Record,
+    RecordCounts,
     Stage,
     canonicalize,
 )
@@ -71,8 +72,11 @@ def build_report_model(params: PrivacyParams, hl: HeadList) -> ReportModel:
     t = _truth_probability(params.eps_q, params.delta_q, k)
     if t <= 1.0 / k + _GAP_EPS:
         raise DegenerateChannelError("query randomizer is uninformative (t ~ 1/k)")
-    k_q = {q: hl.k_q(q) for q in hl.queries}
-    t_q = {q: _truth_probability(params.eps_u, params.delta_u, kq) for q, kq in k_q.items()}
+    k_q = dict(zip(hl.entries, map(len, hl.entries.values())))
+    # The url stage's truth probability depends on the list length alone.
+    eps_u, delta_u = params.eps_u, params.delta_u
+    by_width = {kq: _truth_probability(eps_u, delta_u, kq) for kq in set(k_q.values())}
+    t_q = {q: by_width[kq] for q, kq in k_q.items()}
     for q, kq in k_q.items():
         if kq >= 2 and t_q[q] <= 1.0 / kq + _GAP_EPS:
             raise DegenerateChannelError(f"url randomizer for {q!r} is uninformative")
@@ -115,8 +119,9 @@ def simulate_reports(
     model: ReportModel,
     hl: HeadList,
     rng: np.random.Generator,
-) -> dict[Record, int]:
-    """Report counts of a whole client population, drawn in aggregate.
+) -> RecordCounts:
+    """Report counts of a whole client population, drawn in aggregate,
+    over the slots of `hl`.
 
     `held[i]` clients hold the i-th record of `hl.records()`, their own
     record once canonicalized as in `local_privatize` (see
@@ -133,16 +138,14 @@ def simulate_reports(
     unheld slots draw nothing. The result has the law of summing one
     `local_privatize` call per client.
     """
-    records = hl.records()
-    widths = np.bincount(hl.of_query)
-    starts = np.cumsum(widths) - widths
+    widths, starts = np.bincount(hl.of_query), hl.starts
     slot = np.flatnonzero(held)
     qi = hl.of_query[slot]
     ui = slot - starts[qi]       # the slot's url within its query's list
     n = held[slot]
     n_q = rng.binomial(n, model.t)
     n_u = rng.binomial(n_q, np.array([model.t_q[q] for q in hl.queries])[qi])
-    reports = np.zeros(len(records), dtype=np.int64)
+    reports = np.zeros(hl.num_records(), dtype=np.int64)
     reports[slot] = n_u
 
     spill = n_q - n_u
@@ -161,7 +164,7 @@ def simulate_reports(
         moved = rng.multinomial(landed[got], np.full(w, 1.0 / w))
         reports[starts[got, None] + np.arange(w)] += moved
 
-    return {r: c for r, c in zip(records, reports.tolist()) if c}
+    return RecordCounts(hl.records(), reports, hl.slot)
 
 
 def _affine_form(t: float, k: int, t_q: float, k_q: int) -> tuple[float, ...]:
@@ -217,7 +220,8 @@ def client_estimates_from_counts(
     """Denoised estimates from aggregated report counts, with their
     Bessel-corrected sample variances.
 
-    Counts must be keyed by members of the client-augmented head list.
+    Counts are `simulate_reports`' array over the slots of `hl`, or a
+    mapping keyed by members of the client-augmented head list.
     With b = b_p / g_q a record's estimate is a * r_qu + b * r_q plus a
     constant, and Cov(r_qu, r_q) = r_qu (1 - r_q) / n, so its variance is
     that of a * [report on (q, u)] + b * [report on q], a variable taking
@@ -229,15 +233,19 @@ def client_estimates_from_counts(
         raise ParamError("client estimation requires a client-augmented head list")
     if n < 2:
         raise ParamError("need at least 2 client reports")
-    at = hl.slots(counts)
-    if np.any(at < 0):
-        raise ParamError(f"report {list(counts)[np.argmin(at)]} is not in the head list")
+    if isinstance(counts, RecordCounts) and counts.slot is hl.slot:
+        c = counts.counts.astype(np.float64)
+    else:
+        at = hl.slots(counts)
+        if np.any(at < 0):
+            raise ParamError(f"report {list(counts)[np.argmin(at)]} is not in the head list")
+        c = np.bincount(at, weights=list(counts.values()), minlength=hl.num_records())
 
     queries = hl.queries
-    forms = [_affine_form(model.t, model.k, model.t_q[q], model.k_q[q]) for q in queries]
-    background, g_q, a, b_p, c_p = np.array(forms).T
+    shapes = list(zip(map(model.t_q.__getitem__, queries), map(model.k_q.__getitem__, queries)))
+    forms = {shape: _affine_form(model.t, model.k, *shape) for shape in dict.fromkeys(shapes)}
+    background, g_q, a, b_p, c_p = np.array(list(map(forms.__getitem__, shapes))).T
     of_query = hl.of_query
-    c = np.bincount(at, weights=list(counts.values()), minlength=hl.num_records())
     c_q = np.bincount(of_query, weights=c, minlength=len(queries))
     r_q, off_q = c_q / n, (n - c_q) / n
     p_q = (r_q - background) / g_q

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -91,25 +91,27 @@ class RecordTable(Sequence[Record]):
             map(self.urls.__getitem__, self.url_ids.tolist()),
         )
 
-    def query_ranges(self, queries: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Each query's id range [lo, hi), by `np.searchsorted` on the
-        query ids; empty for a query the table does not hold."""
-        at = _positions(self.queries, queries)
-        return (
-            np.searchsorted(self.query_ids, at),
-            np.searchsorted(self.query_ids, at, side="right"),
-        )
+    @cached_property
+    def star(self) -> tuple[int, int]:
+        """The star's position among the query names and among the url names, or -1."""
+        return _positions(self.queries, [STAR]).item(), _positions(self.urls, [STAR]).item()
 
     def ids(self, records: Iterable[Record]) -> np.ndarray:
         """Each record's id, or -1 for a record the table does not hold."""
         records = list(records)
+        return self.find(
+            _positions(self.queries, [r.query for r in records]),
+            _positions(self.urls, [r.url for r in records]),
+        )
+
+    def find(self, query: np.ndarray, url: np.ndarray) -> np.ndarray:
+        """The id of the record at each pair of query and url positions, or
+        -1 where either is -1 or the table holds no such record."""
         if not len(self):
-            return np.full(len(records), -1, dtype=np.int64)
-        query = _positions(self.queries, [r.query for r in records])
-        url = _positions(self.urls, [r.url for r in records])
+            return np.full(len(query), -1, dtype=np.int64)
         # Ids are ordered by (query id, url id), and so by the keys. A key
         # past the last record's is compared with that one, and differs.
-        want = query * len(self.urls) + url
+        want = np.asarray(query, dtype=np.int64) * len(self.urls) + url
         at = np.searchsorted(self.keys, want)
         hit = (query >= 0) & (url >= 0) & (self.keys[np.minimum(at, len(self) - 1)] == want)
         return np.where(hit, at, -1)
@@ -132,14 +134,17 @@ def _positions(names: tuple[str, ...], strings: Sequence[str]) -> np.ndarray:
 
 
 class RecordCounts(Mapping[Record, int]):
-    """A count array over a record table's ids, read as a mapping from
-    record to count without copying it. Its keys are the records of
-    nonzero count, in table order."""
+    """A count array over a record table's ids, or over a head list's
+    records given its `slot` index, read as a mapping from record to
+    count without copying it. Its keys are the records of nonzero count,
+    in table order."""
 
-    def __init__(self, table: RecordTable, counts: np.ndarray):
+    def __init__(self, table: Sequence[Record], counts: np.ndarray, slot: Mapping | None = None):
         self.table = table
         self.counts = counts
-        self.nonzero = np.flatnonzero(counts)
+        self.slot = slot
+
+    nonzero = cached_property(lambda self: np.flatnonzero(self.counts))
 
     @classmethod
     def of(cls, counts: Mapping[Record, int]) -> RecordCounts:
@@ -157,7 +162,7 @@ class RecordCounts(Mapping[Record, int]):
         return map(self.table.__getitem__, self.nonzero.tolist())
 
     def __getitem__(self, record: Record) -> int:
-        (i,) = self.table.ids([record]).tolist()
+        i = self.table.ids([record]).item() if self.slot is None else self.slot.get(record, -1)
         if i < 0 or not self.counts[i]:
             raise KeyError(record)
         return int(self.counts[i])
@@ -181,16 +186,18 @@ class HeadList:
 
     Iteration order is deterministic: insertion order as constructed
     (the opt-in module inserts in descending estimated probability for
-    the Final stage). The records, `slot`, each record's position in
-    them, and `of_query`, each slot's position in `queries`, are built
-    once, at construction.
+    the Final stage). `of_query`, each slot's position in `queries`, and
+    `starts`, each query's first slot, are built at construction; the
+    records and `slot`, each record's position in them, once, on first
+    read. A list that comes from an admission carries the admission's
+    record table and each record's id there (see `ids`).
     """
 
     entries: Mapping[str, tuple[str, ...]]
     stage: Stage
-    _records: tuple[Record, ...] = field(init=False, compare=False, repr=False)
-    slot: Mapping[Record, int] = field(init=False, compare=False, repr=False)
+    carried: tuple[RecordTable, np.ndarray] | None = field(default=None, compare=False, repr=False)
     of_query: np.ndarray = field(init=False, compare=False, repr=False)
+    starts: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         frozen = {q: tuple(urls) for q, urls in self.entries.items()}
@@ -214,10 +221,18 @@ class HeadList:
             for q, urls in frozen.items():
                 if STAR not in urls:
                     raise HeadListError(f"query {q!r} lacks the star url")
-        object.__setattr__(self, "_records", tuple(Record(q, u) for q in frozen for u in frozen[q]))
-        object.__setattr__(self, "slot", dict(zip(self._records, range(len(self._records)))))
         widths = list(map(len, frozen.values()))
         object.__setattr__(self, "of_query", np.repeat(np.arange(len(frozen)), widths))
+        object.__setattr__(self, "starts", np.cumsum(widths) - widths)
+
+    @cached_property
+    def _records(self) -> tuple[Record, ...]:
+        # Each record is built in C: the queries repeated by width beside the urls.
+        queries = chain.from_iterable(map(repeat, self.entries, map(len, self.entries.values())))
+        pairs = zip(queries, chain.from_iterable(self.entries.values()))
+        return tuple(map(tuple.__new__, repeat(Record), pairs))
+
+    slot = cached_property(lambda self: dict(zip(self._records, range(len(self._records)))))
 
     # -- shape accessors -------------------------------------------------
     @property
@@ -244,14 +259,39 @@ class HeadList:
     def records(self) -> tuple[Record, ...]:
         return self._records
 
+    def ids(self, table: RecordTable) -> tuple[np.ndarray, np.ndarray]:
+        """Each record's id in `table` and each query's position among its
+        query names, -1 where it holds none. Carried ids serve their own
+        table only, where every regular query's first record is held; any
+        other table is searched by name."""
+        if self.carried is None or self.carried[0] is not table:
+            return table.ids(self._records), _positions(table.queries, self.queries)
+        ids, star = self.carried[1], list(self.entries).index(STAR)
+        at = table.query_ids[ids[np.delete(self.starts, star)]]
+        return ids, np.insert(at, star, table.star[0])
+
     def num_records(self) -> int:
-        return len(self._records)
+        return len(self.of_query)
+
+    @property
+    def wildcard(self) -> int:
+        """The wildcard record's slot."""
+        return int(self.starts[list(self.entries).index(STAR)]) + self.entries[STAR].index(STAR)
 
     # -- stage transitions ----------------------------------------------
     def augment_for_clients(self) -> "HeadList":
         """Append the star query and a star url to every query's list."""
         entries = {q: urls + (STAR,) for q, urls in self.entries.items() if q != STAR}
-        return HeadList({**entries, STAR: (STAR,)}, Stage.CLIENT_AUGMENTED)
+        carried = None
+        if self.carried is not None:
+            # The regular records keep their ids, each query's star record
+            # follows them, and the wildcard comes last.
+            (table, ids), wildcard = self.carried, self.wildcard
+            regular = np.delete(ids, wildcard)
+            ends = np.cumsum([len(urls) - 1 for urls in entries.values()], dtype=np.int64)
+            star = table.find(table.query_ids[regular[ends - 1]], table.star[1])
+            carried = table, np.append(np.insert(regular, ends, star), ids[wildcard])
+        return HeadList({**entries, STAR: (STAR,)}, Stage.CLIENT_AUGMENTED, carried)
 
     # -- serialization ---------------------------------------------------
     def to_tsv(self) -> str:
@@ -304,14 +344,15 @@ def record_slots(table: RecordTable, hl: HeadList) -> np.ndarray:
     list, a listed query's records hold one contiguous id range of the
     sorted table, found by `np.searchsorted` on its query ids; they take
     the query's star slot. Each listed record the table holds then takes
-    its own, found by a search on the table's keys.
+    its own. Both lookups come from `hl.ids`.
     """
-    slots = np.full(len(table), hl.slot[WILDCARD], dtype=np.int64)
+    slots = np.full(len(table), hl.wildcard, dtype=np.int64)
+    ids, at = hl.ids(table)
     if hl.stage is Stage.CLIENT_AUGMENTED:
-        lo, hi = table.query_ranges(hl.queries)
-        for q, start, stop in zip(hl.queries, lo.tolist(), hi.tolist()):
-            slots[start:stop] = hl.slot[Record(q, STAR)]
-    ids = table.ids(hl.records())
+        lo = np.searchsorted(table.query_ids, at).tolist()
+        hi = np.searchsorted(table.query_ids, at, side="right").tolist()
+        for star, start, stop in zip(hl.slots([Record(q, STAR) for q in hl.entries]), lo, hi):
+            slots[start:stop] = star
     listed = np.flatnonzero(ids >= 0)
     slots[ids[listed]] = listed
     return slots

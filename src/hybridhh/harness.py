@@ -10,11 +10,11 @@ parameter axes with derived seeds.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import re
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, get_args, get_origin, get_type_hints
 
@@ -210,11 +210,23 @@ def run_blender(
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """A CSV table in one write, as `csv.writer` writes it: each row's
+    cells joined by `,`, and each row ended by `\r\n`. A cell that may
+    need quoting must come quoted (see `name_cell`); a float's `repr`
+    never does."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    lines = [",".join(header), *map(",".join, rows), ""]
+    path.write_text("\r\n".join(lines), encoding="utf-8", newline="")
+
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def name_cell(name: str) -> str:
+    """A star-encoded query or url as `csv.writer` writes it: quoted, its
+    quotes doubled, when it holds `,`, `"`, `\r` or `\n`."""
+    name = encode_star(name)
+    return '"' + name.replace('"', '""') + '"' if _NEEDS_QUOTES(name) else name
 
 
 def cells(values: Iterable[float]) -> list[str]:
@@ -222,17 +234,15 @@ def cells(values: Iterable[float]) -> list[str]:
     return list(map(repr, values))
 
 
-def write_record_table(path: Path, records: Sequence[Record], **columns: Sequence[str]) -> None:
-    """One row per record: the star-encoded query and url, then its cell of each column."""
-    write_csv(
-        path,
-        ["query", "url", *columns],
-        zip(
-            [encode_star(rec.query) for rec in records],
-            [encode_star(rec.url) for rec in records],
-            *columns.values(),
-        ),
-    )
+def name_columns(records: Iterable[Record]) -> list[list[str]]:
+    """The records' queries, and their urls, as name cells."""
+    records = list(records)
+    return [list(map(name_cell, map(itemgetter(i), records))) for i in (0, 1)]
+
+
+def write_record_table(path: Path, names: list[list[str]], **columns: list[str]) -> None:
+    """One row per record: its `name_columns` cells, then its cell of each column."""
+    write_csv(path, ["query", "url", *columns], zip(*names, *columns.values()))
 
 
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
@@ -240,12 +250,13 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     (out_dir / "headlist.tsv").write_text(result.head_list.to_tsv(), encoding="utf-8")
     records = result.head_list.records()
     optin_est, client_est = result.optin_est, result.client_est
-    # Both tables carry the opt-in estimates; each is formatted once.
+    # Both tables carry the names and the opt-in estimates; each is formatted once.
+    names = name_columns(records)
     p_optin, var_optin = cells(optin_est.p.tolist()), cells(optin_est.var.tolist())
-    write_record_table(out_dir / "optin_estimates.csv", records, p_hat=p_optin, var_hat=var_optin)
+    write_record_table(out_dir / "optin_estimates.csv", names, p_hat=p_optin, var_hat=var_optin)
     at = client_est.head_list.slots(records)
     write_record_table(
-        out_dir / "blended.csv", records,
+        out_dir / "blended.csv", names,
         p_blend=cells(result.blended.p.tolist()), w=cells(result.blended.w.tolist()),
         p_optin=p_optin, var_optin=var_optin,
         p_client=cells(client_est.p[at].tolist()), var_client=cells(client_est.var[at].tolist()),

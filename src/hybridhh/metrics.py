@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter, lt, mul, sub, truediv
+from typing import Iterable, Mapping, Sequence
 
 from .core import STAR, ParamError, Record
 
@@ -20,74 +23,81 @@ class RankedEstimate:
     """Star-free, renormalized estimate in ranked form.
 
     Queries are sorted by descending marginal probability; urls within a
-    query by descending record probability. Ties break lexicographically
-    so that identical inputs always rank identically.
+    query by descending record probability, and `ranked` holds each
+    query's records in that order as (-probability, url) pairs. Ties
+    break lexicographically so that identical inputs always rank
+    identically.
     """
 
     queries: tuple[str, ...]
     query_probs: Mapping[str, float]
     url_orders: Mapping[str, tuple[str, ...]]
-    record_probs: Mapping[Record, float]
+    ranked: Mapping[str, list[tuple[float, str]]]
 
     def conditional_url_probs(self, query: str) -> dict[str, float]:
-        total = self.query_probs[query]
-        return {
-            u: self.record_probs[Record(query, u)] / total
-            for u in self.url_orders[query]
-        }
+        # -p / -total is p / total.
+        total = -self.query_probs[query]
+        negated = map(itemgetter(0), self.ranked[query])
+        return dict(zip(self.url_orders[query], map(truediv, negated, repeat(total))))
 
 
 def strip_stars_and_rescale(probs: Mapping[Record, float]) -> RankedEstimate:
     """Drop wildcard entries and renormalize the remaining mass to 1."""
-    kept = {
-        r: p for r, p in probs.items() if r.query != STAR and r.url != STAR
-    }
+    kept = {r: p for r, p in probs.items() if STAR not in r}
     total = sum(kept.values())
     if not kept or total <= 0:
         raise ParamError("no probability mass outside the wildcard entries")
-    record_probs = {r: p / total for r, p in kept.items()}
+    # Each record's rescaled probability p, negated for the rank order; a
+    # query's mass adds them in input order (0 - (-p) is 0 + p).
     query_probs: dict[str, float] = {}
     by_query: dict[str, list[tuple[float, str]]] = {}
-    for r, p in record_probs.items():
-        query_probs[r.query] = query_probs.get(r.query, 0.0) + p
-        by_query.setdefault(r.query, []).append((-p, r.url))
+    for (q, u), negated in zip(kept, map(truediv, kept.values(), repeat(-total))):
+        query_probs[q] = query_probs.get(q, 0.0) - negated
+        by_query.setdefault(q, []).append((negated, u))
     queries = tuple(sorted(query_probs, key=lambda q: (-query_probs[q], q)))
-    url_orders = {q: tuple(u for _, u in sorted(by_query[q])) for q in queries}
-    return RankedEstimate(queries, query_probs, url_orders, record_probs)
+    ranked = {q: sorted(by_query[q]) for q in queries}
+    url_orders = {q: tuple(map(itemgetter(1), pairs)) for q, pairs in ranked.items()}
+    return RankedEstimate(queries, query_probs, url_orders, ranked)
 
 
 def l1_distance(p_hat: Mapping, p: Mapping) -> float:
     """Manhattan distance between identically keyed probability vectors."""
-    if set(p_hat) != set(p):
+    if p_hat.keys() != p.keys():
         raise ParamError("L1 requires identically keyed vectors")
-    return sum(abs(p_hat[k] - p[k]) for k in p)
+    return sum(map(abs, map(sub, map(p_hat.__getitem__, p), p.values())))
 
 
-def _gain(rel: float) -> float:
-    return 2.0**rel - 1.0
+def _discounted_gains(rels: Iterable[float], discounts: Iterable[float]) -> map:
+    """The gain 2**rel - 1 of each relevance over its discount, by Python's `**`."""
+    return map(truediv, map(sub, map(pow, repeat(2.0), rels), repeat(1.0)), discounts)
 
 
-def ndcg_list(estimated_order: Sequence, true_weights: Mapping) -> float:
+@lru_cache(maxsize=64)
+def _discounts(n: int) -> tuple[float, ...]:
+    """The discount log2(i + 2) of each rank i below n."""
+    return tuple(math.log2(i + 2) for i in range(n))
+
+
+def ndcg_list(
+    estimated_order: Sequence, true_weights: Mapping, ideal_order: Sequence = ()
+) -> float:
     """NDCG of a single ranked list against true frequencies.
 
     The relevance of an item is its share of the total true weight; the
-    ideal ordering sorts by descending relevance.
+    ideal ordering sorts by descending relevance. A caller holding the
+    items in descending order of weight may pass them as `ideal_order`:
+    their relevances then descend too, so any such order scores the same.
     """
     total = sum(true_weights.values())
     if total <= 0:
         raise ParamError("true weights must not be all zero")
-    if any(w < 0 for w in true_weights.values()):
+    if any(map(lt, true_weights.values(), repeat(0))):
         raise ParamError("true weights must be non-negative")
-    rel = {item: w / total for item, w in true_weights.items()}
-    dcg = sum(
-        _gain(rel.get(item, 0.0)) / math.log2(i + 2)
-        for i, item in enumerate(estimated_order)
-    )
-    ideal_order = sorted(rel, key=lambda it: (-rel[it], str(it)))
-    idcg = sum(
-        _gain(rel[item]) / math.log2(i + 2)
-        for i, item in enumerate(ideal_order[:len(estimated_order)])
-    )
+    rel = dict(zip(true_weights, map(truediv, true_weights.values(), repeat(total))))
+    discounts = _discounts(max(len(estimated_order), len(rel)))
+    dcg = sum(_discounted_gains(map(rel.get, estimated_order, repeat(0.0)), discounts))
+    ideal = ideal_order or sorted(rel, key=rel.get, reverse=True)
+    idcg = sum(_discounted_gains(map(rel.__getitem__, ideal[:len(estimated_order)]), discounts))
     return dcg / idcg if idcg > 0 else 0.0
 
 
@@ -105,21 +115,16 @@ def generalized_ndcg(estimate: RankedEstimate, truth: RankedEstimate) -> float:
 
     def url_factor(q: str) -> float:
         # A query without true mass has gain 0, so its url list cannot count.
-        if truth.query_probs.get(q, 0.0) <= 0:
+        if truth.query_probs.get(q, 0.0) <= 0 or len(truth.url_orders[q]) <= 1:
             return 1.0
         true_urls = truth.conditional_url_probs(q)
-        if len(true_urls) <= 1:
-            return 1.0
-        return ndcg_list(estimate.url_orders[q], true_urls)
+        return ndcg_list(estimate.url_orders[q], true_urls, truth.url_orders[q])
 
-    numer = sum(
-        _gain(truth.query_probs.get(q, 0.0)) / math.log2(i + 2) * url_factor(q)
-        for i, q in enumerate(estimate.queries)
-    )
-    denom = sum(
-        _gain(truth.query_probs[q]) / math.log2(i + 2)
-        for i, q in enumerate(truth.queries)
-    )
+    queries, true_queries = estimate.queries, truth.queries
+    discounts = _discounts(max(len(queries), len(true_queries)))
+    gains = _discounted_gains(map(truth.query_probs.get, queries, repeat(0.0)), discounts)
+    numer = sum(map(mul, gains, map(url_factor, queries)))
+    denom = sum(_discounted_gains(map(truth.query_probs.__getitem__, true_queries), discounts))
     return numer / denom if denom > 0 else 0.0
 
 
@@ -136,9 +141,9 @@ def score(
     discarding the wildcard, so a truth file covering the whole log
     scores the same as one already folded onto the list.
     """
-    star_free = [r for r in estimate if r.query != STAR and r.url != STAR]
-    on_list = {r: truth.get(r, 0.0) for r in star_free}
-    l1 = l1_distance({r: estimate[r] for r in star_free}, on_list)
+    star_free = [r for r in estimate if STAR not in r]
+    on_list = dict(zip(star_free, map(truth.get, star_free, repeat(0.0))))
+    l1 = l1_distance(dict(zip(star_free, map(estimate.__getitem__, star_free))), on_list)
     ndcg = generalized_ndcg(
         strip_stars_and_rescale(estimate), strip_stars_and_rescale(on_list)
     )

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .core import (
     STAR,
-    WILDCARD,
     EstimateVector,
     HeadList,
     ParamError,
@@ -74,22 +74,29 @@ def create_head_list(
     query and url are admitted iff count + noise exceeds tau. The draws
     follow the record table's order, which is the records' sorted order,
     so the sequence is reproducible. The threshold is one array
-    comparison, so only admitted records are visited one by one. Records
-    whose query or url is the star are never admitted: their mass is
-    already unlisted mass.
+    comparison, and the admitted records are named from the table's id
+    columns. Records whose query or url is the star are never admitted:
+    their mass is already unlisted mass. The list carries the admitted
+    records' table ids.
     """
     b_s, tau = compute_threshold(params)
     counts = _as_counts(s_records)
+    table = counts.table
     # int64 + float64 rounds as Python's int + float does.
     held = counts.counts[counts.nonzero]
-    cleared = held + laplace_samples(b_s, len(held), rng) > tau
-    entries: dict[str, list[str]] = {}
-    for i in counts.nonzero[cleared].tolist():
-        record = counts.table[i]
-        if STAR not in record:
-            entries.setdefault(record.query, []).append(record.url)
+    admitted = counts.nonzero[held + laplace_samples(b_s, len(held), rng) > tau]
+    star_q, star_u = table.star
+    star_free = (table.query_ids[admitted] != star_q) & (table.url_ids[admitted] != star_u)
+    admitted = admitted[star_free]
+    # Ids follow query order: each query's urls are one run of them.
+    query = table.query_ids[admitted]
+    first = np.flatnonzero(np.diff(query, prepend=-1)).tolist()
+    urls = list(map(table.urls.__getitem__, table.url_ids[admitted].tolist()))
+    runs = zip(query[first].tolist(), first, first[1:] + [len(urls)])
+    entries = {table.queries[q]: urls[start:stop] for q, start, stop in runs}
     entries[STAR] = [STAR]
-    return HeadList(entries, Stage.INITIAL)
+    ids = np.append(admitted, table.find(np.array([star_q]), star_u))
+    return HeadList(entries, Stage.INITIAL, (table, ids))
 
 
 def optin_variance(p_hat: np.ndarray, n: int, b_t: float) -> np.ndarray:
@@ -147,7 +154,7 @@ def estimate_optin_probabilities(
     # the M regular queries; the trimmed queries' mass joins it in list order.
     queries = hl_initial.queries
     marginals = dict(zip(queries, np.bincount(hl_initial.of_query, weights=p_hat).tolist()))
-    wildcard = hl_initial.slot[WILDCARD]
+    wildcard = hl_initial.wildcard
     regular = [q for q in queries if q != STAR]
     ranked = sorted(regular, key=lambda q: (-marginals[q], q))
     trimmed = set(ranked[params.M:])
@@ -158,8 +165,15 @@ def estimate_optin_probabilities(
     marginals[STAR] = p_hat[wildcard] = star_mass
 
     order = sorted(ranked[: params.M] + [STAR], key=lambda q: (-marginals[q], q))
-    hl_final = HeadList({q: hl_initial.urls(q) for q in order}, Stage.FINAL)
-    record_probs = p_hat[hl_initial.slots(hl_final.records())]
+    entries = {q: hl_initial.urls(q) for q in order}
+    # The final list's slots on the initial one; its carried ids are read there.
+    start = dict(zip(queries, hl_initial.starts.tolist()))
+    at = np.fromiter(
+        chain.from_iterable(range(start[q], start[q] + len(entries[q])) for q in order), np.int64
+    )
+    carried = hl_initial.carried and (hl_initial.carried[0], hl_initial.carried[1][at])
+    hl_final = HeadList(entries, Stage.FINAL, carried)
+    record_probs = p_hat[at]
     query_probs = np.array([marginals[q] for q in order])
     # Reusing the record-level variance formula for the accumulated
     # wildcard mass is known to be statistically loose; kept for

@@ -7,11 +7,13 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hybridhh import cli, client, data, harness
 from hybridhh.core import STAR, PrivacyParams, encode_star
@@ -719,6 +721,25 @@ class TestQuotedNames:
             with open(tmp_path / "out" / name, newline="", encoding="utf-8") as fh:
                 names = [tuple(row[:2]) for row in list(csv.reader(fh))[1:]]
             assert names == [(encode_star(r.query), encode_star(r.url)) for r in records]
+
+
+class TestNameCells:
+    @given(st.lists(
+        st.lists(st.text(alphabet=',"\r\n*⋆a ', max_size=5), min_size=1, max_size=3),
+        min_size=1, max_size=4,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_written_as_csv_writer_writes_them(self, rows):
+        # Each row's names, star-encoded, next to an empty cell.
+        want = io.StringIO(newline="")
+        csv.writer(want).writerows([*map(encode_star, row), ""] for row in rows)
+        cells = [[*map(harness.name_cell, row), ""] for row in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            harness.write_csv(path, cells[0], cells[1:])
+            assert path.read_bytes() == want.getvalue().encode("utf-8")
+            with open(path, newline="", encoding="utf-8") as fh:
+                assert list(csv.reader(fh)) == [[*map(encode_star, row), ""] for row in rows]
 
 
 class TestGoldenArtifacts:

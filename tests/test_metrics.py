@@ -91,8 +91,9 @@ class TestStripStars:
                 Record(STAR, STAR): 0.3,
             }
         )
-        assert set(est.record_probs) == {Record("a", "x"), Record("b", "y")}
-        assert sum(est.record_probs.values()) == pytest.approx(1.0)
+        records = {Record(q, u) for q in est.queries for u in est.url_orders[q]}
+        assert records == {Record("a", "x"), Record("b", "y")}
+        assert sum(-p for pairs in est.ranked.values() for p, _ in pairs) == pytest.approx(1.0)
         assert est.query_probs["a"] == pytest.approx(0.5)
 
     def test_query_and_url_order(self):

@@ -4,6 +4,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hybridhh import optin
 from hybridhh.core import (
@@ -16,6 +17,7 @@ from hybridhh.core import (
     RecordCounts,
     Stage,
     canonicalize,
+    record_slots,
 )
 from hybridhh.data import parse_log, sample_per_user
 from hybridhh.optin import (
@@ -373,3 +375,62 @@ class TestVectorDraws:
                 got, want = getattr(out.estimates, name), getattr(first.estimates, name)
                 assert got.tolist() == want.tolist()
             assert out.estimates.sample_size == first.estimates.sample_size == 1500
+
+
+# Log words as in tests/test_client.py: prefixes, both star spellings,
+# non-ASCII strings and a trailing NUL.
+LOG_WORDS = ("q1", "q10", "q2", "*", STAR, "é", "日本", "q1/u", "q1\x00")
+
+
+class TestCarriedIds:
+    """An admission keeps its records' table ids on the list, and the
+    final and augmented lists derive theirs; each is trusted only with
+    the table it was admitted from."""
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(LOG_WORDS), st.sampled_from(LOG_WORDS)),
+            min_size=1, max_size=40,
+        ),
+        weights=st.lists(st.integers(0, 30), min_size=40, max_size=40),
+        M=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_carried_ids_equal_a_search_by_name(self, rows, weights, M, seed):
+        table = parse_log("".join(f"u{i}\t{q}\t{u}\n" for i, (q, u) in enumerate(rows))).record_table
+        s_counts = np.array(weights[:len(table)], dtype=np.int64)
+        t_counts = np.array(weights[::-1][:len(table)], dtype=np.int64) + 1
+        params = PrivacyParams(M=M)
+        initial = create_head_list(params, RecordCounts(table, s_counts), substream(seed, 0))
+        assume(initial.k > 1)
+        final, _ = estimate_optin_probabilities(
+            params, RecordCounts(table, t_counts), initial, substream(seed, 1)
+        )
+        for hl in (initial, final, final.augment_for_clients()):
+            assert hl.carried[0] is table
+            assert hl.carried[1].tolist() == table.ids(hl.records()).tolist()
+            # The same list without carried ids searches the table by name.
+            searched = HeadList(hl.entries, hl.stage)
+            for got, want in zip(hl.ids(table), searched.ids(table)):
+                assert got.tolist() == want.tolist()
+            assert record_slots(table, hl).tolist() == record_slots(table, searched).tolist()
+
+    def test_ids_are_not_trusted_with_another_table(self):
+        # S's list carries the ids of a table of S's records; T's records
+        # form another table, whose ids the carried ones do not number.
+        params = PrivacyParams(M=1000)
+        pool = [Record(f"q{i}", f"q{i}/u{j}") for i in range(30) for j in range(3)]
+        rng = substream(36, 0)
+        weights = 1.0 / np.arange(1, len(pool) + 1)
+        s_records = [pool[d] for d in rng.choice(len(pool), size=3000, p=weights / weights.sum())]
+        t_records = [pool[d] for d in rng.choice(len(pool) // 2, size=1500)]
+        hl = create_head_list(params, s_records, substream(36, 3))
+        t_table = RecordCounts.of(Counter(t_records)).table
+        assert hl.carried is not None and hl.carried[0] is not t_table
+        searched = HeadList(hl.entries, Stage.INITIAL)
+        assert record_slots(t_table, hl).tolist() == record_slots(t_table, searched).tolist()
+        got = estimate_optin_probabilities(params, t_records, hl, substream(36, 4))
+        want = estimate_optin_probabilities(params, t_records, searched, substream(36, 4))
+        assert got.head_list == want.head_list
+        assert got.estimates.record_probs == want.estimates.record_probs

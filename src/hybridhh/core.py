@@ -205,7 +205,7 @@ class HeadList:
         for q, urls in frozen.items():
             if not urls:
                 raise HeadListError(f"query {q!r} has an empty url list")
-            if len(set(urls)) != len(urls):
+            if len(urls) > 1 and len(set(urls)) != len(urls):
                 raise HeadListError(f"duplicate urls under query {q!r}")
         if self.stage in (Stage.INITIAL, Stage.FINAL):
             # The star query stands for all mass outside the list, and
@@ -295,7 +295,10 @@ class HeadList:
 
     # -- serialization ---------------------------------------------------
     def to_tsv(self) -> str:
-        return "".join(f"{encode_star(q)}\t{encode_star(u)}\n" for q, u in self._records)
+        widths = map(len, self.entries.values())
+        queries = chain.from_iterable(map(repeat, map(encode_star, self.entries), widths))
+        urls = map(encode_star, chain.from_iterable(self.entries.values()))
+        return "".join(map("{}\t{}\n".format, queries, urls))
 
     @classmethod
     def from_tsv(cls, text: str, stage: Stage) -> "HeadList":

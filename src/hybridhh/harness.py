@@ -214,7 +214,6 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) 
     cells joined by `,`, and each row ended by `\r\n`. A cell that may
     need quoting must come quoted (see `name_cell`); a float's `repr`
     never does."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header), *map(",".join, rows), ""]
     path.write_text("\r\n".join(lines), encoding="utf-8", newline="")
 
@@ -288,6 +287,7 @@ def sweep(
                 status = f"failed:{type(exc).__name__}"
                 rows.append(MetricsRow.for_params(params, run_seed, status=status))
     if out_path is not None:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
         write_csv(out_path, MetricsRow.FIELDS, (row.as_csv_row() for row in rows))
     return rows
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import itemgetter, lt, mul, sub, truediv
+from operator import itemgetter, lt, mul, neg, sub, truediv
 from typing import Iterable, Mapping, Sequence
 
 from .core import STAR, ParamError, Record
@@ -54,7 +54,7 @@ def strip_stars_and_rescale(probs: Mapping[Record, float]) -> RankedEstimate:
     for (q, u), negated in zip(kept, map(truediv, kept.values(), repeat(-total))):
         query_probs[q] = query_probs.get(q, 0.0) - negated
         by_query.setdefault(q, []).append((negated, u))
-    queries = tuple(sorted(query_probs, key=lambda q: (-query_probs[q], q)))
+    queries = tuple(map(itemgetter(1), sorted(zip(map(neg, query_probs.values()), query_probs))))
     ranked = {q: sorted(by_query[q]) for q in queries}
     url_orders = {q: tuple(map(itemgetter(1), pairs)) for q, pairs in ranked.items()}
     return RankedEstimate(queries, query_probs, url_orders, ranked)

@@ -211,7 +211,7 @@ def run_blender(
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     """A CSV table in one write, as `csv.writer` writes it: each row's
-    cells joined by `,`, and each row ended by `\r\n`. A cell that may
+    cells joined by `,`, and each row ended by `\\r\\n`. A cell that may
     need quoting must come quoted (see `name_cell`); a float's `repr`
     never does."""
     lines = [",".join(header), *map(",".join, rows), ""]
@@ -223,7 +223,7 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 def name_cell(name: str) -> str:
     """A star-encoded query or url as `csv.writer` writes it: quoted, its
-    quotes doubled, when it holds `,`, `"`, `\r` or `\n`."""
+    quotes doubled, when it holds `,`, `"`, `\\r` or `\\n`."""
     name = encode_star(name)
     return '"' + name.replace('"', '""') + '"' if _NEEDS_QUOTES(name) else name
 

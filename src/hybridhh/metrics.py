@@ -78,16 +78,19 @@ def _discounts(n: int) -> tuple[float, ...]:
     return tuple(math.log2(i + 2) for i in range(n))
 
 
-def ndcg_list(
-    estimated_order: Sequence, true_weights: Mapping, ideal_order: Sequence = ()
-) -> float:
+def ndcg_list(estimated_order: Sequence, true_weights: Mapping) -> float:
     """NDCG of a single ranked list against true frequencies.
 
     The relevance of an item is its share of the total true weight; the
-    ideal ordering sorts by descending relevance. A caller holding the
-    items in descending order of weight may pass them as `ideal_order`:
-    their relevances then descend too, so any such order scores the same.
+    ideal ordering sorts by descending relevance.
     """
+    ideal_order = sorted(true_weights, key=true_weights.get, reverse=True)
+    return _ndcg(estimated_order, true_weights, ideal_order)
+
+
+def _ndcg(estimated_order: Sequence, true_weights: Mapping, ideal_order: Sequence) -> float:
+    """`ndcg_list`, given the items in descending order of weight: their
+    relevances then descend too, so any such order scores the same."""
     total = sum(true_weights.values())
     if total <= 0:
         raise ParamError("true weights must not be all zero")
@@ -96,8 +99,8 @@ def ndcg_list(
     rel = dict(zip(true_weights, map(truediv, true_weights.values(), repeat(total))))
     discounts = _discounts(max(len(estimated_order), len(rel)))
     dcg = sum(_discounted_gains(map(rel.get, estimated_order, repeat(0.0)), discounts))
-    ideal = ideal_order or sorted(rel, key=rel.get, reverse=True)
-    idcg = sum(_discounted_gains(map(rel.__getitem__, ideal[:len(estimated_order)]), discounts))
+    ideal = map(rel.__getitem__, ideal_order[:len(estimated_order)])
+    idcg = sum(_discounted_gains(ideal, discounts))
     return dcg / idcg if idcg > 0 else 0.0
 
 
@@ -118,7 +121,7 @@ def generalized_ndcg(estimate: RankedEstimate, truth: RankedEstimate) -> float:
         if truth.query_probs.get(q, 0.0) <= 0 or len(truth.url_orders[q]) <= 1:
             return 1.0
         true_urls = truth.conditional_url_probs(q)
-        return ndcg_list(estimate.url_orders[q], true_urls, truth.url_orders[q])
+        return _ndcg(estimate.url_orders[q], true_urls, truth.url_orders[q])
 
     queries, true_queries = estimate.queries, truth.queries
     discounts = _discounts(max(len(queries), len(true_queries)))

@@ -2,6 +2,10 @@ import pytest
 
 from hybridhh.core import STAR, HeadList, PrivacyParams, Stage
 
+# Log fields: queries that prefix each other, the star both spelled "*"
+# and literal, non-ASCII strings, and a trailing NUL.
+LOG_WORDS = ("q1", "q10", "q2", "*", STAR, "\u00e9", "\u65e5\u672c", "q1/u", "q1\x00")
+
 
 def make_final_head_list(num_queries: int, urls_per_query: int) -> HeadList:
     """Final-stage head list with named queries/urls plus the wildcard."""

@@ -28,6 +28,8 @@ from hybridhh.optin import (
 )
 from hybridhh.sampling import laplace_samples, substream
 
+from conftest import LOG_WORDS
+
 
 @contextmanager
 def fixed_noise(value: float):
@@ -377,11 +379,6 @@ class TestVectorDraws:
             assert out.estimates.sample_size == first.estimates.sample_size == 1500
 
 
-# Log words as in tests/test_client.py: prefixes, both star spellings,
-# non-ASCII strings and a trailing NUL.
-LOG_WORDS = ("q1", "q10", "q2", "*", STAR, "é", "日本", "q1/u", "q1\x00")
-
-
 class TestCarriedIds:
     """An admission keeps its records' table ids on the list, and the
     final and augmented lists derive theirs; each is trusted only with
@@ -400,7 +397,8 @@ class TestCarriedIds:
     def test_carried_ids_equal_a_search_by_name(self, rows, weights, M, seed):
         table = parse_log("".join(f"u{i}\t{q}\t{u}\n" for i, (q, u) in enumerate(rows))).record_table
         s_counts = np.array(weights[:len(table)], dtype=np.int64)
-        t_counts = np.array(weights[::-1][:len(table)], dtype=np.int64) + 1
+        # Every record held twice or more: T never falls below two records.
+        t_counts = np.array(weights[::-1][:len(table)], dtype=np.int64) + 2
         params = PrivacyParams(M=M)
         initial = create_head_list(params, RecordCounts(table, s_counts), substream(seed, 0))
         assume(initial.k > 1)

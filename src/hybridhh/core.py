@@ -14,6 +14,7 @@ folding or url normalization is performed.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -50,17 +51,14 @@ class RecordTable(Sequence[Record]):
     urls: tuple[str, ...]
     query_ids: np.ndarray = field(repr=False)
     url_ids: np.ndarray = field(repr=False)
-    # Each record's (query id, url id) pair as one int64, built once.
-    keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        keys = self.query_ids.astype(np.int64) * len(self.urls) + self.url_ids
-        object.__setattr__(self, "keys", keys)
         # Consumers find a query's records by searching the id columns.
+        query_step, url_step = np.diff(self.query_ids), np.diff(self.url_ids)
         if not (
             all(map(operator.lt, self.queries, self.queries[1:]))
             and all(map(operator.lt, self.urls, self.urls[1:]))
-            and np.all(np.diff(keys) > 0)
+            and np.all((query_step > 0) | ((query_step == 0) & (url_step > 0)))
         ):
             raise ParamError("record table is not strictly increasing")
 
@@ -94,27 +92,7 @@ class RecordTable(Sequence[Record]):
     @cached_property
     def star(self) -> tuple[int, int]:
         """The star's position among the query names and among the url names, or -1."""
-        return _positions(self.queries, [STAR]).item(), _positions(self.urls, [STAR]).item()
-
-    def ids(self, records: Iterable[Record]) -> np.ndarray:
-        """Each record's id, or -1 for a record the table does not hold."""
-        records = list(records)
-        return self.find(
-            _positions(self.queries, [r.query for r in records]),
-            _positions(self.urls, [r.url for r in records]),
-        )
-
-    def find(self, query: np.ndarray, url: np.ndarray) -> np.ndarray:
-        """The id of the record at each pair of query and url positions, or
-        -1 where either is -1 or the table holds no such record."""
-        if not len(self):
-            return np.full(len(query), -1, dtype=np.int64)
-        # Ids are ordered by (query id, url id), and so by the keys. A key
-        # past the last record's is compared with that one, and differs.
-        want = np.asarray(query, dtype=np.int64) * len(self.urls) + url
-        at = np.searchsorted(self.keys, want)
-        hit = (query >= 0) & (url >= 0) & (self.keys[np.minimum(at, len(self) - 1)] == want)
-        return np.where(hit, at, -1)
+        return _position(self.queries, STAR), _position(self.urls, STAR)
 
 
 def _names(strings: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -124,13 +102,10 @@ def _names(strings: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(names), np.fromiter(map(index.__getitem__, strings), np.int32, len(strings))
 
 
-def _positions(names: tuple[str, ...], strings: Sequence[str]) -> np.ndarray:
-    """Each string's position in the sorted tuple `names`, or -1 if absent."""
-    at = [bisect_left(names, s) for s in strings]
-    return np.array(
-        [i if i < len(names) and names[i] == s else -1 for i, s in zip(at, strings)],
-        dtype=np.int64,
-    )
+def _position(items: Sequence, item) -> int:
+    """The item's position in the sorted sequence `items`, or -1 if absent."""
+    i = bisect_left(items, item)
+    return i if i < len(items) and items[i] == item else -1
 
 
 class RecordCounts(Mapping[Record, int]):
@@ -162,7 +137,7 @@ class RecordCounts(Mapping[Record, int]):
         return map(self.table.__getitem__, self.nonzero.tolist())
 
     def __getitem__(self, record: Record) -> int:
-        i = self.table.ids([record]).item() if self.slot is None else self.slot.get(record, -1)
+        i = _position(self.table, record) if self.slot is None else self.slot.get(record, -1)
         if i < 0 or not self.counts[i]:
             raise KeyError(record)
         return int(self.counts[i])
@@ -190,7 +165,8 @@ class HeadList:
     `starts`, each query's first slot, are built at construction; the
     records and `slot`, each record's position in them, once, on first
     read. A list that comes from an admission carries the admission's
-    record table and each record's id there (see `ids`).
+    record table and each record's id there, -1 on star records, which
+    `record_slots` reads.
     """
 
     entries: Mapping[str, tuple[str, ...]]
@@ -259,17 +235,6 @@ class HeadList:
     def records(self) -> tuple[Record, ...]:
         return self._records
 
-    def ids(self, table: RecordTable) -> tuple[np.ndarray, np.ndarray]:
-        """Each record's id in `table` and each query's position among its
-        query names, -1 where it holds none. Carried ids serve their own
-        table only, where every regular query's first record is held; any
-        other table is searched by name."""
-        if self.carried is None or self.carried[0] is not table:
-            return table.ids(self._records), _positions(table.queries, self.queries)
-        ids, star = self.carried[1], list(self.entries).index(STAR)
-        at = table.query_ids[ids[np.delete(self.starts, star)]]
-        return ids, np.insert(at, star, table.star[0])
-
     def num_records(self) -> int:
         return len(self.of_query)
 
@@ -284,13 +249,12 @@ class HeadList:
         entries = {q: urls + (STAR,) for q, urls in self.entries.items() if q != STAR}
         carried = None
         if self.carried is not None:
-            # The regular records keep their ids, each query's star record
-            # follows them, and the wildcard comes last.
-            (table, ids), wildcard = self.carried, self.wildcard
-            regular = np.delete(ids, wildcard)
+            # The regular records keep their ids; each query's star record
+            # follows them and the wildcard comes last, both -1, as
+            # `record_slots` needs no star record's id.
+            table, ids = self.carried
             ends = np.cumsum([len(urls) - 1 for urls in entries.values()], dtype=np.int64)
-            star = table.find(table.query_ids[regular[ends - 1]], table.star[1])
-            carried = table, np.append(np.insert(regular, ends, star), ids[wildcard])
+            carried = table, np.append(np.insert(ids[ids >= 0], ends, -1), -1)
         return HeadList({**entries, STAR: (STAR,)}, Stage.CLIENT_AUGMENTED, carried)
 
     # -- serialization ---------------------------------------------------
@@ -341,20 +305,26 @@ def canonicalize(record: Record, hl: HeadList) -> Record:
 
 def record_slots(table: RecordTable, hl: HeadList) -> np.ndarray:
     """Each table record's slot in `hl.records()` order, once
-    canonicalized as in `canonicalize`.
+    canonicalized as in `canonicalize`. A table other than the one `hl`
+    carries ids for is canonicalized record by record.
 
-    Every record starts on the wildcard's slot. On a client-augmented
-    list, a listed query's records hold one contiguous id range of the
-    sorted table, found by `np.searchsorted` on its query ids; they take
-    the query's star slot. Each listed record the table holds then takes
-    its own. Both lookups come from `hl.ids`.
+    On the carried table every record starts on the wildcard's slot. On a
+    client-augmented list, a listed query's records hold one contiguous
+    id range of the sorted table, found by `np.searchsorted` on its
+    query ids from its first record's; they take the query's star slot,
+    its last. Each listed record then takes its own.
     """
+    if hl.carried is None or hl.carried[0] is not table:
+        return hl.slots([canonicalize(record, hl) for record in table])
+    ids = hl.carried[1]
     slots = np.full(len(table), hl.wildcard, dtype=np.int64)
-    ids, at = hl.ids(table)
     if hl.stage is Stage.CLIENT_AUGMENTED:
-        lo = np.searchsorted(table.query_ids, at).tolist()
-        hi = np.searchsorted(table.query_ids, at, side="right").tolist()
-        for star, start, stop in zip(hl.slots([Record(q, STAR) for q in hl.entries]), lo, hi):
+        regular = np.flatnonzero(ids[hl.starts] >= 0)
+        query = table.query_ids[ids[hl.starts[regular]]]
+        lo = np.searchsorted(table.query_ids, query).tolist()
+        hi = np.searchsorted(table.query_ids, query, side="right").tolist()
+        stars = np.append(hl.starts[1:], len(ids)) - 1
+        for star, start, stop in zip(stars[regular].tolist(), lo, hi):
             slots[start:stop] = star
     listed = np.flatnonzero(ids >= 0)
     slots[ids[listed]] = listed
@@ -383,8 +353,8 @@ class PrivacyParams:
     optin_fraction: float = 0.05
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ParamError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ParamError("epsilon must be positive and finite")
         if not 0 < self.delta < 1:
             raise ParamError("delta must lie in (0, 1)")
         if self.m_O != 1:

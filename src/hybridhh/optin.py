@@ -77,7 +77,7 @@ def create_head_list(
     comparison, and the admitted records are named from the table's id
     columns. Records whose query or url is the star are never admitted:
     their mass is already unlisted mass. The list carries the admitted
-    records' table ids.
+    records' table ids, and -1 for the wildcard.
     """
     b_s, tau = compute_threshold(params)
     counts = _as_counts(s_records)
@@ -95,8 +95,7 @@ def create_head_list(
     runs = zip(query[first].tolist(), first, first[1:] + [len(urls)])
     entries = {table.queries[q]: urls[start:stop] for q, start, stop in runs}
     entries[STAR] = [STAR]
-    ids = np.append(admitted, table.find(np.array([star_q]), star_u))
-    return HeadList(entries, Stage.INITIAL, (table, ids))
+    return HeadList(entries, Stage.INITIAL, (table, np.append(admitted, -1)))
 
 
 def optin_variance(p_hat: np.ndarray, n: int, b_t: float) -> np.ndarray:

@@ -396,16 +396,23 @@ class TestRecordSlots:
     @settings(max_examples=300, deadline=None)
     def test_matches_canonicalize(self, rows, entries):
         table = parse_log("".join(f"u{user}\t{q}\t{u}\n" for user, q, u in rows)).record_table
-        final = HeadList({**entries, STAR: (STAR,)}, Stage.FINAL)
-        initial = HeadList(final.entries, Stage.INITIAL)
-        held = set(table)
-        for hl in (initial, final, final.augment_for_clients()):
-            records = list(hl.records())
-            want = [records.index(canonicalize(rec, hl)) for rec in table]
-            assert record_slots(table, hl).tolist() == want
-            # The lookup behind the listed records' own slots.
-            found = [table[i] if i >= 0 else None for i in table.ids(records).tolist()]
-            assert found == [rec if rec in held else None for rec in records]
+        index = dict(zip(table, range(len(table))))
+        # The entries cut to the records the table holds, as an admission
+        # from the table lists them: such a list can carry its ids.
+        cut = {q: [u for u in urls if Record(q, u) in index] for q, urls in entries.items()}
+        admitted = {q: urls for q, urls in cut.items() if urls}
+        for listed in (entries, admitted):
+            final = HeadList({**listed, STAR: (STAR,)}, Stage.FINAL)
+            initial = HeadList(final.entries, Stage.INITIAL)
+            for hl in (initial, final, final.augment_for_clients()):
+                records = list(hl.records())
+                want = [records.index(canonicalize(rec, hl)) for rec in table]
+                assert record_slots(table, hl).tolist() == want
+                if listed is admitted:
+                    # The same list carrying the table's ids, -1 on star records.
+                    ids = np.array([-1 if STAR in rec else index[rec] for rec in records])
+                    carried = HeadList(hl.entries, hl.stage, (table, ids))
+                    assert record_slots(table, carried).tolist() == want
 
 
 class TestDenoise:

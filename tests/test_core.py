@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -244,6 +246,7 @@ class TestPrivacyParams:
         [
             {"epsilon": 0},
             {"epsilon": -1},
+            {"epsilon": math.inf},
             {"delta": 0},
             {"delta": 1},
             {"m_O": 2},

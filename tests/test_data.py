@@ -372,18 +372,22 @@ class TestDatasetIndex:
     def test_table_is_in_sorted_order(self):
         ds = parse_log("a\tq2\tu\nb\tq1\tu\na\tq1\tu\nc\tq2\tu\n")
         assert tuple(ds.record_table) == (Record("q1", "u"), Record("q2", "u"))
-        assert ds.record_table.ids([Record("q2", "u"), Record("q1", "v")]).tolist() == [1, -1]
+        # Each record's count is its id plus one.
+        counts = RecordCounts(ds.record_table, np.arange(1, 3))
+        assert counts[Record("q2", "u")] == 2 and Record("q1", "v") not in counts
         # Users a, b, c in first-seen order; a keeps its rows in log order.
         assert ds.record_ids.tolist() == [1, 0, 0, 1]
 
     def test_ids_miss_past_the_last_record_and_on_an_empty_table(self):
         # The table holds q2 and v, but (q2, v) sorts after its last record.
         table = parse_log("a\tq1\tv\nb\tq2\tu\n").record_table
-        got = table.ids([Record("q2", "v"), Record("q2", "u"), Record("q1", "u")])
-        assert got.tolist() == [-1, 1, -1]
+        # Each record's count is its id plus one.
+        counts = RecordCounts(table, np.arange(1, 3))
+        got = [counts.get(r, 0) for r in (Record("q2", "v"), Record("q2", "u"), Record("q1", "u"))]
+        assert got == [0, 2, 0]
         empty = RecordCounts.of({})
-        assert len(empty.table) == 0 and Record("q", "u") not in empty
-        assert empty.table.ids([Record("q", "u"), Record(STAR, STAR)]).tolist() == [-1, -1]
+        assert len(empty.table) == 0
+        assert Record("q", "u") not in empty and Record(STAR, STAR) not in empty
         initial = HeadList({"q": ("u",), STAR: (STAR,)}, Stage.INITIAL)
         for hl in (initial, initial.augment_for_clients()):
             assert record_slots(empty.table, hl).tolist() == []

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridhh import cli, client, data, harness
+from hybridhh import cli, client, core, data, harness
 from hybridhh.core import STAR, PrivacyParams, encode_star
 from hybridhh.harness import (
     ConfigError,
@@ -256,11 +256,13 @@ class TestRunBlender:
 
     def test_clients_are_mapped_to_the_list_without_canonicalize(self, monkeypatch):
         # The clients' records reach their head-list slots through
-        # `core.record_slots`; none is canonicalized one at a time.
+        # `core.record_slots`, which reads the list's carried ids; none is
+        # canonicalized one at a time.
         def refuse(record, hl):
-            raise AssertionError(f"canonicalize({record}) on the client side")
+            raise AssertionError(f"canonicalize({record}) in a run")
 
         monkeypatch.setattr(client, "canonicalize", refuse)
+        monkeypatch.setattr(core, "canonicalize", refuse)
         config = small_config()
         result = run_blender(config, load_dataset(config))
         assert result.client_est.sample_size == 1900
@@ -486,6 +488,14 @@ class TestCli:
         )
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_infinite_epsilon_exits_1(self, tmp_path, capsys):
+        argv = ["verify-dp", "--k", "3", "--kq", "2", "--epsilon", "inf", "--delta", "1e-5"]
+        assert cli.main(argv) == 1
+        config = self.write_config(tmp_path)
+        config.write_text(config.read_text().replace("epsilon = 4.0", "epsilon = inf"))
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.count("epsilon must be positive and finite") == 2
 
     @staticmethod
     def fresh_python(*args):

@@ -26,7 +26,6 @@ class BlendedOutput:
     w: np.ndarray   # weight on the opt-in estimate
 
     probs = cached_property(lambda self: keyed(self.head_list.records(), self.p))
-    weights = cached_property(lambda self: keyed(self.head_list.records(), self.w))
 
 
 def blend_weight(

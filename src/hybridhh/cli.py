@@ -131,9 +131,11 @@ def _read_prob_csv(path: str) -> dict[Record, float]:
         for row in reader:
             try:
                 p = float(row[key])
+                if not 0.0 <= p <= 1.0:  # also rejects nan
+                    raise ValueError
             except (TypeError, ValueError):
                 raise ParseError(
-                    f"{path}, line {reader.line_num}: {key} is {row[key]!r}, not a number"
+                    f"{path}, line {reader.line_num}: {key} is {row[key]!r}, not a number in [0, 1]"
                 ) from None
             record = Record(decode_star(row["query"]), decode_star(row["url"]))
             if record in first_line:

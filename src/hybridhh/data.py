@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import io
 import operator
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import IO, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -407,12 +406,8 @@ def synth_zipf(
     )
 
 
-def empirical_distribution(
-    records: Iterable[Record] | Mapping[Record, int],
-) -> dict[Record, float]:
-    """Relative frequencies of a record list or of record counts; counts
-    are read in place."""
-    counts = records if isinstance(records, Mapping) else Counter(records)
+def empirical_distribution(counts: Mapping[Record, int]) -> dict[Record, float]:
+    """Relative frequencies of record counts, read in place."""
     total = sum(counts.values())
     if total == 0:
         raise ParamError("no records to build a distribution from")

@@ -2,80 +2,93 @@
 
 The estimate is a ranked list of queries, each carrying a ranked url
 list. Plain NDCG scores a single list; the generalized score discounts
-each query's gain by how well its url list was ranked. Wildcard entries
-are stripped and the remaining mass rescaled before scoring.
+each query's gain by how well its url list was ranked, comparing two
+rankings of one record set in one array pass. Wildcard entries are
+stripped and the remaining mass rescaled before scoring.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import itemgetter, lt, mul, neg, sub, truediv
-from typing import Iterable, Mapping, Sequence
+from operator import lt, sub, truediv
+from typing import Mapping, Sequence
 
-from .core import STAR, ParamError, Record
+import numpy as np
+
+from .core import STAR, ParamError, Record, RecordTable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedEstimate:
-    """Star-free, renormalized estimate in ranked form.
+    """Star-free, renormalized estimate in ranked form: the rescaled p and
+    query id of each of `records`, and each query's marginal by id. `order`
+    lists the records by descending query marginal, then each query's urls
+    by descending p; ids follow the names' code-point order, so ties break
+    lexicographically and identical inputs always rank identically."""
 
-    Queries are sorted by descending marginal probability; urls within a
-    query by descending record probability, and `ranked` holds each
-    query's records in that order as (-probability, url) pairs. Ties
-    break lexicographically so that identical inputs always rank
-    identically.
-    """
+    records: tuple[Record, ...]
+    p: np.ndarray
+    of_query: np.ndarray
+    query_p: np.ndarray
+    order: np.ndarray
 
-    queries: tuple[str, ...]
-    query_probs: Mapping[str, float]
-    url_orders: Mapping[str, tuple[str, ...]]
-    ranked: Mapping[str, list[tuple[float, str]]]
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first record of each query's url list in `order`, by query
+        rank, and the rank of each ordered record in its query's list."""
+        queries = self.of_query[self.order]
+        starts = np.flatnonzero(np.diff(queries, prepend=-1))
+        ranks = np.arange(len(queries)) - np.repeat(starts, np.diff(starts, append=len(queries)))
+        return self.order[starts], ranks
 
-    def conditional_url_probs(self, query: str) -> dict[str, float]:
-        # -p / -total is p / total.
-        total = -self.query_probs[query]
-        negated = map(itemgetter(0), self.ranked[query])
-        return dict(zip(self.url_orders[query], map(truediv, negated, repeat(total))))
+    queries = cached_property(lambda self: tuple(self.records[i].query for i in self._runs[0]))
+    query_probs = cached_property(
+        lambda self: dict(zip(self.queries, self.query_p[self.of_query[self._runs[0]]].tolist()))
+    )
 
 
 def strip_stars_and_rescale(probs: Mapping[Record, float]) -> RankedEstimate:
-    """Drop wildcard entries and renormalize the remaining mass to 1."""
+    """Drop wildcard entries, renormalize the remaining mass to 1 and rank the records."""
     kept = {r: p for r, p in probs.items() if STAR not in r}
     total = sum(kept.values())
     if not kept or total <= 0:
         raise ParamError("no probability mass outside the wildcard entries")
-    # Each record's rescaled probability p, negated for the rank order; a
-    # query's mass adds them in input order (0 - (-p) is 0 + p).
-    query_probs: dict[str, float] = {}
-    by_query: dict[str, list[tuple[float, str]]] = {}
-    for (q, u), negated in zip(kept, map(truediv, kept.values(), repeat(-total))):
-        query_probs[q] = query_probs.get(q, 0.0) - negated
-        by_query.setdefault(q, []).append((negated, u))
-    queries = tuple(map(itemgetter(1), sorted(zip(map(neg, query_probs.values()), query_probs))))
-    ranked = {q: sorted(by_query[q]) for q in queries}
-    url_orders = {q: tuple(map(itemgetter(1), pairs)) for q, pairs in ranked.items()}
-    return RankedEstimate(queries, query_probs, url_orders, ranked)
+    table, ids = RecordTable.of(*zip(*kept))
+    of_query = table.query_ids[ids]
+    p = np.fromiter(kept.values(), float, len(kept)) / total
+    # A query's mass adds its records' p in input order.
+    query_p = np.bincount(of_query, weights=p)
+    query_rank = np.argsort(np.argsort(-query_p, kind="stable"))
+    order = np.lexsort((ids, -p, query_rank[of_query]))
+    return RankedEstimate(tuple(kept), p, of_query, query_p, order)
 
 
-def l1_distance(p_hat: Mapping, p: Mapping) -> float:
-    """Manhattan distance between identically keyed probability vectors."""
-    if p_hat.keys() != p.keys():
-        raise ParamError("L1 requires identically keyed vectors")
-    return sum(map(abs, map(sub, map(p_hat.__getitem__, p), p.values())))
+def l1_distance(p_hat: Sequence[float], p: Sequence[float]) -> float:
+    """Manhattan distance between two probability vectors over the same records."""
+    if len(p_hat) != len(p):
+        raise ParamError("L1 requires vectors of one length")
+    return sum(map(abs, map(sub, p_hat, p)))
 
 
-def _discounted_gains(rels: Iterable[float], discounts: Iterable[float]) -> map:
-    """The gain 2**rel - 1 of each relevance over its discount, by Python's `**`."""
-    return map(truediv, map(sub, map(pow, repeat(2.0), rels), repeat(1.0)), discounts)
+def _gains(rels: Sequence[float]) -> np.ndarray:
+    """The gain 2**rel - 1 of each relevance, by Python's `pow`."""
+    return np.fromiter(map(pow, repeat(2.0), rels), float, len(rels)) - 1.0
 
 
 @lru_cache(maxsize=64)
-def _discounts(n: int) -> tuple[float, ...]:
-    """The discount log2(i + 2) of each rank i below n."""
-    return tuple(math.log2(i + 2) for i in range(n))
+def _discounts(n: int) -> np.ndarray:
+    """The discount log2(i + 2) of each rank i below n, read-only."""
+    discounts = np.array([math.log2(i + 2) for i in range(n)])
+    discounts.flags.writeable = False
+    return discounts
+
+
+def _dcg(rels: Sequence[float]) -> float:
+    """The discounted gains of relevances in rank order, summed left to right."""
+    return sum((_gains(rels) / _discounts(len(rels))).tolist())
 
 
 def ndcg_list(estimated_order: Sequence, true_weights: Mapping) -> float:
@@ -84,51 +97,45 @@ def ndcg_list(estimated_order: Sequence, true_weights: Mapping) -> float:
     The relevance of an item is its share of the total true weight; the
     ideal ordering sorts by descending relevance.
     """
-    ideal_order = sorted(true_weights, key=true_weights.get, reverse=True)
-    return _ndcg(estimated_order, true_weights, ideal_order)
-
-
-def _ndcg(estimated_order: Sequence, true_weights: Mapping, ideal_order: Sequence) -> float:
-    """`ndcg_list`, given the items in descending order of weight: their
-    relevances then descend too, so any such order scores the same."""
     total = sum(true_weights.values())
     if total <= 0:
         raise ParamError("true weights must not be all zero")
     if any(map(lt, true_weights.values(), repeat(0))):
         raise ParamError("true weights must be non-negative")
     rel = dict(zip(true_weights, map(truediv, true_weights.values(), repeat(total))))
-    discounts = _discounts(max(len(estimated_order), len(rel)))
-    dcg = sum(_discounted_gains(map(rel.get, estimated_order, repeat(0.0)), discounts))
-    ideal = map(rel.__getitem__, ideal_order[:len(estimated_order)])
-    idcg = sum(_discounted_gains(ideal, discounts))
+    dcg = _dcg([rel.get(item, 0.0) for item in estimated_order])
+    idcg = _dcg(sorted(rel.values(), reverse=True)[:len(estimated_order)])
     return dcg / idcg if idcg > 0 else 0.0
 
 
 def generalized_ndcg(estimate: RankedEstimate, truth: RankedEstimate) -> float:
     """List-of-lists NDCG with per-query url-list discounting.
 
-    Each query's gain (from its true probability) is multiplied by the
-    NDCG of its estimated url list. The normalizer is the fully ideal
-    score (true query ordering, perfectly ranked url lists), so the
-    result never exceeds the query-level NDCG and a perfect estimate
-    scores exactly 1.
+    Both rankings must rank the same records, given in the same order,
+    with non-negative probabilities. Each query's gain (from its true
+    probability) is multiplied by the NDCG of its estimated url list.
+    The normalizer is the fully ideal score (true query ordering,
+    perfectly ranked url lists), so the result never exceeds the
+    query-level NDCG and a perfect estimate scores exactly 1.
     """
-    if not truth.queries:
-        raise ParamError("truth is empty")
-
-    def url_factor(q: str) -> float:
-        # A query without true mass has gain 0, so its url list cannot count.
-        if truth.query_probs.get(q, 0.0) <= 0 or len(truth.url_orders[q]) <= 1:
-            return 1.0
-        true_urls = truth.conditional_url_probs(q)
-        return _ndcg(estimate.url_orders[q], true_urls, truth.url_orders[q])
-
-    queries, true_queries = estimate.queries, truth.queries
-    discounts = _discounts(max(len(queries), len(true_queries)))
-    gains = _discounted_gains(map(truth.query_probs.get, queries, repeat(0.0)), discounts)
-    numer = sum(map(mul, gains, map(url_factor, queries)))
-    denom = sum(_discounted_gains(map(truth.query_probs.__getitem__, true_queries), discounts))
-    return numer / denom if denom > 0 else 0.0
+    if estimate.records != truth.records:
+        raise ParamError("the two rankings do not rank the same records in the same order")
+    of_query, true_p = truth.of_query, truth.query_p
+    discounts = _discounts(len(of_query))
+    # A query without true mass divides 0 by 0: its gain is 0, so its url list cannot count.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Each url's conditional relevance, renormalized by its sum in the truth's url order.
+        cond = truth.p / true_p[of_query]
+        rel = cond / np.bincount(of_query[truth.order], cond[truth.order], len(true_p))[of_query]
+        gain = _gains(rel.tolist())
+        dcg, idcg = (
+            np.bincount(of_query[r.order], gain[r.order] / discounts[r._runs[1]], len(true_p))
+            for r in (estimate, truth)
+        )
+        factor = np.where(true_p > 0, dcg / idcg, 1.0)
+    queries = of_query[estimate._runs[0]]
+    numer = _gains(true_p[queries].tolist()) / discounts[:len(queries)] * factor[queries]
+    return sum(numer.tolist()) / _dcg(true_p[of_query[truth._runs[0]]].tolist())
 
 
 def score(
@@ -144,10 +151,7 @@ def score(
     discarding the wildcard, so a truth file covering the whole log
     scores the same as one already folded onto the list.
     """
-    star_free = [r for r in estimate if STAR not in r]
-    on_list = dict(zip(star_free, map(truth.get, star_free, repeat(0.0))))
-    l1 = l1_distance(dict(zip(star_free, map(estimate.__getitem__, star_free))), on_list)
-    ndcg = generalized_ndcg(
-        strip_stars_and_rescale(estimate), strip_stars_and_rescale(on_list)
-    )
-    return l1, ndcg
+    ranked = strip_stars_and_rescale(estimate)
+    on_list = dict(zip(ranked.records, map(truth.get, ranked.records, repeat(0.0))))
+    l1 = l1_distance(list(map(estimate.__getitem__, ranked.records)), list(on_list.values()))
+    return l1, generalized_ndcg(ranked, strip_stars_and_rescale(on_list))

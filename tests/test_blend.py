@@ -113,7 +113,7 @@ class TestBlendProbabilities:
             lo = min(a.record_probs[r], b.record_probs[r])
             hi = max(a.record_probs[r], b.record_probs[r])
             assert lo - 1e-12 <= out.probs[r] <= hi + 1e-12
-            assert out.weights[r] == pytest.approx(1.0 / 3.0)
+        assert out.w.tolist() == pytest.approx([1.0 / 3.0] * hl.num_records())
 
     def test_projection_lands_on_simplex(self):
         hl = make_final_head_list(2, 2)
@@ -170,7 +170,7 @@ class TestBlendProbabilities:
         probs, weights = blend_reference(optin, client, project)
         assert out.head_list is hl
         assert out.p.tolist() == list(probs.values()) and out.probs == probs
-        assert out.w.tolist() == list(weights.values()) and out.weights == weights
+        assert out.w.tolist() == list(weights.values()) and list(weights) == list(hl.records())
         assert weights[Record("q1", "q1/u0")] == 0.5
 
 

@@ -511,7 +511,7 @@ class TestSynthZipf:
 
     def test_empirical_matches_truth_at_scale(self):
         ds = synth_zipf(200_000, 5, 2, 1.0, substream(63, 0))
-        emp = empirical_distribution(r for u in ds.users for r in u.records)
+        emp = empirical_distribution(Counter(r for u in ds.users for r in u.records))
         for rec, p in ds.true_distribution.items():
             assert emp.get(rec, 0.0) == pytest.approx(p, abs=0.005)
 
@@ -524,4 +524,4 @@ class TestSynthZipf:
 
 def test_empirical_distribution_rejects_empty():
     with pytest.raises(ParamError):
-        empirical_distribution([])
+        empirical_distribution({})

@@ -452,6 +452,23 @@ class TestCli:
         err = self.metrics_input_error(capsys, out / "blended.csv", truth)
         assert str(truth) in err and "line 3" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_metrics_non_finite_blended_cell_exits_1(self, tmp_path, capsys, cell):
+        blended = tmp_path / "blended.csv"
+        blended.write_text(f"query,url,p_blend\nq,a,0.5\nq,b,{cell}\n", encoding="utf-8")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("query,url,p\nq,a,0.5\nq,b,0.5\n", encoding="utf-8")
+        err = self.metrics_input_error(capsys, blended, truth)
+        assert str(blended) in err and "line 3" in err and f"'{cell}'" in err
+
+    def test_metrics_negative_truth_under_a_single_url_query_exits_1(self, tmp_path, capsys):
+        blended = tmp_path / "blended.csv"
+        blended.write_text("query,url,p_blend\nq,a,0.5\nr,b,0.5\n", encoding="utf-8")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("query,url,p\nq,a,-0.2\nr,b,0.6\n", encoding="utf-8")
+        err = self.metrics_input_error(capsys, blended, truth)
+        assert str(truth) in err and "line 2" in err and "'-0.2'" in err and "[0, 1]" in err
+
     def test_metrics_repeated_record_exits_1(self, tmp_path, capsys):
         once = tmp_path / "once.csv"
         once.write_text("query,url,p\nq,u,0.7\n", encoding="utf-8")

@@ -1,4 +1,8 @@
 import math
+import re
+from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter, lt, mul, neg, sub, truediv
 
 import pytest
 
@@ -8,7 +12,6 @@ from hybridhh.core import (
 )
 from hybridhh.harness import ExperimentConfig, SynthSpec
 from hybridhh.metrics import (
-    RankedEstimate,
     generalized_ndcg,
     l1_distance,
     ndcg_list,
@@ -17,6 +20,8 @@ from hybridhh.metrics import (
 )
 from hybridhh.sampling import substream
 
+from conftest import LOG_WORDS
+
 
 def ranked(probs):
     return strip_stars_and_rescale(probs)
@@ -24,17 +29,15 @@ def ranked(probs):
 
 class TestL1:
     def test_identical_vectors(self):
-        v = {Record("a", "x"): 0.6, Record("b", "y"): 0.4}
+        v = [0.6, 0.4]
         assert l1_distance(v, v) == 0.0
 
     def test_hand_value(self):
-        a = {Record("a", "x"): 0.6, Record("b", "y"): 0.4}
-        b = {Record("a", "x"): 0.5, Record("b", "y"): 0.5}
-        assert l1_distance(a, b) == pytest.approx(0.2)
+        assert l1_distance([0.6, 0.4], [0.5, 0.5]) == pytest.approx(0.2)
 
-    def test_key_mismatch_rejected(self):
+    def test_length_mismatch_rejected(self):
         with pytest.raises(ParamError):
-            l1_distance({Record("a", "x"): 1.0}, {Record("b", "y"): 1.0})
+            l1_distance([1.0], [0.5, 0.5])
 
 
 class TestNdcgList:
@@ -57,6 +60,15 @@ class TestNdcgList:
             ndcg_list(["a"], {"a": 0})
         with pytest.raises(ParamError):
             ndcg_list(["a"], {"a": 1, "b": -1})
+
+
+def url_orders(est):
+    """Each query's urls in rank order, read from the one record order."""
+    orders = {}
+    for i in est.order.tolist():
+        query, url = est.records[i]
+        orders[query] = orders.get(query, ()) + (url,)
+    return orders
 
 
 def _per_query_scan(probs):
@@ -91,9 +103,9 @@ class TestStripStars:
                 Record(STAR, STAR): 0.3,
             }
         )
-        records = {Record(q, u) for q in est.queries for u in est.url_orders[q]}
-        assert records == {Record("a", "x"), Record("b", "y")}
-        assert sum(-p for pairs in est.ranked.values() for p, _ in pairs) == pytest.approx(1.0)
+        assert est.records == (Record("a", "x"), Record("b", "y"))
+        assert sorted(est.order.tolist()) == [0, 1]
+        assert sum(est.p.tolist()) == pytest.approx(1.0)
         assert est.query_probs["a"] == pytest.approx(0.5)
 
     def test_query_and_url_order(self):
@@ -105,7 +117,7 @@ class TestStripStars:
             }
         )
         assert est.queries == ("b", "a")  # 0.6 > 0.4
-        assert est.url_orders["b"] == ("y1", "y2")
+        assert url_orders(est)["b"] == ("y1", "y2")
 
     def test_ties_break_lexicographically(self):
         est = ranked({Record("b", "y"): 0.5, Record("a", "x"): 0.5})
@@ -120,7 +132,7 @@ class TestStripStars:
                 Record("a", "w"): 0.4,
             }
         )
-        assert est.url_orders["a"] == ("w", "x", "y", "z")
+        assert url_orders(est)["a"] == ("w", "x", "y", "z")
 
     @pytest.mark.parametrize("seed", range(20))
     def test_ranking_matches_a_per_query_scan(self, seed):
@@ -133,9 +145,9 @@ class TestStripStars:
         probs[Record("q0", STAR)] = 0.125
         probs[WILDCARD] = 0.25
         est = ranked(probs)
-        queries, url_orders = _per_query_scan(probs)
+        queries, scanned = _per_query_scan(probs)
         assert est.queries == queries
-        assert est.url_orders == url_orders
+        assert url_orders(est) == scanned
 
     def test_all_star_mass_rejected(self):
         with pytest.raises(ParamError):
@@ -234,21 +246,24 @@ class TestGeneralizedNdcg:
         )
         est = ranked(
             {
-                Record("q2", "c"): 0.4,
-                Record("q2", "d"): 0.2,
                 Record("q1", "a"): 0.3,
                 Record("q1", "b"): 0.1,
+                Record("q2", "c"): 0.4,
+                Record("q2", "d"): 0.2,
             }
         )
         assert generalized_ndcg(est, truth) == pytest.approx(1 / math.log2(3))
 
-    def test_empty_truth_rejected(self):
+    def test_rankings_of_different_records_rejected(self):
         truth = self.truth()
-        with pytest.raises(ParamError):
-            generalized_ndcg(
-                truth,
-                RankedEstimate((), {}, {}, {}),
-            )
+        other = ranked({Record("q1", "a"): 0.5, Record("q1", "e"): 0.2, Record("q2", "c"): 0.3})
+        reordered = ranked(dict(reversed(
+            {Record("q1", "a"): 0.4, Record("q1", "b"): 0.2,
+             Record("q2", "c"): 0.3, Record("q2", "d"): 0.1}.items()
+        )))
+        for est in (other, reordered):
+            with pytest.raises(ParamError, match="same records"):
+                generalized_ndcg(est, truth)
 
 
 class TestScore:
@@ -313,3 +328,143 @@ class TestScore:
         assert by_raw == score(result.blended.probs, folded)
         assert by_raw == score(result.blended.probs, passed)
         assert by_raw == (result.row.l1, result.row.ndcg)
+
+
+# The dict scorer that the array pass replaced, kept verbatim as the
+# reference for `score`'s floats: each query's url list is ranked and
+# scored by name, one `_dict_ndcg` call per listed query.
+@dataclass(frozen=True)
+class _DictRanked:
+    queries: tuple
+    query_probs: dict
+    url_orders: dict
+    ranked: dict
+
+    def conditional_url_probs(self, query):
+        total = -self.query_probs[query]
+        negated = map(itemgetter(0), self.ranked[query])
+        return dict(zip(self.url_orders[query], map(truediv, negated, repeat(total))))
+
+
+def _dict_strip(probs):
+    kept = {r: p for r, p in probs.items() if STAR not in r}
+    total = sum(kept.values())
+    if not kept or total <= 0:
+        raise ParamError("no probability mass outside the wildcard entries")
+    query_probs, by_query = {}, {}
+    for (q, u), negated in zip(kept, map(truediv, kept.values(), repeat(-total))):
+        query_probs[q] = query_probs.get(q, 0.0) - negated
+        by_query.setdefault(q, []).append((negated, u))
+    queries = tuple(map(itemgetter(1), sorted(zip(map(neg, query_probs.values()), query_probs))))
+    ranked = {q: sorted(by_query[q]) for q in queries}
+    url_orders = {q: tuple(map(itemgetter(1), pairs)) for q, pairs in ranked.items()}
+    return _DictRanked(queries, query_probs, url_orders, ranked)
+
+
+def _dict_gains(rels, discounts):
+    return map(truediv, map(sub, map(pow, repeat(2.0), rels), repeat(1.0)), discounts)
+
+
+def _dict_discounts(n):
+    return tuple(math.log2(i + 2) for i in range(n))
+
+
+def _dict_ndcg(estimated_order, true_weights, ideal_order):
+    total = sum(true_weights.values())
+    if total <= 0:
+        raise ParamError("true weights must not be all zero")
+    if any(map(lt, true_weights.values(), repeat(0))):
+        raise ParamError("true weights must be non-negative")
+    rel = dict(zip(true_weights, map(truediv, true_weights.values(), repeat(total))))
+    discounts = _dict_discounts(max(len(estimated_order), len(rel)))
+    dcg = sum(_dict_gains(map(rel.get, estimated_order, repeat(0.0)), discounts))
+    ideal = map(rel.__getitem__, ideal_order[:len(estimated_order)])
+    idcg = sum(_dict_gains(ideal, discounts))
+    return dcg / idcg if idcg > 0 else 0.0
+
+
+def _dict_generalized_ndcg(estimate, truth):
+    if not truth.queries:
+        raise ParamError("truth is empty")
+
+    def url_factor(q):
+        if truth.query_probs.get(q, 0.0) <= 0 or len(truth.url_orders[q]) <= 1:
+            return 1.0
+        true_urls = truth.conditional_url_probs(q)
+        return _dict_ndcg(estimate.url_orders[q], true_urls, truth.url_orders[q])
+
+    queries, true_queries = estimate.queries, truth.queries
+    discounts = _dict_discounts(max(len(queries), len(true_queries)))
+    gains = _dict_gains(map(truth.query_probs.get, queries, repeat(0.0)), discounts)
+    numer = sum(map(mul, gains, map(url_factor, queries)))
+    denom = sum(_dict_gains(map(truth.query_probs.__getitem__, true_queries), discounts))
+    return numer / denom if denom > 0 else 0.0
+
+
+def _dict_score(estimate, truth):
+    star_free = [r for r in estimate if STAR not in r]
+    on_list = dict(zip(star_free, map(truth.get, star_free, repeat(0.0))))
+    l1 = sum(map(abs, map(sub, map(estimate.__getitem__, star_free), on_list.values())))
+    return l1, _dict_generalized_ndcg(_dict_strip(estimate), _dict_strip(on_list))
+
+
+def _score_input(rng):
+    """1-7 queries of 1-4 urls named from LOG_WORDS, so that star records,
+    prefixes and non-ASCII names occur; probabilities in eighths, so that
+    queries and urls tie; a fifth of the queries without true mass; 30 %
+    of the truth's records dropped, and one truth record off the list."""
+    estimate, truth = {}, {}
+    for qi in rng.choice(len(LOG_WORDS), int(rng.integers(1, 8)), replace=False):
+        massless = rng.random() < 0.2
+        for ui in rng.choice(len(LOG_WORDS), int(rng.integers(1, 5)), replace=False):
+            record = Record(LOG_WORDS[qi], LOG_WORDS[ui])
+            estimate[record] = int(rng.integers(0, 9)) / 8
+            if rng.random() >= 0.3:
+                truth[record] = 0.0 if massless else int(rng.integers(0, 9)) / 8
+    if rng.random() < 0.5:
+        estimate[WILDCARD] = int(rng.integers(0, 9)) / 8
+    truth[Record("off", "list")] = 0.25
+    items = list(truth.items())
+    return estimate, dict(items[i] for i in rng.permutation(len(items)))
+
+
+def test_score_matches_the_dict_scorer_bit_for_bit():
+    rng = substream(0x5C0, 0)
+    raised = 0
+    for _ in range(3000):
+        estimate, truth = _score_input(rng)
+        try:
+            want = _dict_score(estimate, truth)
+        except ParamError as exc:
+            raised += 1
+            with pytest.raises(ParamError, match=re.escape(str(exc))):
+                score(estimate, truth)
+            continue
+        got = score(estimate, truth)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (estimate, truth)
+    assert 0 < raised < 600  # both outcomes are exercised, mostly the scored one
+
+
+def _wide_score_input(rng):
+    """9-60 queries of 1-12 urls, so that the query-level sums run over
+    more than eight terms, where `np.sum` stops adding left to right;
+    uniform probabilities, a fifth of the queries without true mass and
+    30 % of the truth's records dropped."""
+    estimate, truth = {}, {}
+    for qi in rng.permutation(int(rng.integers(9, 61))):
+        massless = rng.random() < 0.2
+        for ui in rng.permutation(int(rng.integers(1, 13))):
+            record = Record(f"q{qi}", f"u{ui}")
+            estimate[record] = float(rng.random())
+            if rng.random() >= 0.3:
+                truth[record] = 0.0 if massless else float(rng.random())
+    estimate[WILDCARD] = float(rng.random())
+    return estimate, truth
+
+
+def test_score_matches_the_dict_scorer_on_wide_lists():
+    rng = substream(0x5C1, 0)
+    for _ in range(300):
+        estimate, truth = _wide_score_input(rng)
+        got, want = score(estimate, truth), _dict_score(estimate, truth)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (estimate, truth)

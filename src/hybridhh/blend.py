@@ -22,8 +22,9 @@ from .core import EstimateVector, HeadList, ParamError, keyed
 @dataclass(frozen=True, eq=False)
 class BlendedOutput:
     head_list: HeadList
-    p: np.ndarray   # in head_list.records() order, as is w
+    p: np.ndarray   # in head_list.records() order, as are w and client_slots
     w: np.ndarray   # weight on the opt-in estimate
+    client_slots: np.ndarray   # each record's slot in the client estimates read
 
     probs = cached_property(lambda self: keyed(self.head_list.records(), self.p))
 
@@ -61,7 +62,7 @@ def blend_probabilities(
         raise ParamError(f"client estimates missing record {records[np.argmin(at)]}")
     w = blend_weight(optin.var, client.var[at])
     p = w * optin.p + (1.0 - w) * client.p[at]
-    return BlendedOutput(hl, project_to_simplex(p) if project else p, w)
+    return BlendedOutput(hl, project_to_simplex(p) if project else p, w, at)
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:

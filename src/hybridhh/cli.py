@@ -4,7 +4,7 @@ Subcommands: run (one pipeline execution), sweep (parameter grid),
 synth (write a synthetic log), verify-dp (exact privacy check for a
 head-list shape, in closed form by class of input pair), metrics
 (score a blended output against a truth file). Exit codes: 0 success,
-1 config error, 2 runtime failure.
+1 config error, 2 runtime failure, 3 a verify-dp certificate that FAILs.
 
 Only verify-dp imports `oracle`, and with it mpmath: importing this
 module, or running any other subcommand, leaves mpmath unloaded.
@@ -115,7 +115,7 @@ def _cmd_verify_dp(args) -> int:
     model = client.build_report_model(params, hl)
     violation = oracle.verify_dp_closed_form(model, params.eps_prime, params.delta_prime)
     print(f"max violation: {violation:.3e} ({'PASS' if violation <= 0 else 'FAIL'})")
-    return 0
+    return 0 if violation <= 0 else 3
 
 
 def _read_prob_csv(path: str) -> dict[Record, float]:

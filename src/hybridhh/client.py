@@ -39,11 +39,13 @@ class DegenerateChannelError(ParamError):
     """Raised when the randomizer carries no information to invert."""
 
 
-def _truth_probability(eps: float, delta: float, k: int) -> float:
+def _truth_probability(e_eps, delta, k: int) -> tuple:
+    """A stage's truth probability t over k choices given e^eps, and 1 - t without subtracting
+    from 1, in the arguments' arithmetic: floats for the run, mpmath numbers for the oracle."""
     if k == 1:
-        return 1.0
-    e = math.exp(eps)
-    return (e + (delta / 2.0) * (k - 1)) / (e + k - 1)
+        return 1.0, 0.0
+    spread = e_eps + k - 1
+    return (e_eps + (delta / 2.0) * (k - 1)) / spread, (k - 1) * (1 - delta / 2.0) / spread
 
 
 @dataclass(frozen=True)
@@ -69,13 +71,13 @@ def build_report_model(params: PrivacyParams, hl: HeadList) -> ReportModel:
     k = hl.k
     if k < 2:
         raise ParamError("report model needs a regular query besides the star query")
-    t = _truth_probability(params.eps_q, params.delta_q, k)
+    t, _ = _truth_probability(math.exp(params.eps_q), params.delta_q, k)
     if t <= 1.0 / k + _GAP_EPS:
         raise DegenerateChannelError("query randomizer is uninformative (t ~ 1/k)")
     k_q = dict(zip(hl.entries, map(len, hl.entries.values())))
     # The url stage's truth probability depends on the list length alone.
-    eps_u, delta_u = params.eps_u, params.delta_u
-    by_width = {kq: _truth_probability(eps_u, delta_u, kq) for kq in set(k_q.values())}
+    e_u, delta_u = math.exp(params.eps_u), params.delta_u
+    by_width = {kq: _truth_probability(e_u, delta_u, kq)[0] for kq in set(k_q.values())}
     t_q = {q: by_width[kq] for q, kq in k_q.items()}
     for q, kq in k_q.items():
         if kq >= 2 and t_q[q] <= 1.0 / kq + _GAP_EPS:

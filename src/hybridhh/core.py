@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -365,6 +366,10 @@ class PrivacyParams:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ParamError(f"{name} must lie in (0, 1)")
+        # Past this budget the larger stage's e^epsilon overflows a float.
+        limit = math.log(sys.float_info.max) / max(self.f_C, 1 - self.f_C)
+        if not self.epsilon < limit:
+            raise ParamError(f"epsilon must be below {limit} at f_C = {self.f_C}")
         if self.M < 1:
             raise ParamError("M must be >= 1")
 

@@ -253,7 +253,7 @@ def write_artifacts(result: RunResult, out_dir: Path) -> None:
     names = name_columns(records)
     p_optin, var_optin = cells(optin_est.p.tolist()), cells(optin_est.var.tolist())
     write_record_table(out_dir / "optin_estimates.csv", names, p_hat=p_optin, var_hat=var_optin)
-    at = client_est.head_list.slots(records)
+    at = result.blended.client_slots
     write_record_table(
         out_dir / "blended.csv", names,
         p_blend=cells(result.blended.p.tolist()), w=cells(result.blended.w.tolist()),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from operator import lt, sub, truediv
 from typing import Mapping, Sequence
@@ -78,12 +78,9 @@ def _gains(rels: Sequence[float]) -> np.ndarray:
     return np.fromiter(map(pow, repeat(2.0), rels), float, len(rels)) - 1.0
 
 
-@lru_cache(maxsize=64)
 def _discounts(n: int) -> np.ndarray:
-    """The discount log2(i + 2) of each rank i below n, read-only."""
-    discounts = np.array([math.log2(i + 2) for i in range(n)])
-    discounts.flags.writeable = False
-    return discounts
+    """The discount log2(i + 2) of each rank i below n, by `math.log2`."""
+    return np.array([math.log2(i + 2) for i in range(n)])
 
 
 def _dcg(rels: Sequence[float]) -> float:

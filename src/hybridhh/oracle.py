@@ -1,8 +1,10 @@
 """Exact verification tools for the client randomizer.
 
 The randomizer's output law is written down once, as one table per
-url-list length (`_law`), recomputed from the privacy budgets. Both
-checks of the (epsilon, delta) inequality read it.
+url-list length (`_law`) that both checks of the (epsilon, delta)
+inequality read, from the budgets by the run's own formula
+(`client._truth_probability`) at 50 digits. That formula gives each
+complement of t, which subtracting t from 1 would round to 0 at large epsilon.
 `verify_dp_closed_form` computes the worst slack per class of input
 pair, at a cost set by the number of distinct url-list lengths; it is
 what `hybridhh verify-dp` runs. `verify_dp` is the brute-force
@@ -22,7 +24,7 @@ from typing import Mapping
 import mpmath as mp
 
 from .core import HeadList, ParamError, Record, Stage, canonicalize
-from .client import ReportModel
+from .client import ReportModel, _truth_probability
 
 _SIZE_GUARD = 10_000  # max k * max(k_q) handled by enumeration (not the closed form)
 _DPS = 50             # working precision (decimal digits)
@@ -31,13 +33,6 @@ _DPS = 50             # working precision (decimal digits)
 def _check_size(hl: HeadList) -> None:
     if hl.k * max(hl.k_q(q) for q in hl.queries) > _SIZE_GUARD:
         raise ParamError("head list too large for exact enumeration")
-
-
-def _truth_probability_mp(eps, delta, k: int):
-    if k == 1:
-        return mp.mpf(1)
-    e = mp.e**mp.mpf(eps)
-    return (e + (mp.mpf(delta) / 2) * (k - 1)) / (e + k - 1)
 
 
 @dataclass(frozen=True)
@@ -51,25 +46,25 @@ class ExactDistribution:
 
 
 def _law(model: ReportModel):
-    """t and, per url-list length k_q, the channel's law (hit, miss, away).
+    """t's complement off, and the channel's law (hit, miss, away) per url-list length k_q.
 
     The probability of reporting the true record (hit, t * t_q), one
-    other url of the true query (miss, t (1 - t_q) / (k_q - 1), or 0 when
+    other url of the true query (miss, t * off_q / (k_q - 1), or 0 when
     k_q = 1), or one url of another query of that length (away,
-    (1 - t) / ((k - 1) k_q)); recomputed from the budgets at high precision.
+    off / ((k - 1) k_q)), where off_q is the complement of t_q.
     """
     with mp.workdps(_DPS):
-        eps_q, delta_q, eps_u, delta_u = model.budgets
-        t = _truth_probability_mp(eps_q, delta_q, model.k)
+        eps_q, delta_q, eps_u, delta_u = map(mp.mpf, model.budgets)
+        t, off = _truth_probability(mp.exp(eps_q), delta_q, model.k)
         law = {}
         for kq in dict.fromkeys(model.k_q.values()):
-            tq = _truth_probability_mp(eps_u, delta_u, kq)
+            tq, off_q = _truth_probability(mp.exp(eps_u), delta_u, kq)
             law[kq] = (
                 t * tq,
-                t * (1 - tq) / (kq - 1) if kq > 1 else mp.mpf(0),
-                (1 - t) / ((model.k - 1) * kq),
+                t * off_q / (kq - 1) if kq > 1 else mp.mpf(0),
+                off / ((model.k - 1) * kq),
             )
-    return t, law
+    return off, law
 
 
 def enumerate_report_distribution(
@@ -140,7 +135,7 @@ def verify_dp(
         for r in hl.records()
     ]
     with mp.workdps(_DPS):
-        e_eps = mp.e**mp.mpf(eps)
+        e_eps = mp.exp(eps)
         scaled = [[e_eps * p for p in law] for law in laws]
         worst = max(
             sum(max(p - q, 0) for p, q in zip(law, other))
@@ -162,11 +157,11 @@ def verify_dp_closed_form(model: ReportModel, eps: float, delta: float) -> float
     groups with one probability per side, and its slack sums
     size * max(0, P - e^eps P') over the groups.
     """
-    t, law = _law(model)
+    off_query, law = _law(model)   # the other-query mass, t's complement
     k = model.k
     tally = Counter(model.k_q.values())
     with mp.workdps(_DPS):
-        e_eps = mp.e**mp.mpf(eps)
+        e_eps = mp.exp(eps)
 
         def slack(groups, shared):
             # `shared` is the mass both inputs put on the same outputs alike.
@@ -179,12 +174,12 @@ def verify_dp_closed_form(model: ReportModel, eps: float, delta: float) -> float
         for a, (hit, miss, away) in law.items():
             if a >= 2:
                 same_query = [(1, hit, miss), (1, miss, hit)]
-                slacks.append(slack(same_query, (a - 2) * miss + (1 - t)))
+                slacks.append(slack(same_query, (a - 2) * miss + off_query))
             for b, (hit2, miss2, away2) in law.items():
                 if a != b or tally[a] >= 2:
                     two_queries = [
                         (1, hit, away), (a - 1, miss, away),
                         (1, away2, hit2), (b - 1, away2, miss2),
                     ]
-                    slacks.append(slack(two_queries, (k - 2) * (1 - t) / (k - 1)))
+                    slacks.append(slack(two_queries, (k - 2) * off_query / (k - 1)))
         return float(max(slacks) - mp.mpf(delta))

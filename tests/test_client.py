@@ -55,15 +55,23 @@ def noiseless_model(hl) -> ReportModel:
 
 class TestTruthProbability:
     def test_zero_budget_is_uniform(self):
-        assert _truth_probability(0.0, 0.0, 2) == pytest.approx(0.5)
-        assert _truth_probability(0.0, 0.0, 5) == pytest.approx(0.2)
+        assert _truth_probability(math.exp(0.0), 0.0, 2) == pytest.approx((0.5, 0.5))
+        assert _truth_probability(math.exp(0.0), 0.0, 5) == pytest.approx((0.2, 0.8))
 
     def test_frozen_example(self):
         # eps=4, f_C=0.85 -> eps_Q=3.4, delta_Q=8.5e-6; k=10.
-        assert _truth_probability(3.4, 8.5e-6, 10) == pytest.approx(0.76902, abs=5e-6)
+        t, off = _truth_probability(math.exp(3.4), 8.5e-6, 10)
+        assert t == pytest.approx(0.76902, abs=5e-6)
+        assert off == pytest.approx(1.0 - t, rel=1e-12)
 
     def test_singleton_is_forced(self):
-        assert _truth_probability(1.0, 1e-6, 1) == 1.0
+        assert _truth_probability(math.exp(1.0), 1e-6, 1) == (1.0, 0.0)
+
+    def test_complement_survives_where_subtraction_rounds_to_zero(self):
+        t, off = _truth_probability(math.exp(200.0), 1e-5, 3)
+        assert 1.0 - t == 0.0
+        assert off == pytest.approx(2 * (1 - 5e-6) * math.exp(-200.0), rel=1e-12)
+        assert off > 0
 
 
 class TestBuildReportModel:

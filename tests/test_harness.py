@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridhh import cli, client, core, data, harness
+from hybridhh import cli, client, core, data, harness, oracle
 from hybridhh.core import STAR, PrivacyParams, encode_star
 from hybridhh.harness import (
     ConfigError,
@@ -29,6 +29,10 @@ from hybridhh.harness import (
     run_blender,
     sweep,
 )
+
+# PrivacyParams accepts epsilon below this at the default f_C = 0.85; from
+# there on e^(0.85 epsilon) overflows a float.
+EPS_LIMIT = math.log(sys.float_info.max) / 0.85
 
 SMALL_SYNTH = SynthSpec(users=2000, queries=20, urls=2, exponent=1.0)
 
@@ -236,6 +240,24 @@ class TestRunBlender:
             "query", "url", "p_blend", "w", "p_optin", "var_optin", "p_client", "var_client",
         }
         assert any(r["query"] == "*" and r["url"] == "*" for r in rows)
+
+    def test_artifacts_reuse_the_blends_client_slots(self, tmp_path, monkeypatch):
+        # The blend looks the final list up in the client estimates once,
+        # and the writer reads them at the slots the blend kept.
+        calls = []
+        real = core.HeadList.slots
+
+        def counting(self, records):
+            calls.append(len(records))
+            return real(self, records)
+
+        monkeypatch.setattr(core.HeadList, "slots", counting)
+        config = small_config()
+        dataset = load_dataset(config)
+        for out_dir in (None, tmp_path):
+            calls.clear()
+            result = run_blender(config, dataset, out_dir=out_dir)
+            assert calls == [result.head_list.num_records()]
 
     def test_estimate_cells_are_plain_floats(self, tmp_path):
         # Every estimate, variance and weight cell of a synthetic and a TSV
@@ -514,6 +536,33 @@ class TestCli:
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.count("epsilon must be positive and finite") == 2
 
+    def test_epsilon_past_the_float_limit_exits_1(self, tmp_path, capsys):
+        argv = ["verify-dp", "--k", "3", "--kq", "2", "--epsilon", "900", "--delta", "1e-5"]
+        assert cli.main(argv) == 1
+        config = self.write_config(tmp_path)
+        config.write_text(config.read_text().replace("epsilon = 4.0", "epsilon = 900"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.count(f"epsilon must be below {EPS_LIMIT} at f_C = 0.85") == 2
+
+    @pytest.mark.parametrize("epsilon", [4.0, 140.0, 700.0, EPS_LIMIT - 1])
+    def test_run_exits_0_up_to_the_epsilon_limit(self, tmp_path, capsys, epsilon):
+        config = self.write_config(tmp_path)
+        config.write_text(config.read_text().replace("epsilon = 4.0", f"epsilon = {epsilon!r}"))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["epsilon"]) == epsilon
+        assert math.isfinite(float(row["L1"])) and math.isfinite(float(row["NDCG"]))
+
+    def test_failing_certificate_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracle, "verify_dp_closed_form", lambda model, eps, delta: 0.25)
+        argv = ["verify-dp", "--k", "3", "--kq", "2", "--epsilon", "4", "--delta", "1e-5"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().out == "max violation: 2.500e-01 (FAIL)\n"
+
     @staticmethod
     def fresh_python(*args):
         """Run a fresh interpreter on the package under test, so that no
@@ -548,7 +597,7 @@ class TestCli:
         assert cli.main(["sweep", "--config", str(no_seeds), "--out", str(out)]) == 1
         assert not (out / "sweep.csv").exists()
 
-    @pytest.mark.parametrize("axis", ["M = 5, 0", "epsilon = 4, -1"])
+    @pytest.mark.parametrize("axis", ["M = 5, 0", "epsilon = 4, -1", "epsilon = 4, 900"])
     def test_bad_sweep_axis_exits_before_any_run(self, tmp_path, capsys, monkeypatch, axis):
         calls = []
         real = harness.run_blender

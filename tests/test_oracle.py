@@ -1,9 +1,11 @@
+import math
+import sys
 import time
 from dataclasses import replace
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hybridhh import cli, harness, oracle
 from hybridhh.client import build_report_model, denoise_query, denoise_record
@@ -302,3 +304,41 @@ class TestClosedForm:
             elapsed = time.perf_counter() - start
             assert at_budget <= 0 < at_half
             assert elapsed < 2.0   # two certificates, 1 s each
+
+
+def _epsilon_limit(f_c):
+    """The budget at which the larger stage's e^epsilon overflows a float."""
+    return math.log(sys.float_info.max) / max(f_c, 1 - f_c)
+
+
+class TestEveryAcceptedEpsilon:
+    # Mixed url-list lengths, the star query's k_q = 1 in each.
+    SHAPES = ([2], [2, 4], [1, 2, 5], [3, 3, 1, 4])
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        budget=st.sampled_from([0.85, 0.5, 0.05]).flatmap(
+            lambda f_c: st.tuples(
+                st.just(f_c),
+                st.floats(math.log(2), _epsilon_limit(f_c), exclude_min=True, exclude_max=True),
+            )
+        )
+    )
+    @example(budget=(0.85, 140.0))
+    @example(budget=(0.85, 700.0))
+    @example(budget=(0.85, math.nextafter(_epsilon_limit(0.85), 0)))
+    def test_closed_form_passes_up_to_the_limit(self, budget):
+        # 1 - t falls below 1e-50 from epsilon = 140 at f_C = 0.85; the
+        # certificate must still see the channel's budget.
+        f_c, eps = budget
+        params = PrivacyParams(epsilon=eps, delta=1e-5, f_C=f_c)
+        for lengths in self.SHAPES:
+            model = build_report_model(params, _mixed_head_list(lengths))
+            assert verify_dp_closed_form(model, params.eps_prime, params.delta_prime) <= 0
+
+    def test_the_limit_is_rejected(self):
+        for f_c in (0.85, 0.5, 0.05):
+            limit = _epsilon_limit(f_c)
+            PrivacyParams(epsilon=math.nextafter(limit, 0), f_C=f_c)
+            with pytest.raises(ParamError, match=f"epsilon must be below {limit}"):
+                PrivacyParams(epsilon=limit, f_C=f_c)

@@ -129,6 +129,8 @@ def _read_prob_csv(path: str) -> dict[Record, float]:
         if missing:
             raise ParseError(f"{path}, line 1: missing column(s) {', '.join(missing)}")
         for row in reader:
+            if None in (row["query"], row["url"]):  # DictReader's fill for a short row
+                raise ParseError(f"{path}, line {reader.line_num}: missing query or url cell")
             try:
                 p = float(row[key])
                 if not 0.0 <= p <= 1.0:  # also rejects nan

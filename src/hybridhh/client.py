@@ -7,9 +7,9 @@ or a uniformly random other query; if truthful at the query stage, it
 then decides whether to report its true url (probability t_q) or a
 uniformly random other url from the query's list. The server knows the
 channel exactly and inverts it to recover unbiased probability
-estimates from the aggregated report fractions. The simulation and the
-server take the clients' records already folded onto the list's slots
-by `core.record_slots`.
+estimates from the aggregated report fractions. The simulation takes
+the clients' records already folded onto the list's slots by
+`core.record_slots`; the server takes report counts keyed by record.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .core import (
     ParamError,
     PrivacyParams,
     Record,
-    RecordCounts,
     Stage,
     canonicalize,
 )
@@ -121,9 +120,9 @@ def simulate_reports(
     model: ReportModel,
     hl: HeadList,
     rng: np.random.Generator,
-) -> RecordCounts:
+) -> dict[Record, int]:
     """Report counts of a whole client population, drawn in aggregate,
-    over the slots of `hl`.
+    keyed by the records of `hl` that got a report, in `hl.records()` order.
 
     `held[i]` clients hold the i-th record of `hl.records()`, their own
     record once canonicalized as in `local_privatize` (see
@@ -166,7 +165,8 @@ def simulate_reports(
         moved = rng.multinomial(landed[got], np.full(w, 1.0 / w))
         reports[starts[got, None] + np.arange(w)] += moved
 
-    return RecordCounts(hl.records(), reports, hl.slot)
+    got = np.flatnonzero(reports)
+    return dict(zip(map(hl.records().__getitem__, got.tolist()), reports[got].tolist()))
 
 
 def _affine_form(t: float, k: int, t_q: float, k_q: int) -> tuple[float, ...]:
@@ -222,8 +222,8 @@ def client_estimates_from_counts(
     """Denoised estimates from aggregated report counts, with their
     Bessel-corrected sample variances.
 
-    Counts are `simulate_reports`' array over the slots of `hl`, or a
-    mapping keyed by members of the client-augmented head list.
+    Counts are keyed by members of the client-augmented head list, as
+    `simulate_reports` returns them, and folded onto its slots by name.
     With b = b_p / g_q a record's estimate is a * r_qu + b * r_q plus a
     constant, and Cov(r_qu, r_q) = r_qu (1 - r_q) / n, so its variance is
     that of a * [report on (q, u)] + b * [report on q], a variable taking
@@ -235,13 +235,10 @@ def client_estimates_from_counts(
         raise ParamError("client estimation requires a client-augmented head list")
     if n < 2:
         raise ParamError("need at least 2 client reports")
-    if isinstance(counts, RecordCounts) and counts.slot is hl.slot:
-        c = counts.counts.astype(np.float64)
-    else:
-        at = hl.slots(counts)
-        if np.any(at < 0):
-            raise ParamError(f"report {list(counts)[np.argmin(at)]} is not in the head list")
-        c = np.bincount(at, weights=list(counts.values()), minlength=hl.num_records())
+    at = hl.slots(counts)
+    if np.any(at < 0):
+        raise ParamError(f"report {list(counts)[np.argmin(at)]} is not in the head list")
+    c = np.bincount(at, weights=list(counts.values()), minlength=hl.num_records())
 
     queries = hl.queries
     shapes = list(zip(map(model.t_q.__getitem__, queries), map(model.k_q.__getitem__, queries)))

@@ -54,7 +54,7 @@ class RecordTable(Sequence[Record]):
     url_ids: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # Consumers find a query's records by searching the id columns.
+        # Consumers bisect the table and read each query's records as one id run.
         query_step, url_step = np.diff(self.query_ids), np.diff(self.url_ids)
         if not (
             all(map(operator.lt, self.queries, self.queries[1:]))
@@ -110,15 +110,13 @@ def _position(items: Sequence, item) -> int:
 
 
 class RecordCounts(Mapping[Record, int]):
-    """A count array over a record table's ids, or over a head list's
-    records given its `slot` index, read as a mapping from record to
-    count without copying it. Its keys are the records of nonzero count,
-    in table order."""
+    """A count array over a record table's ids, read as a mapping from
+    record to count without copying it. Its keys are the records of
+    nonzero count, in table order."""
 
-    def __init__(self, table: Sequence[Record], counts: np.ndarray, slot: Mapping | None = None):
+    def __init__(self, table: RecordTable, counts: np.ndarray):
         self.table = table
         self.counts = counts
-        self.slot = slot
 
     nonzero = cached_property(lambda self: np.flatnonzero(self.counts))
 
@@ -138,7 +136,7 @@ class RecordCounts(Mapping[Record, int]):
         return map(self.table.__getitem__, self.nonzero.tolist())
 
     def __getitem__(self, record: Record) -> int:
-        i = _position(self.table, record) if self.slot is None else self.slot.get(record, -1)
+        i = _position(self.table, record)
         if i < 0 or not self.counts[i]:
             raise KeyError(record)
         return int(self.counts[i])
@@ -309,24 +307,20 @@ def record_slots(table: RecordTable, hl: HeadList) -> np.ndarray:
     canonicalized as in `canonicalize`. A table other than the one `hl`
     carries ids for is canonicalized record by record.
 
-    On the carried table every record starts on the wildcard's slot. On a
-    client-augmented list, a listed query's records hold one contiguous
-    id range of the sorted table, found by `np.searchsorted` on its
-    query ids from its first record's; they take the query's star slot,
-    its last. Each listed record then takes its own.
+    On the carried table each of the table's queries has one slot its
+    unlisted records fold to: the wildcard's, or on a client-augmented
+    list a listed regular query's star slot, its last, whose carried id
+    is -1. Each record reads its query's, and each listed record then
+    takes its own.
     """
     if hl.carried is None or hl.carried[0] is not table:
         return hl.slots([canonicalize(record, hl) for record in table])
     ids = hl.carried[1]
-    slots = np.full(len(table), hl.wildcard, dtype=np.int64)
-    if hl.stage is Stage.CLIENT_AUGMENTED:
-        regular = np.flatnonzero(ids[hl.starts] >= 0)
-        query = table.query_ids[ids[hl.starts[regular]]]
-        lo = np.searchsorted(table.query_ids, query).tolist()
-        hi = np.searchsorted(table.query_ids, query, side="right").tolist()
-        stars = np.append(hl.starts[1:], len(ids)) - 1
-        for star, start, stop in zip(stars[regular].tolist(), lo, hi):
-            slots[start:stop] = star
+    folds_to = np.full(len(table.queries), hl.wildcard, dtype=np.int64)
+    last = np.append(hl.starts[1:], len(ids)) - 1
+    starred = np.flatnonzero((ids[hl.starts] >= 0) & (ids[last] < 0))
+    folds_to[table.query_ids[ids[hl.starts[starred]]]] = last[starred]
+    slots = folds_to[table.query_ids]
     listed = np.flatnonzero(ids >= 0)
     slots[ids[listed]] = listed
     return slots

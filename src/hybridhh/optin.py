@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -148,32 +147,29 @@ def estimate_optin_probabilities(
     counts = np.bincount(slots, weights=held.counts[held.nonzero], minlength=size)
     p_hat = (counts + laplace_samples(b_t, size, rng)) / n
 
-    # Trim to the top-M queries by estimated marginal, which bincount sums
-    # left to right as `sum` does. The wildcard is always kept on top of
-    # the M regular queries; the trimmed queries' mass joins it in list order.
-    queries = hl_initial.queries
-    marginals = dict(zip(queries, np.bincount(hl_initial.of_query, weights=p_hat).tolist()))
-    wildcard = hl_initial.wildcard
-    regular = [q for q in queries if q != STAR]
-    ranked = sorted(regular, key=lambda q: (-marginals[q], q))
-    trimmed = set(ranked[params.M:])
+    # Trim to the top M of the initial list's query indices by estimated
+    # marginal. The wildcard is always kept on top of them; the trimmed
+    # queries' mass joins it one by one in list order (`sum` compensates from 3.12).
+    queries, of_query, wildcard = hl_initial.queries, hl_initial.of_query, hl_initial.wildcard
+    marginal = np.bincount(of_query, weights=p_hat).tolist()
+    star = int(of_query[wildcard])
+    regular = (i for i in range(len(queries)) if i != star)
+    ranked = sorted(regular, key=lambda i: (-marginal[i], queries[i]))
+    kept, trimmed = ranked[: params.M], ranked[params.M:]
     star_mass = float(p_hat[wildcard])
-    for q in regular:
-        if q in trimmed:
-            star_mass += marginals[q]
-    marginals[STAR] = p_hat[wildcard] = star_mass
-
-    order = sorted(ranked[: params.M] + [STAR], key=lambda q: (-marginals[q], q))
-    entries = {q: hl_initial.urls(q) for q in order}
-    # The final list's slots on the initial one; its carried ids are read there.
-    start = dict(zip(queries, hl_initial.starts.tolist()))
-    at = np.fromiter(
-        chain.from_iterable(range(start[q], start[q] + len(entries[q])) for q in order), np.int64
-    )
+    for i in sorted(trimmed):
+        star_mass += marginal[i]
+    marginal[star] = p_hat[wildcard] = star_mass
+    order = sorted(kept + [star], key=lambda i: (-marginal[i], queries[i]))
+    # The final list's slots on the initial one, where its carried ids are
+    # read: the slots stably sorted by their query's rank, trimmed queries last.
+    rank = np.argsort(order + trimmed)[of_query]
+    at = np.argsort(rank, kind="stable")[: np.count_nonzero(rank < len(order))]
     carried = hl_initial.carried and (hl_initial.carried[0], hl_initial.carried[1][at])
+    entries = {queries[i]: hl_initial.urls(queries[i]) for i in order}
     hl_final = HeadList(entries, Stage.FINAL, carried)
     record_probs = p_hat[at]
-    query_probs = np.array([marginals[q] for q in order])
+    query_probs = np.array(marginal)[order]
     # Reusing the record-level variance formula for the accumulated
     # wildcard mass is known to be statistically loose; kept for
     # faithfulness to the estimation procedure.

@@ -268,24 +268,18 @@ class TestSimulateReports:
         widths = {model.k_q[q] for q in hl.queries}
         assert rng.calls <= 3 + 2 * len(widths)
 
-    def test_counts_are_a_view_over_the_slots(self):
-        # The denoiser reads the view's array; a plain dict of the same
-        # counts, as the acceptance criteria pass, gives the same floats.
+    def test_counts_are_keyed_by_the_reported_slots_in_list_order(self):
+        # A plain dict, as the acceptance criteria pass the denoiser: its
+        # keys are the slots that got a report, in `hl.records()` order.
         hl = make_augmented_head_list(6, 3)
         model = build_report_model(PrivacyParams(), hl)
         held = np.arange(hl.num_records(), dtype=np.int64) * 7
         counts = simulate_reports(held, model, hl, substream(0xC0, 1))
-        assert counts.counts.shape == (hl.num_records(),)
-        plain = dict(counts.items())
-        assert list(plain) == [r for r, c in zip(hl.records(), counts.counts.tolist()) if c]
-        assert sum(c for r, c in counts.items() if STAR in r) == sum(
-            c for r, c in zip(hl.records(), counts.counts.tolist()) if STAR in r
-        )
-        n = int(held.sum())
-        got = client_estimates_from_counts(counts, n, model, hl)
-        want = client_estimates_from_counts(plain, n, model, hl)
-        for name in ("p", "var", "query_p", "query_var"):
-            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+        assert type(counts) is dict
+        by_slot = [counts.get(r, 0) for r in hl.records()]
+        assert list(counts) == [r for r, c in zip(hl.records(), by_slot) if c]
+        assert all(type(c) is int and c > 0 for c in counts.values())
+        assert sum(by_slot) == held.sum()
 
     def test_noiseless_channel_is_identity(self):
         hl = make_augmented_head_list(4, 3)

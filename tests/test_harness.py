@@ -242,22 +242,27 @@ class TestRunBlender:
         assert any(r["query"] == "*" and r["url"] == "*" for r in rows)
 
     def test_artifacts_reuse_the_blends_client_slots(self, tmp_path, monkeypatch):
-        # The blend looks the final list up in the client estimates once,
-        # and the writer reads them at the slots the blend kept.
+        # The denoiser looks the reports up once, and the blend the final
+        # list once; the writer reads the client estimates at the slots
+        # the blend kept, with no lookup of its own.
         calls = []
         real = core.HeadList.slots
 
-        def counting(self, records):
-            calls.append(len(records))
+        def recording(self, records):
+            calls.append(list(records))
             return real(self, records)
 
-        monkeypatch.setattr(core.HeadList, "slots", counting)
+        monkeypatch.setattr(core.HeadList, "slots", recording)
         config = small_config()
         dataset = load_dataset(config)
+        seen = []
         for out_dir in (None, tmp_path):
             calls.clear()
             result = run_blender(config, dataset, out_dir=out_dir)
-            assert calls == [result.head_list.num_records()]
+            final = list(result.head_list.records())
+            assert [c == final for c in calls].count(True) == 1
+            seen.append(list(calls))
+        assert seen[0] == seen[1]
 
     def test_estimate_cells_are_plain_floats(self, tmp_path):
         # Every estimate, variance and weight cell of a synthetic and a TSV
@@ -490,6 +495,17 @@ class TestCli:
         truth.write_text("query,url,p\nq,a,-0.2\nr,b,0.6\n", encoding="utf-8")
         err = self.metrics_input_error(capsys, blended, truth)
         assert str(truth) in err and "line 2" in err and "'-0.2'" in err and "[0, 1]" in err
+
+    @pytest.mark.parametrize("side", ["blended", "truth"])
+    @pytest.mark.parametrize("short", ["0.5,a", "0.5"])
+    def test_metrics_row_lacking_a_name_cell_exits_1(self, tmp_path, capsys, side, short):
+        # The cells a short row lacks are not compared as names.
+        good = {"blended": "p_blend,query,url\n0.5,q,a\n", "truth": "p,query,url\n0.5,q,a\n"}
+        paths = {name: tmp_path / f"{name}.csv" for name in good}
+        for name, path in paths.items():
+            path.write_text(good[name] + (short + "\n" if name == side else ""), encoding="utf-8")
+        err = self.metrics_input_error(capsys, paths["blended"], paths["truth"])
+        assert str(paths[side]) in err and "line 3" in err and "missing query or url" in err
 
     def test_metrics_repeated_record_exits_1(self, tmp_path, capsys):
         once = tmp_path / "once.csv"

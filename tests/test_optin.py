@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hybridhh.core import (
     PrivacyParams,
     Record,
     RecordCounts,
+    RecordTable,
     Stage,
     canonicalize,
     record_slots,
@@ -431,3 +433,112 @@ class TestCarriedIds:
         want = estimate_optin_probabilities(params, t_records, searched, substream(36, 4))
         assert got.head_list == want.head_list
         assert got.estimates.record_probs == want.estimates.record_probs
+
+
+def trim_reference(params, hl_initial, p_hat, n, b_t):
+    """The trim keyed by query name: marginals in a dict, the trimmed
+    queries in a set, their mass added to the wildcard's in list order,
+    and the final list's slots found from each query's first slot.
+    Returns the final list and its p, var, query_p and query_var."""
+    p_hat = p_hat.copy()
+    queries = hl_initial.queries
+    marginals = dict(zip(queries, np.bincount(hl_initial.of_query, weights=p_hat).tolist()))
+    wildcard = hl_initial.wildcard
+    regular = [q for q in queries if q != STAR]
+    ranked = sorted(regular, key=lambda q: (-marginals[q], q))
+    trimmed = set(ranked[params.M:])
+    star_mass = float(p_hat[wildcard])
+    for q in regular:
+        if q in trimmed:
+            star_mass += marginals[q]
+    marginals[STAR] = p_hat[wildcard] = star_mass
+
+    order = sorted(ranked[: params.M] + [STAR], key=lambda q: (-marginals[q], q))
+    entries = {q: hl_initial.urls(q) for q in order}
+    start = dict(zip(queries, hl_initial.starts.tolist()))
+    at = np.fromiter(
+        chain.from_iterable(range(start[q], start[q] + len(entries[q])) for q in order), np.int64
+    )
+    carried = hl_initial.carried and (hl_initial.carried[0], hl_initial.carried[1][at])
+    hl_final = HeadList(entries, Stage.FINAL, carried)
+    record_probs = p_hat[at]
+    query_probs = np.array([marginals[q] for q in order])
+    return (
+        hl_final, record_probs, optin_variance(record_probs, n, b_t),
+        query_probs, optin_variance(query_probs, n, b_t),
+    )
+
+
+class TestTrimMatchesReference:
+    """The trim by query index against the trim by query name, bit for
+    bit. Each case draws: a hand-built initial list, its queries and the
+    star in shuffled order, or a list carried from `create_head_list`; a
+    noisy estimate of eighths (ties, the star's too) or of general
+    floats (sums that depend on their order); and M below, at or above
+    the number of regular queries."""
+
+    CASES = 2400
+    NAMES = ("q1", "q10", "q2", "*", "\u00e9", "\u65e5\u672c", "q1/u", "q1\x00", "a", "b")
+
+    def hand_built(self, rng):
+        """A shuffled initial list of 2 to 8 regular queries, and T's
+        counts: each slot's record held 0 to 5 times, plus an unlisted one."""
+        # Names are picked by index: numpy strings drop a trailing NUL.
+        names = [self.NAMES[i] for i in rng.permutation(len(self.NAMES))[: rng.integers(2, 9)]]
+        names.append(STAR)
+        names = [names[i] for i in rng.permutation(len(names))]
+        entries = {
+            q: (STAR,) if q == STAR else tuple(f"{q}/u{j}" for j in range(rng.integers(1, 4)))
+            for q in names
+        }
+        hl = HeadList(entries, Stage.INITIAL)
+        held = dict(zip(hl.records(), rng.integers(0, 6, hl.num_records()).tolist()))
+        held[Record("off", "list")] = int(rng.integers(0, 6))
+        return hl, RecordCounts.of(held)
+
+    def carried(self, rng, params):
+        """A list admitted from a random table, two of its queries held
+        far above the threshold, and T's counts over the same table."""
+        picks = rng.integers(0, len(self.NAMES), (30, 2)).tolist()
+        rows = sorted({(self.NAMES[q], self.NAMES[u]) for q, u in picks})
+        table, _ = RecordTable.of([q for q, _ in rows], [u for _, u in rows])
+        s_counts = rng.integers(0, 20, len(table))
+        first = np.flatnonzero(np.diff(table.query_ids, prepend=-1))
+        s_counts[rng.choice(first, 2, replace=False)] = 50
+        hl = create_head_list(params, RecordCounts(table, s_counts), substream(0x7121, 0))
+        return hl, RecordCounts(table, rng.integers(0, 6, len(table)))
+
+    def test_trim_matches_the_name_keyed_reference(self):
+        for case in range(self.CASES):
+            rng = np.random.default_rng([0x7121, case])
+            build, law, m_side = case % 2, case // 2 % 2, case // 4 % 3
+            hl, held = self.carried(rng, PrivacyParams()) if build else self.hand_built(rng)
+            # n a multiple of 8, so an eighth times n is a whole count.
+            held.counts[held.counts.argmax()] += 8 - held.counts.sum() % 8
+            n = int(held.counts.sum())
+            regular = hl.k - 1
+            M = (int(rng.integers(1, regular)), regular, regular + int(rng.integers(1, 4)))[m_side]
+            params = PrivacyParams(M=M)
+            slots = record_slots(held.table, hl)[held.nonzero]
+            weights = held.counts[held.nonzero]
+            counts = np.bincount(slots, weights=weights, minlength=hl.num_records())
+            if law:
+                target = rng.normal(0.05, 0.1, hl.num_records())
+            else:
+                target = rng.integers(-2, 5, hl.num_records()) / 8
+            noise = target * n - counts
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(optin, "laplace_samples", lambda scale, size, rng: noise)
+                got = estimate_optin_probabilities(params, held, hl, substream(0, 0))
+            want_hl, *want = trim_reference(
+                params, hl, (counts + noise) / n, n, compute_threshold(params)[0]
+            )
+            est = got.estimates
+            assert list(got.head_list.entries.items()) == list(want_hl.entries.items()), case
+            if build:
+                assert got.head_list.carried[0] is want_hl.carried[0]
+                assert got.head_list.carried[1].tolist() == want_hl.carried[1].tolist(), case
+            else:
+                assert got.head_list.carried is want_hl.carried is None
+            for name, array in zip(("p", "var", "query_p", "query_var"), want):
+                assert getattr(est, name).tobytes() == array.tobytes(), (case, name)

@@ -1,5 +1,6 @@
 """Checks on the package's source text."""
 
+import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hybridhh"
@@ -16,3 +17,37 @@ def test_no_source_line_exceeds_the_limit():
         if len(line) > MAX_LINE
     ]
     assert not long
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name the module reads, those in quoted annotations too."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+                used |= _used_names(ast.parse(annotation.value, mode="eval"))
+    return used
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # A name the tracer wraps by module attribute is imported for that
+    # alone; its import line says so with `noqa: F401`.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines, tree = text.split("\n"), ast.parse(text)
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            if any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} imports {name} unused")
+    assert not unused

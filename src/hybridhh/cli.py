@@ -151,7 +151,11 @@ def _read_prob_csv(path: str) -> dict[Record, float]:
 
 
 def _cmd_metrics(args) -> int:
-    l1, ndcg = metrics.score(_read_prob_csv(args.blended), _read_prob_csv(args.truth))
+    blended, truth = _read_prob_csv(args.blended), _read_prob_csv(args.truth)
+    try:
+        l1, ndcg = metrics.score(blended, truth)
+    except ParamError as exc:
+        raise ParamError(f"{args.blended} scored against {args.truth}: {exc}") from None
     print(f"L1 = {l1:.6f}")
     print(f"NDCG = {ndcg:.6f}")
     return 0

@@ -12,6 +12,9 @@ contiguous id range. The parser reads the log's bytes with numpy and
 hands Python only each distinct user, each distinct query-and-url tail
 and each line that may be blank or a comment. Partitioning and per-user
 sampling work on the integer arrays and return record counts by id.
+The records of the users who hold one record are counted once, with
+the index: those are their picks before any draw, so the clients'
+counts can be the population's less the opt-in users'.
 `Dataset.users` rebuilds the users one at a time from the index, for
 writing a log back out.
 """
@@ -55,7 +58,11 @@ class Dataset:
     """Users in first-seen order and the table of distinct records; each
     user's records as int32 ids into the table, user-major, at `offsets`
     for `lengths`. A parsed log holds its user ids as a tuple; a
-    synthetic one as `SynthUserIds`, which names each id when read."""
+    synthetic one as `SynthUserIds`, which names each id when read.
+
+    Derived once from the index: which users hold `several` records, and
+    the records the other users hold, counted by id (`single_counts`, of
+    `singles` users), which are those users' picks before any draw."""
 
     user_ids: Sequence[str]
     record_table: RecordTable
@@ -63,13 +70,24 @@ class Dataset:
     lengths: np.ndarray = field(repr=False)
     true_distribution: Optional[Mapping[Record, float]] = None
     offsets: np.ndarray = field(init=False, repr=False)
+    several: np.ndarray = field(init=False, repr=False)
+    single_counts: np.ndarray = field(init=False, repr=False)
+    singles: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.true_distribution is not None:
             total = sum(self.true_distribution.values())
             if abs(total - 1.0) > 1e-9:
                 raise ParamError(f"true distribution sums to {total}, not 1")
-        object.__setattr__(self, "offsets", np.cumsum(self.lengths) - self.lengths)
+        offsets = np.cumsum(self.lengths) - self.lengths
+        several = self.lengths > 1
+        held = self.record_ids[offsets[~several]]
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "several", several)
+        object.__setattr__(
+            self, "single_counts", np.bincount(held, minlength=len(self.record_table))
+        )
+        object.__setattr__(self, "singles", len(held))
 
     def __len__(self) -> int:
         return len(self.user_ids)
@@ -324,14 +342,39 @@ def sample_per_user(
     several records draw: one `rng.integers` call over their record
     counts, in the order given. A user with one record takes it, as a
     draw over a range of one would, which consumes no randomness, so the
-    stream is that of one draw over every user. The result has one entry
-    per record of `dataset.record_table`.
+    stream is that of one draw over every user, and leaving one-record
+    users out of `users` changes no draw (`sample_clients` does). The
+    result has one entry per record of `dataset.record_table`.
     """
     lengths = dataset.lengths[users]
     at = dataset.offsets[users]
     several = np.flatnonzero(lengths > 1)
     at[several] += rng.integers(lengths[several])
     return np.bincount(dataset.record_ids[at], minlength=len(dataset.record_table))
+
+
+def sample_clients(
+    dataset: Dataset, clients: np.ndarray, optin: Sequence[np.ndarray], rng: np.random.Generator
+) -> np.ndarray:
+    """`sample_per_user(dataset, clients, rng)`, where `clients` are all
+    the users outside the `optin` groups: the same counts and draws.
+
+    When the opt-in users are fewer than the one-record users outside
+    them (at least `dataset.singles` less the opt-in users), the clients'
+    one-record counts are the population's less the opt-in groups', and
+    only the clients with several records are sampled, in the order
+    given. A one-record user draws nothing, so the stream is that of the
+    call over every client. Otherwise every client is sampled.
+    """
+    n_optin = sum(map(len, optin))
+    if n_optin >= dataset.singles - n_optin:
+        return sample_per_user(dataset, clients, rng)
+    optin = np.concatenate(optin)
+    single = optin[~dataset.several[optin]]
+    counts = dataset.single_counts - np.bincount(
+        dataset.record_ids[dataset.offsets[single]], minlength=len(dataset.record_table)
+    )
+    return counts + sample_per_user(dataset, clients[dataset.several[clients]], rng)
 
 
 def partition_users(

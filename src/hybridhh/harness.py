@@ -181,7 +181,7 @@ def run_blender(
     # Only the report counts reach the server, so the clients' picks are
     # counted per head-list slot and pushed through the channel in aggregate.
     crng = substream(run_seed, 5)
-    picks = data.sample_per_user(dataset, c_users, crng)
+    picks = data.sample_clients(dataset, c_users, (s_users, t_users), crng)
     slots = record_slots(table, hl_aug)
     # Float sums of integer counts are exact below 2**53.
     held = np.bincount(slots, weights=picks, minlength=hl_aug.num_records()).astype(np.int64)

@@ -23,17 +23,28 @@ from .core import STAR, ParamError, Record, RecordTable
 
 @dataclass(frozen=True, eq=False)
 class RankedEstimate:
-    """Star-free, renormalized estimate in ranked form: the rescaled p and
-    query id of each of `records`, and each query's marginal by id. `order`
-    lists the records by descending query marginal, then each query's urls
-    by descending p; ids follow the names' code-point order, so ties break
-    lexicographically and identical inputs always rank identically."""
+    """Star-free, renormalized estimate in ranked form: the rescaled p,
+    table id and query id of each of `records`, and each query's marginal
+    by id. `order` lists the records by descending query marginal, then
+    each query's urls by descending p; ids follow the names' code-point
+    order, so ties break lexicographically and identical inputs always
+    rank identically."""
 
     records: tuple[Record, ...]
     p: np.ndarray
+    ids: np.ndarray
     of_query: np.ndarray
     query_p: np.ndarray
     order: np.ndarray
+
+    @classmethod
+    def of(cls, records, p, ids, of_query) -> RankedEstimate:
+        """Rank `records` given their rescaled p, table ids and query ids."""
+        # A query's mass adds its records' p in input order.
+        query_p = np.bincount(of_query, weights=p)
+        query_rank = np.argsort(np.argsort(-query_p, kind="stable"))
+        order = np.lexsort((ids, -p, query_rank[of_query]))
+        return cls(records, p, ids, of_query, query_p, order)
 
     @cached_property
     def _runs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -57,13 +68,8 @@ def strip_stars_and_rescale(probs: Mapping[Record, float]) -> RankedEstimate:
     if not kept or total <= 0:
         raise ParamError("no probability mass outside the wildcard entries")
     table, ids = RecordTable.of(*zip(*kept))
-    of_query = table.query_ids[ids]
     p = np.fromiter(kept.values(), float, len(kept)) / total
-    # A query's mass adds its records' p in input order.
-    query_p = np.bincount(of_query, weights=p)
-    query_rank = np.argsort(np.argsort(-query_p, kind="stable"))
-    order = np.lexsort((ids, -p, query_rank[of_query]))
-    return RankedEstimate(tuple(kept), p, of_query, query_p, order)
+    return RankedEstimate.of(tuple(kept), p, ids, table.query_ids[ids])
 
 
 def l1_distance(p_hat: Sequence[float], p: Sequence[float]) -> float:
@@ -146,9 +152,18 @@ def score(
     zero; mass outside the list plays no part. L1 compares the estimate
     with that restriction directly. NDCG renormalizes both after
     discarding the wildcard, so a truth file covering the whole log
-    scores the same as one already folded onto the list.
+    scores the same as one already folded onto the list. The truth is
+    ranked on the estimate's record and query ids.
     """
-    ranked = strip_stars_and_rescale(estimate)
-    on_list = dict(zip(ranked.records, map(truth.get, ranked.records, repeat(0.0))))
-    l1 = l1_distance(list(map(estimate.__getitem__, ranked.records)), list(on_list.values()))
-    return l1, generalized_ndcg(ranked, strip_stars_and_rescale(on_list))
+    try:
+        ranked = strip_stars_and_rescale(estimate)
+    except ParamError:
+        raise ParamError("the estimate has no mass on its star-free records") from None
+    on_list = list(map(truth.get, ranked.records, repeat(0.0)))
+    l1 = l1_distance(list(map(estimate.__getitem__, ranked.records)), on_list)
+    total = sum(on_list)
+    if total <= 0:
+        raise ParamError("the truth puts no mass on the estimate's star-free records")
+    p = np.array(on_list, dtype=float) / total
+    truth_ranked = RankedEstimate.of(ranked.records, p, ranked.ids, ranked.of_query)
+    return l1, generalized_ndcg(ranked, truth_ranked)

@@ -29,6 +29,7 @@ from hybridhh.data import (
     open_input,
     parse_log,
     partition_users,
+    sample_clients,
     sample_per_user,
     serialize_log,
     synth_zipf,
@@ -355,6 +356,50 @@ class TestSamplePerUser:
         unpicked = [rec for rec, n in zip(ds.record_table, counts.tolist()) if not n]
         absent = [Record("q0", "u9"), Record("q9", "u0"), Record("", "")]
         assert unpicked and not any(rec in held for rec in unpicked + absent)
+
+
+# Users of 1-8 records: all of one record, none of one, or a mixture.
+USER_SIZES = st.lists(
+    st.one_of(st.just(1), st.integers(2, 8), st.integers(1, 8)), min_size=2, max_size=60
+)
+MIXED = [1, 3, 1, 1, 2, 7, 1, 1, 8, 1, 5, 1] * 4
+
+
+class TestSampleClients:
+    @given(
+        sizes=st.one_of(USER_SIZES, USER_SIZES.map(lambda s: [1] * len(s))),
+        shared=st.booleans(),
+        optin_share=st.floats(0.0, 1.0),
+        s_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Each side of the choice: opt-in users fewer than the one-record
+    # users outside them, or not.
+    @example(sizes=[1] * 40, shared=True, optin_share=0.25, s_share=0.5, seed=0)
+    @example(sizes=MIXED, shared=True, optin_share=0.125, s_share=0.5, seed=1)
+    @example(sizes=MIXED, shared=False, optin_share=0.125, s_share=0.5, seed=2)
+    @example(sizes=MIXED, shared=True, optin_share=0.5, s_share=0.5, seed=3)
+    @example(sizes=[2, 3, 8] * 10, shared=True, optin_share=0.1, s_share=0.5, seed=4)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sampling_every_client(self, sizes, shared, optin_share, s_share, seed):
+        # Reference: one `sample_per_user` call over every client, on a
+        # random partition of the users into S, T and the clients.
+        ds = dataset_of(sizes, shared)
+        n_optin = round(optin_share * len(ds))
+        n_s = round(s_share * n_optin)
+        users = np.random.default_rng(seed).permutation(len(ds))
+        s, t, clients = users[:n_s], users[n_s:n_optin], users[n_optin:]
+        rng_a, rng_b = substream(57, seed), substream(57, seed)
+        got = sample_clients(ds, clients, (s, t), rng_a)
+        assert np.array_equal(got, sample_per_user(ds, clients, rng_b))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_one_record_counts_are_derived_with_the_index(self):
+        ds = dataset_of(MIXED, shared=True)
+        singles = [user.records[0] for user in ds.users if len(user.records) == 1]
+        assert ds.several.tolist() == [n > 1 for n in MIXED]
+        assert ds.singles == len(singles)
+        assert by_record(ds, ds.single_counts) == Counter(singles)
 
 
 class TestDatasetIndex:

@@ -507,6 +507,25 @@ class TestCli:
         err = self.metrics_input_error(capsys, paths["blended"], paths["truth"])
         assert str(paths[side]) in err and "line 3" in err and "missing query or url" in err
 
+    def test_metrics_truth_without_mass_on_the_blend_exits_1(self, tmp_path, capsys):
+        # The truth has mass outside the wildcard, only none on the blend's records.
+        blended = tmp_path / "blended.csv"
+        blended.write_text("query,url,p_blend\nqa,ua,0.6\nqb,ub,0.4\n", encoding="utf-8")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("query,url,p\nqc,uc,1.0\n", encoding="utf-8")
+        err = self.metrics_input_error(capsys, blended, truth)
+        assert f"{blended} scored against {truth}" in err
+        assert "the truth puts no mass on the estimate's star-free records" in err
+
+    def test_metrics_blend_without_star_free_mass_exits_1(self, tmp_path, capsys):
+        blended = tmp_path / "blended.csv"
+        blended.write_text("query,url,p_blend\nq,a,0.0\n*,*,1.0\n", encoding="utf-8")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("query,url,p\nq,a,1.0\n", encoding="utf-8")
+        err = self.metrics_input_error(capsys, blended, truth)
+        assert f"{blended} scored against {truth}" in err
+        assert "the estimate has no mass on its star-free records" in err
+
     def test_metrics_repeated_record_exits_1(self, tmp_path, capsys):
         once = tmp_path / "once.csv"
         once.write_text("query,url,p\nq,u,0.7\n", encoding="utf-8")

@@ -346,11 +346,11 @@ class _DictRanked:
         return dict(zip(self.url_orders[query], map(truediv, negated, repeat(total))))
 
 
-def _dict_strip(probs):
+def _dict_strip(probs, empty="no probability mass outside the wildcard entries"):
     kept = {r: p for r, p in probs.items() if STAR not in r}
     total = sum(kept.values())
     if not kept or total <= 0:
-        raise ParamError("no probability mass outside the wildcard entries")
+        raise ParamError(empty)
     query_probs, by_query = {}, {}
     for (q, u), negated in zip(kept, map(truediv, kept.values(), repeat(-total))):
         query_probs[q] = query_probs.get(q, 0.0) - negated
@@ -405,7 +405,10 @@ def _dict_score(estimate, truth):
     star_free = [r for r in estimate if STAR not in r]
     on_list = dict(zip(star_free, map(truth.get, star_free, repeat(0.0))))
     l1 = sum(map(abs, map(sub, map(estimate.__getitem__, star_free), on_list.values())))
-    return l1, _dict_generalized_ndcg(_dict_strip(estimate), _dict_strip(on_list))
+    return l1, _dict_generalized_ndcg(
+        _dict_strip(estimate, "the estimate has no mass on its star-free records"),
+        _dict_strip(on_list, "the truth puts no mass on the estimate's star-free records"),
+    )
 
 
 def _score_input(rng):

@@ -255,4 +255,4 @@ def client_estimates_from_counts(
     r_qu, r_other, off = c / n, (c_q[of_query] - c) / n, off_q[of_query]
     p = a * r_qu + b_p * p_q[of_query] + c_p
     var = (a**2 * r_qu * r_other + (a + b) ** 2 * r_qu * off + b**2 * r_other * off) / (n - 1)
-    return EstimateVector(hl, p, var, p_q, var_q, n)
+    return EstimateVector(hl, p, var, p_q, var_q)

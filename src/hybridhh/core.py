@@ -18,9 +18,10 @@ import math
 import operator
 import sys
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -54,7 +55,7 @@ class RecordTable(Sequence[Record]):
     url_ids: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        # Consumers bisect the table and read each query's records as one id run.
+        # Consumers read ids in record order and each query's records as one id run.
         query_step, url_step = np.diff(self.query_ids), np.diff(self.url_ids)
         if not (
             all(map(operator.lt, self.queries, self.queries[1:]))
@@ -109,10 +110,9 @@ def _position(items: Sequence, item) -> int:
     return i if i < len(items) and items[i] == item else -1
 
 
-class RecordCounts(Mapping[Record, int]):
-    """A count array over a record table's ids, read as a mapping from
-    record to count without copying it. Its keys are the records of
-    nonzero count, in table order."""
+class RecordCounts:
+    """A count array over a record table's ids. It iterates the records
+    of nonzero count, in table order."""
 
     def __init__(self, table: RecordTable, counts: np.ndarray):
         self.table = table
@@ -121,25 +121,20 @@ class RecordCounts(Mapping[Record, int]):
     nonzero = cached_property(lambda self: np.flatnonzero(self.counts))
 
     @classmethod
-    def of(cls, counts: Mapping[Record, int]) -> RecordCounts:
-        """The counts of a record-keyed mapping, over a table of its keys."""
-        records = list(counts)
-        table, rank = RecordTable.of([r.query for r in records], [r.url for r in records])
+    def of(cls, records: Iterable[Record] | Mapping[Record, int]) -> RecordCounts:
+        """Records, or counts keyed by record, as counts over a table of
+        the records; a `RecordCounts` is returned as it is."""
+        if isinstance(records, RecordCounts):
+            return records
+        counts = records if isinstance(records, Mapping) else Counter(records)
+        keys = list(counts)
+        table, rank = RecordTable.of([r.query for r in keys], [r.url for r in keys])
         held = np.zeros(len(table), dtype=np.int64)
         held[rank] = list(counts.values())
         return cls(table, held)
 
-    def __len__(self) -> int:
-        return len(self.nonzero)
-
     def __iter__(self) -> Iterator[Record]:
         return map(self.table.__getitem__, self.nonzero.tolist())
-
-    def __getitem__(self, record: Record) -> int:
-        i = _position(self.table, record)
-        if i < 0 or not self.counts[i]:
-            raise KeyError(record)
-        return int(self.counts[i])
 
 
 class Stage(Enum):
@@ -394,6 +389,12 @@ class PrivacyParams:
         return self.delta_prime - self.delta_q
 
 
+def left_sum(values: Iterable[float], start: float = 0.0) -> float:
+    """`start` plus the values, added left to right. Python's `sum`
+    compensates float sums from 3.12, so its last bits vary by version."""
+    return reduce(operator.add, values, start)
+
+
 def keyed(keys: Iterable, values: np.ndarray) -> Mapping:
     """A read-only mapping from each key to its value in `values`."""
     return MappingProxyType(dict(zip(keys, values.tolist())))
@@ -409,11 +410,8 @@ class EstimateVector:
     var: np.ndarray
     query_p: np.ndarray
     query_var: np.ndarray
-    sample_size: int
 
     def __post_init__(self):
-        if self.sample_size < 1:
-            raise ParamError("sample_size must be positive")
         shapes = {self.p.shape, self.var.shape}, {self.query_p.shape, self.query_var.shape}
         if shapes != ({(self.head_list.num_records(),)}, {(self.head_list.k,)}):
             raise ParamError("estimate arrays do not match the head list's records and queries")

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import STAR, ParamError, Record, RecordTable
+from .core import STAR, ParamError, Record, RecordTable, left_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +64,7 @@ class RankedEstimate:
 def strip_stars_and_rescale(probs: Mapping[Record, float]) -> RankedEstimate:
     """Drop wildcard entries, renormalize the remaining mass to 1 and rank the records."""
     kept = {r: p for r, p in probs.items() if STAR not in r}
-    total = sum(kept.values())
+    total = left_sum(kept.values())
     if not kept or total <= 0:
         raise ParamError("no probability mass outside the wildcard entries")
     table, ids = RecordTable.of(*zip(*kept))
@@ -76,7 +76,7 @@ def l1_distance(p_hat: Sequence[float], p: Sequence[float]) -> float:
     """Manhattan distance between two probability vectors over the same records."""
     if len(p_hat) != len(p):
         raise ParamError("L1 requires vectors of one length")
-    return sum(map(abs, map(sub, p_hat, p)))
+    return left_sum(map(abs, map(sub, p_hat, p)))
 
 
 def _gains(rels: Sequence[float]) -> np.ndarray:
@@ -91,7 +91,7 @@ def _discounts(n: int) -> np.ndarray:
 
 def _dcg(rels: Sequence[float]) -> float:
     """The discounted gains of relevances in rank order, summed left to right."""
-    return sum((_gains(rels) / _discounts(len(rels))).tolist())
+    return left_sum((_gains(rels) / _discounts(len(rels))).tolist())
 
 
 def ndcg_list(estimated_order: Sequence, true_weights: Mapping) -> float:
@@ -100,7 +100,7 @@ def ndcg_list(estimated_order: Sequence, true_weights: Mapping) -> float:
     The relevance of an item is its share of the total true weight; the
     ideal ordering sorts by descending relevance.
     """
-    total = sum(true_weights.values())
+    total = left_sum(true_weights.values())
     if total <= 0:
         raise ParamError("true weights must not be all zero")
     if any(map(lt, true_weights.values(), repeat(0))):
@@ -138,7 +138,7 @@ def generalized_ndcg(estimate: RankedEstimate, truth: RankedEstimate) -> float:
         factor = np.where(true_p > 0, dcg / idcg, 1.0)
     queries = of_query[estimate._runs[0]]
     numer = _gains(true_p[queries].tolist()) / discounts[:len(queries)] * factor[queries]
-    return sum(numer.tolist()) / _dcg(true_p[of_query[truth._runs[0]]].tolist())
+    return left_sum(numer.tolist()) / _dcg(true_p[of_query[truth._runs[0]]].tolist())
 
 
 def score(
@@ -161,7 +161,7 @@ def score(
         raise ParamError("the estimate has no mass on its star-free records") from None
     on_list = list(map(truth.get, ranked.records, repeat(0.0)))
     l1 = l1_distance(list(map(estimate.__getitem__, ranked.records)), on_list)
-    total = sum(on_list)
+    total = left_sum(on_list)
     if total <= 0:
         raise ParamError("the truth puts no mass on the estimate's star-free records")
     p = np.array(on_list, dtype=float) / total

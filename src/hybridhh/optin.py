@@ -11,7 +11,6 @@ list is trimmed to the M queries with the highest estimated marginal.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -25,6 +24,7 @@ from .core import (
     Record,
     RecordCounts,
     Stage,
+    left_sum,
     record_slots,
 )
 from .sampling import laplace_samples
@@ -52,14 +52,6 @@ def compute_threshold(params: PrivacyParams) -> tuple[float, float]:
     return b_s, tau
 
 
-def _as_counts(records: Iterable[Record] | Mapping[Record, int]) -> RecordCounts:
-    """Records, or counts keyed by record, as counts over a sorted record
-    table; a `RecordCounts` is one already."""
-    if isinstance(records, RecordCounts):
-        return records
-    return RecordCounts.of(records if isinstance(records, Mapping) else Counter(records))
-
-
 def create_head_list(
     params: PrivacyParams,
     s_records: Iterable[Record] | Mapping[Record, int],
@@ -79,7 +71,7 @@ def create_head_list(
     records' table ids, and -1 for the wildcard.
     """
     b_s, tau = compute_threshold(params)
-    counts = _as_counts(s_records)
+    counts = RecordCounts.of(s_records)
     table = counts.table
     # int64 + float64 rounds as Python's int + float does.
     held = counts.counts[counts.nonzero]
@@ -97,21 +89,24 @@ def create_head_list(
     return HeadList(entries, Stage.INITIAL, (table, np.append(admitted, -1)))
 
 
-def optin_variance(p_hat: np.ndarray, n: int, b_t: float) -> np.ndarray:
+def optin_variance(
+    p_hat: np.ndarray, n: int, b_t: float, cells: int | np.ndarray = 1
+) -> np.ndarray:
     """Unbiased sample variances of Laplace-mechanism frequency estimates.
 
-    (n/(n-1)) * (p(1-p)/n + 2 (b/n)^2), i.e. the Bernoulli sampling term
-    with Bessel's correction plus the Laplace noise term. Noise can push
-    an estimate outside [0,1]; the Bernoulli term is evaluated at the
-    clamped value so the variance stays non-negative while the estimate
-    itself is left unbiased.
+    (n/(n-1)) * (p(1-p)/n + 2 c (b/n)^2), i.e. the Bernoulli sampling term
+    with Bessel's correction plus the Laplace noise of the c noisy cells
+    each estimate sums: one for a record, k_q for a query's marginal.
+    Noise can push an estimate outside [0,1]; the Bernoulli term is
+    evaluated at the clamped value so the variance stays non-negative
+    while the estimate itself is left unbiased.
     """
     if n < 2:
         raise ParamError("variance estimate needs n >= 2")
     if not b_t > 0:
         raise ParamError("noise scale must be positive")
     p_eff = np.clip(p_hat, 0.0, 1.0)
-    return (n / (n - 1.0)) * (p_eff * (1.0 - p_eff) / n + 2.0 * (b_t / n) ** 2)
+    return (n / (n - 1.0)) * (p_eff * (1.0 - p_eff) / n + cells * 2.0 * (b_t / n) ** 2)
 
 
 def estimate_optin_probabilities(
@@ -135,7 +130,7 @@ def estimate_optin_probabilities(
         raise ParamError("expected an initial-stage head list")
     b_t, _ = compute_threshold(params)
 
-    held = _as_counts(t_records)
+    held = RecordCounts.of(t_records)
     n = int(held.counts.sum())
     if n < 2:
         raise ParamError("need at least 2 records in partition T")
@@ -149,16 +144,14 @@ def estimate_optin_probabilities(
 
     # Trim to the top M of the initial list's query indices by estimated
     # marginal. The wildcard is always kept on top of them; the trimmed
-    # queries' mass joins it one by one in list order (`sum` compensates from 3.12).
+    # queries' mass joins it one by one in list order.
     queries, of_query, wildcard = hl_initial.queries, hl_initial.of_query, hl_initial.wildcard
     marginal = np.bincount(of_query, weights=p_hat).tolist()
     star = int(of_query[wildcard])
     regular = (i for i in range(len(queries)) if i != star)
     ranked = sorted(regular, key=lambda i: (-marginal[i], queries[i]))
     kept, trimmed = ranked[: params.M], ranked[params.M:]
-    star_mass = float(p_hat[wildcard])
-    for i in sorted(trimmed):
-        star_mass += marginal[i]
+    star_mass = left_sum(map(marginal.__getitem__, sorted(trimmed)), float(p_hat[wildcard]))
     marginal[star] = p_hat[wildcard] = star_mass
     order = sorted(kept + [star], key=lambda i: (-marginal[i], queries[i]))
     # The final list's slots on the initial one, where its carried ids are
@@ -174,6 +167,7 @@ def estimate_optin_probabilities(
     # wildcard mass is known to be statistically loose; kept for
     # faithfulness to the estimation procedure.
     record_vars = optin_variance(record_probs, n, b_t)
-    query_vars = optin_variance(query_probs, n, b_t)
-    estimates = EstimateVector(hl_final, record_probs, record_vars, query_probs, query_vars, n)
+    # A query's marginal sums one noisy cell per url; the star's is its wildcard's.
+    query_vars = optin_variance(query_probs, n, b_t, np.bincount(hl_final.of_query))
+    estimates = EstimateVector(hl_final, record_probs, record_vars, query_probs, query_vars)
     return OptinOutput(hl_final, estimates)

@@ -19,7 +19,7 @@ def make_vector(hl, probs, var):
     p = np.array(probs, dtype=float)
     of_query = [hl.queries.index(r.query) for r in hl.records()]
     q = np.bincount(of_query, weights=p, minlength=hl.k)
-    return EstimateVector(hl, p, np.full(len(p), var), q, np.full(hl.k, var), 1000)
+    return EstimateVector(hl, p, np.full(len(p), var), q, np.full(hl.k, var))
 
 
 def blend_reference(optin, client, project):
@@ -160,7 +160,7 @@ class TestBlendProbabilities:
             var[head_list.slot[Record("q1", "q1/u0")]] = 0.0   # zero on both sides
             queries = np.full(head_list.k, 0.01)
             vectors.append(
-                EstimateVector(head_list, rng.normal(0.12, 0.1, n), var, queries, queries, 1000)
+                EstimateVector(head_list, rng.normal(0.12, 0.1, n), var, queries, queries)
             )
         optin, client = vectors
 

@@ -198,7 +198,7 @@ class TestEstimateVector:
                     query_var=np.full(k, 0.02))
 
     def test_accepts_arrays_shaped_like_the_list(self, initial_hl):
-        est = EstimateVector(initial_hl, **self.arrays(initial_hl), sample_size=10)
+        est = EstimateVector(initial_hl, **self.arrays(initial_hl))
         assert est.record_probs == dict.fromkeys(initial_hl.records(), 0.25)
         assert list(est.query_vars.items()) == [(q, 0.02) for q in initial_hl.queries]
         with pytest.raises(TypeError):
@@ -210,7 +210,7 @@ class TestEstimateVector:
         arrays = self.arrays(initial_hl)
         arrays[name] = np.resize(arrays[name], len(arrays[name]) + step)
         with pytest.raises(ParamError, match="do not match"):
-            EstimateVector(initial_hl, **arrays, sample_size=10)
+            EstimateVector(initial_hl, **arrays)
 
     @pytest.mark.parametrize("name", ["var", "query_var"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
@@ -218,11 +218,7 @@ class TestEstimateVector:
         arrays = self.arrays(initial_hl)
         arrays[name][1] = bad
         with pytest.raises(ParamError, match="finite and non-negative"):
-            EstimateVector(initial_hl, **arrays, sample_size=10)
-
-    def test_rejects_an_empty_sample(self, initial_hl):
-        with pytest.raises(ParamError, match="sample_size"):
-            EstimateVector(initial_hl, **self.arrays(initial_hl), sample_size=0)
+            EstimateVector(initial_hl, **arrays)
 
 
 def test_star_encoding_round_trips():

@@ -292,7 +292,7 @@ class TestRunBlender:
         monkeypatch.setattr(core, "canonicalize", refuse)
         config = small_config()
         result = run_blender(config, load_dataset(config))
-        assert result.client_est.sample_size == 1900
+        assert result.client_est.head_list == result.head_list.augment_for_clients()
 
 
 class TestMetricsRow:

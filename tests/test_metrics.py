@@ -8,7 +8,7 @@ import pytest
 
 from hybridhh import data, harness, metrics
 from hybridhh.core import (
-    STAR, WILDCARD, ParamError, PrivacyParams, Record, RecordCounts, canonicalize,
+    STAR, WILDCARD, ParamError, PrivacyParams, Record, canonicalize, left_sum,
 )
 from hybridhh.harness import ExperimentConfig, SynthSpec
 from hybridhh.metrics import (
@@ -314,8 +314,9 @@ class TestScore:
 
         (passed,) = truths
         if source == "tsv":
+            held = (picks[0] + picks[1]).tolist()
             raw = data.empirical_distribution(
-                RecordCounts(dataset.record_table, picks[0] + picks[1])
+                {rec: n for rec, n in zip(dataset.record_table, held) if n}
             )
         else:
             raw = dataset.true_distribution
@@ -330,9 +331,10 @@ class TestScore:
         assert by_raw == (result.row.l1, result.row.ndcg)
 
 
-# The dict scorer that the array pass replaced, kept verbatim as the
-# reference for `score`'s floats: each query's url list is ranked and
-# scored by name, one `_dict_ndcg` call per listed query.
+# The dict scorer that the array pass replaced, kept as the reference
+# for `score`'s floats: each query's url list is ranked and scored by
+# name, one `_dict_ndcg` call per listed query. Its sums add left to
+# right, as `sum` no longer does on floats from Python 3.12.
 @dataclass(frozen=True)
 class _DictRanked:
     queries: tuple
@@ -348,7 +350,7 @@ class _DictRanked:
 
 def _dict_strip(probs, empty="no probability mass outside the wildcard entries"):
     kept = {r: p for r, p in probs.items() if STAR not in r}
-    total = sum(kept.values())
+    total = left_sum(kept.values())
     if not kept or total <= 0:
         raise ParamError(empty)
     query_probs, by_query = {}, {}
@@ -370,16 +372,16 @@ def _dict_discounts(n):
 
 
 def _dict_ndcg(estimated_order, true_weights, ideal_order):
-    total = sum(true_weights.values())
+    total = left_sum(true_weights.values())
     if total <= 0:
         raise ParamError("true weights must not be all zero")
     if any(map(lt, true_weights.values(), repeat(0))):
         raise ParamError("true weights must be non-negative")
     rel = dict(zip(true_weights, map(truediv, true_weights.values(), repeat(total))))
     discounts = _dict_discounts(max(len(estimated_order), len(rel)))
-    dcg = sum(_dict_gains(map(rel.get, estimated_order, repeat(0.0)), discounts))
+    dcg = left_sum(_dict_gains(map(rel.get, estimated_order, repeat(0.0)), discounts))
     ideal = map(rel.__getitem__, ideal_order[:len(estimated_order)])
-    idcg = sum(_dict_gains(ideal, discounts))
+    idcg = left_sum(_dict_gains(ideal, discounts))
     return dcg / idcg if idcg > 0 else 0.0
 
 
@@ -396,15 +398,15 @@ def _dict_generalized_ndcg(estimate, truth):
     queries, true_queries = estimate.queries, truth.queries
     discounts = _dict_discounts(max(len(queries), len(true_queries)))
     gains = _dict_gains(map(truth.query_probs.get, queries, repeat(0.0)), discounts)
-    numer = sum(map(mul, gains, map(url_factor, queries)))
-    denom = sum(_dict_gains(map(truth.query_probs.__getitem__, true_queries), discounts))
+    numer = left_sum(map(mul, gains, map(url_factor, queries)))
+    denom = left_sum(_dict_gains(map(truth.query_probs.__getitem__, true_queries), discounts))
     return numer / denom if denom > 0 else 0.0
 
 
 def _dict_score(estimate, truth):
     star_free = [r for r in estimate if STAR not in r]
     on_list = dict(zip(star_free, map(truth.get, star_free, repeat(0.0))))
-    l1 = sum(map(abs, map(sub, map(estimate.__getitem__, star_free), on_list.values())))
+    l1 = left_sum(map(abs, map(sub, map(estimate.__getitem__, star_free), on_list.values())))
     return l1, _dict_generalized_ndcg(
         _dict_strip(estimate, "the estimate has no mass on its star-free records"),
         _dict_strip(on_list, "the truth puts no mass on the estimate's star-free records"),
@@ -471,3 +473,35 @@ def test_score_matches_the_dict_scorer_on_wide_lists():
         estimate, truth = _wide_score_input(rng)
         got, want = score(estimate, truth), _dict_score(estimate, truth)
         assert [x.hex() for x in got] == [x.hex() for x in want], (estimate, truth)
+
+
+def _compensated_sum(values, start=0):
+    """Python 3.12's `sum`, which adds floats with Neumaier's compensation."""
+    values = list(values)
+    if not any(isinstance(x, float) for x in values):
+        return sum(values, start)
+    total, compensation = float(start), 0.0
+    for x in map(float, values):
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_scores_are_the_same_floats_under_a_compensated_sum(monkeypatch):
+    # The emulation does differ from a left-to-right sum.
+    terms = [1e16, 1.0, -1e16]
+    assert _compensated_sum(terms) == 1.0 and left_sum(terms) == 0.0
+    config = ExperimentConfig()
+    dataset = harness.load_dataset(config)
+    probs = [
+        harness.run_blender(config, dataset, seed=harness.derive_seed(1, i)).blended.probs
+        for i in range(20)
+    ]
+    want = [score(p, dataset.true_distribution) for p in probs]
+    monkeypatch.setattr(metrics, "sum", _compensated_sum, raising=False)
+    got = [score(p, dataset.true_distribution) for p in probs]
+    assert [[x.hex() for x in s] for s in got] == [[x.hex() for x in s] for s in want]

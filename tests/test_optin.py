@@ -19,6 +19,7 @@ from hybridhh.core import (
     RecordTable,
     Stage,
     canonicalize,
+    left_sum,
     record_slots,
 )
 from hybridhh.data import parse_log, sample_per_user
@@ -127,6 +128,30 @@ class TestOptinVariance:
         with pytest.raises(ParamError):
             optin_variance(0.5, 100, 0.0)
 
+    def test_query_variance_is_calibrated(self):
+        # Three queries of four urls, each query holding 0.075 of T's
+        # records and the rest off the list, none trimmed. A query's
+        # marginal sums four noisy cells, so its reported variance must
+        # count all four: the empirical variance over the repetitions
+        # against the mean reported one, pooled over the queries.
+        reps, n, k, k_q, p_q = 2000, 250, 3, 4, 0.075
+        params = PrivacyParams(epsilon=1.0, M=k)
+        entries = {f"q{i}": tuple(f"q{i}/u{j}" for j in range(k_q)) for i in range(k)}
+        hl = HeadList({**entries, STAR: (STAR,)}, Stage.INITIAL)
+        records = [Record(q, u) for q, urls in entries.items() for u in urls] + [Record("off", "x")]
+        table, ids = RecordTable.of([r.query for r in records], [r.url for r in records])
+        law = np.empty(len(records))
+        law[ids] = [p_q / k_q] * (k * k_q) + [1.0 - k * p_q]
+        rng = substream(0xCA1, 0)
+        draws, reported = [], []
+        for rep in range(reps):
+            held = RecordCounts(table, rng.multinomial(n, law))
+            est = estimate_optin_probabilities(params, held, hl, substream(0xCA1, rep + 1)).estimates
+            draws.append([est.query_probs[q] for q in entries])
+            reported.append([est.query_vars[q] for q in entries])
+        ratio = np.var(draws, axis=0, ddof=1).sum() / np.mean(reported, axis=0).sum()
+        assert abs(ratio - 1.0) <= 0.1, ratio
+
 
 @pytest.fixture
 def initial_hl(default_params):
@@ -157,7 +182,6 @@ class TestEstimateOptinProbabilities:
         assert est.record_probs[Record("b", "b2")] == pytest.approx(0.15)
         assert est.record_probs[WILDCARD] == pytest.approx(0.20)
         assert sum(est.record_probs.values()) == pytest.approx(1.0)
-        assert est.sample_size == 100
 
     def test_final_list_ordered_by_marginal(self, default_params, initial_hl):
         with fixed_noise(0.0):
@@ -280,14 +304,14 @@ def _per_record_reference(params, s_records, t_records, s_rng, t_rng):
     for record in hl_initial.records():
         p_hat[record] = (t_counts[record] + float(laplace_samples(b_t, 1, t_rng)[0])) / n
     marginals = {
-        q: sum(p_hat[Record(q, u)] for u in hl_initial.urls(q)) for q in hl_initial.queries
+        q: left_sum(p_hat[Record(q, u)] for u in hl_initial.urls(q)) for q in hl_initial.queries
     }
     regular = [q for q in hl_initial.queries if q != STAR]
     keep = sorted(regular, key=lambda q: (-marginals[q], q))[: params.M]
     star_mass = p_hat[WILDCARD]
     for q in regular:
         if q not in keep:
-            star_mass += sum(p_hat[Record(q, u)] for u in hl_initial.urls(q))
+            star_mass += left_sum(p_hat[Record(q, u)] for u in hl_initial.urls(q))
     query_probs = {q: marginals[q] for q in keep}
     query_probs[STAR] = star_mass
     order = sorted(query_probs, key=lambda q: (-query_probs[q], q))
@@ -378,7 +402,6 @@ class TestVectorDraws:
             for name in ("p", "var", "query_p", "query_var"):
                 got, want = getattr(out.estimates, name), getattr(first.estimates, name)
                 assert got.tolist() == want.tolist()
-            assert out.estimates.sample_size == first.estimates.sample_size == 1500
 
 
 class TestCarriedIds:
@@ -463,9 +486,10 @@ def trim_reference(params, hl_initial, p_hat, n, b_t):
     hl_final = HeadList(entries, Stage.FINAL, carried)
     record_probs = p_hat[at]
     query_probs = np.array([marginals[q] for q in order])
+    widths = np.array([len(entries[q]) for q in order])
     return (
         hl_final, record_probs, optin_variance(record_probs, n, b_t),
-        query_probs, optin_variance(query_probs, n, b_t),
+        query_probs, optin_variance(query_probs, n, b_t, widths),
     )
 
 

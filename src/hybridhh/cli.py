@@ -113,7 +113,7 @@ def _cmd_verify_dp(args) -> int:
     entries[STAR] = (STAR,)
     hl = HeadList(entries, Stage.CLIENT_AUGMENTED)
     model = client.build_report_model(params, hl)
-    violation = oracle.verify_dp_closed_form(model, params.eps_prime, params.delta_prime)
+    violation = oracle.verify_dp_closed_form(model, params.epsilon, params.delta)
     print(f"max violation: {violation:.3e} ({'PASS' if violation <= 0 else 'FAIL'})")
     return 0 if violation <= 0 else 3
 
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--users", type=int, required=True)
     p_synth.add_argument("--queries", type=int, required=True)
     p_synth.add_argument("--urls", type=int, required=True)
-    p_synth.add_argument("--exponent", type=float, default=1.0)
+    p_synth.add_argument("--exponent", type=float, default=harness.SynthSpec.exponent)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True)
     p_synth.set_defaults(func=_cmd_synth)
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vdp.add_argument("--kq", type=int, required=True, help="urls per query incl. star")
     p_vdp.add_argument("--epsilon", type=float, required=True)
     p_vdp.add_argument("--delta", type=float, required=True)
-    p_vdp.add_argument("--f-c", type=float, default=0.85, dest="f_c")
+    p_vdp.add_argument("--f-c", type=float, default=PrivacyParams.f_C, dest="f_c")
     p_vdp.set_defaults(func=_cmd_verify_dp)
 
     p_met = sub.add_parser("metrics", help="score a blended output against truth")

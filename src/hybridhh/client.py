@@ -70,19 +70,21 @@ def build_report_model(params: PrivacyParams, hl: HeadList) -> ReportModel:
     k = hl.k
     if k < 2:
         raise ParamError("report model needs a regular query besides the star query")
-    t, _ = _truth_probability(math.exp(params.eps_q), params.delta_q, k)
+    # f_C splits the per-user budget between the query and url stages.
+    eps_q, delta_q = params.f_C * params.epsilon, params.f_C * params.delta
+    eps_u, delta_u = params.epsilon - eps_q, params.delta - delta_q
+    t, _ = _truth_probability(math.exp(eps_q), delta_q, k)
     if t <= 1.0 / k + _GAP_EPS:
         raise DegenerateChannelError("query randomizer is uninformative (t ~ 1/k)")
     k_q = dict(zip(hl.entries, map(len, hl.entries.values())))
     # The url stage's truth probability depends on the list length alone.
-    e_u, delta_u = math.exp(params.eps_u), params.delta_u
+    e_u = math.exp(eps_u)
     by_width = {kq: _truth_probability(e_u, delta_u, kq)[0] for kq in set(k_q.values())}
     t_q = {q: by_width[kq] for q, kq in k_q.items()}
     for q, kq in k_q.items():
         if kq >= 2 and t_q[q] <= 1.0 / kq + _GAP_EPS:
             raise DegenerateChannelError(f"url randomizer for {q!r} is uninformative")
-    budgets = (params.eps_q, params.delta_q, params.eps_u, params.delta_u)
-    return ReportModel(k=k, t=t, k_q=k_q, t_q=t_q, budgets=budgets)
+    return ReportModel(k=k, t=t, k_q=k_q, t_q=t_q, budgets=(eps_q, delta_q, eps_u, delta_u))
 
 
 def local_privatize(

@@ -126,7 +126,7 @@ class RecordCounts:
         the records; a `RecordCounts` is returned as it is."""
         if isinstance(records, RecordCounts):
             return records
-        counts = records if isinstance(records, Mapping) else Counter(records)
+        counts = Counter(records)  # a mapping is taken as it is: its counts, in its order
         keys = list(counts)
         table, rank = RecordTable.of([r.query for r in keys], [r.url for r in keys])
         held = np.zeros(len(table), dtype=np.int64)
@@ -215,9 +215,6 @@ class HeadList:
 
     def urls(self, query: str) -> tuple[str, ...]:
         return self.entries[query]
-
-    def k_q(self, query: str) -> int:
-        return len(self.entries[query])
 
     def __contains__(self, record: Record) -> bool:
         return record in self.slot
@@ -331,7 +328,7 @@ class PrivacyParams:
 
     Each user reports one record, so the per-record budget is the
     per-user (epsilon, delta), split between the query and url
-    reporting stages by f_C.
+    reporting stages by f_C in `client.build_report_model`.
     """
 
     epsilon: float = 4.0
@@ -362,7 +359,7 @@ class PrivacyParams:
         if self.M < 1:
             raise ParamError("M must be >= 1")
 
-    # Per-record budgets.
+    # Per-record budgets, named as acceptance criterion 1 reads them.
     @property
     def eps_prime(self) -> float:
         return self.epsilon
@@ -370,23 +367,6 @@ class PrivacyParams:
     @property
     def delta_prime(self) -> float:
         return self.delta
-
-    # Query/url stage split of the per-record budget.
-    @property
-    def eps_q(self) -> float:
-        return self.f_C * self.eps_prime
-
-    @property
-    def eps_u(self) -> float:
-        return self.eps_prime - self.eps_q
-
-    @property
-    def delta_q(self) -> float:
-        return self.f_C * self.delta_prime
-
-    @property
-    def delta_u(self) -> float:
-        return self.delta_prime - self.delta_q
 
 
 def left_sum(values: Iterable[float], start: float = 0.0) -> float:

@@ -21,7 +21,6 @@ writing a log back out.
 
 from __future__ import annotations
 
-import io
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -128,7 +127,7 @@ _MAYBE_SKIPPED[list(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f #\xc2\xe1\xe2\xe3")] = True
 _BLOCK = 1 << 20
 
 
-def parse_log(stream: IO[str] | str) -> Dataset:
+def parse_log(stream: IO[str]) -> Dataset:
     """Parse a TSV log into a dataset.
 
     Lines whose first non-blank character is '#' are comments. Malformed
@@ -136,16 +135,16 @@ def parse_log(stream: IO[str] | str) -> Dataset:
     numbered in first-seen order and records in sorted order, and each
     user keeps its rows in log order.
 
-    A str ends a line at each '\\n' only. A text file (as `open_input`
-    opens it) is read through its binary buffer as UTF-8, and '\\n',
-    '\\r\\n' and a lone '\\r' each end a line, as in Python's universal
-    newlines. The bytes are parsed a block of whole lines at a time:
-    numpy finds each line's breaks and tabs, counts its fields, and
-    numbers equal user fields and equal query-and-url tails exactly,
-    first in the block and then across blocks. Python decodes and strips
-    each distinct user and tail once, and reads whole only the lines
-    that start with '#' or with the first byte of a whitespace
-    character, to tell whether each is blank or a comment.
+    The log, a text file as `open_input` opens it, is read through its
+    binary buffer as UTF-8, and '\\n', '\\r\\n' and a lone '\\r' each
+    end a line, as in Python's universal newlines. The bytes are parsed
+    a block of whole lines at a time: numpy finds each line's breaks and
+    tabs, counts its fields, and numbers equal user fields and equal
+    query-and-url tails exactly, first in the block and then across
+    blocks. Python decodes and strips each distinct user and tail once,
+    and reads whole only the lines that start with '#' or with the first
+    byte of a whitespace character, to tell whether each is blank or a
+    comment.
     """
     (user_of_row, user_line, user_text), (tail_of_row, tail_line, tail_text), wrong = (
         _scan(stream)
@@ -177,23 +176,22 @@ def parse_log(stream: IO[str] | str) -> Dataset:
     )
 
 
-def _scan(stream: IO[str] | str) -> tuple[tuple[np.ndarray, np.ndarray, str], ...]:
+def _scan(stream: IO[str]) -> tuple[tuple[np.ndarray, np.ndarray, str], ...]:
     """Read the log a block at a time. Returns its rows' user fields and
     their query-and-url tails, each as `_merge` numbers them, and the
     line number and field count of its first line of a wrong field
     count, or None."""
-    read, in_file = _reader(stream)
     user_parts, tail_parts = [], []
     line, wrong = 0, None
-    for block in _blocks(read):
-        if in_file and not block.isascii():
+    for block in _blocks(stream.buffer.read):
+        if not block.isascii():
             block.decode("utf-8")  # bytes that are not UTF-8 fail as a text reader fails
         b = np.frombuffer(block, dtype=np.uint8)
-        starts, stops, fields, first_tab = _layout(b, in_file)
+        starts, stops, fields, first_tab = _layout(b)
         kept = np.ones(len(starts), dtype=bool)
         maybe = np.flatnonzero(_MAYBE_SKIPPED[b[starts]])
         for i, start, stop in zip(maybe.tolist(), starts[maybe].tolist(), stops[maybe].tolist()):
-            head = block[start:stop].decode("utf-8", "surrogatepass").lstrip()
+            head = block[start:stop].decode("utf-8").lstrip()
             kept[i] = bool(head) and head[0] != "#"
         rows = np.flatnonzero(kept & (fields == 3))
         # A user field is numbered with the tab that ends it, and a tail
@@ -233,17 +231,6 @@ def _first_seen(
     return user_ids, number[of_row]
 
 
-def _reader(stream: IO[str] | str) -> tuple[Callable[[int], bytes], bool]:
-    """A function that reads the log's UTF-8 bytes, and whether the log
-    is a text file read through its binary buffer."""
-    if isinstance(stream, str):
-        return io.BytesIO(stream.encode("utf-8", "surrogatepass")).read, False
-    binary = getattr(stream, "buffer", None)
-    if binary is None:
-        return io.BytesIO(stream.read().encode("utf-8", "surrogatepass")).read, False
-    return binary.read, True
-
-
 def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
     """The log in blocks of whole lines: each is read as about `_BLOCK`
     bytes and cut after its last '\\n'. The last block, which may be
@@ -258,16 +245,14 @@ def _blocks(read: Callable[[int], bytes]) -> Iterator[bytes]:
     yield b"".join(pending)
 
 
-def _layout(b: np.ndarray, cr_ends_line: bool) -> tuple[np.ndarray, ...]:
+def _layout(b: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each line's start and stop offset in `b` (line break excluded),
     field count, and first tab (its stop if it has none)."""
     # Tabs and line breaks are among the bytes up to 13.
     at = np.flatnonzero(b <= 13)
     kind = b[at]
-    is_break = kind == 10
-    if cr_ends_line:
-        # A '\\r' right before a '\\n' is trailing blank of its line.
-        is_break |= (kind == 13) & (b[np.minimum(at + 1, len(b) - 1)] != 10)
+    # A '\\r' right before a '\\n' is trailing blank of its line.
+    is_break = (kind == 10) | ((kind == 13) & (b[np.minimum(at + 1, len(b) - 1)] != 10))
     keep = is_break | (kind == 9)
     at, is_break = at[keep], is_break[keep]
     if len(b) and not (len(at) and is_break[-1] and at[-1] == len(b) - 1):
@@ -323,7 +308,7 @@ def _merge(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, np.ndarray,
     for n, w in zip(numbers, widths):
         of_row[row:row + len(n)] = number[base:][n]
         row, base = row + len(n), base + len(w)
-    text = distinct.tobytes().decode("utf-8", "surrogatepass")
+    text = distinct.tobytes().decode("utf-8")
     return of_row, np.concatenate(first_lines)[first], text
 
 

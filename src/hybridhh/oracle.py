@@ -31,7 +31,7 @@ _DPS = 50             # working precision (decimal digits)
 
 
 def _check_size(hl: HeadList) -> None:
-    if hl.k * max(hl.k_q(q) for q in hl.queries) > _SIZE_GUARD:
+    if hl.k * max(map(len, hl.entries.values())) > _SIZE_GUARD:
         raise ParamError("head list too large for exact enumeration")
 
 

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from hybridhh.core import STAR, HeadList, PrivacyParams, Stage
@@ -5,6 +7,12 @@ from hybridhh.core import STAR, HeadList, PrivacyParams, Stage
 # Log fields: queries that prefix each other, the star both spelled "*"
 # and literal, non-ASCII strings, and a trailing NUL.
 LOG_WORDS = ("q1", "q10", "q2", "*", STAR, "\u00e9", "\u65e5\u672c", "q1/u", "q1\x00")
+
+
+def text_log(text: str) -> io.TextIOWrapper:
+    """The log `text` as a UTF-8 text stream, line endings untranslated,
+    which `parse_log` reads through its buffer as it reads a file."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="")
 
 
 def make_final_head_list(num_queries: int, urls_per_query: int) -> HeadList:

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -31,7 +32,7 @@ from hybridhh.data import parse_log
 from hybridhh.oracle import enumerate_report_distribution, forward_report_map
 from hybridhh.sampling import substream
 
-from conftest import LOG_WORDS, make_augmented_head_list
+from conftest import LOG_WORDS, make_augmented_head_list, text_log
 
 
 def held_of(true_counts, hl) -> np.ndarray:
@@ -47,7 +48,7 @@ def noiseless_model(hl) -> ReportModel:
     return ReportModel(
         k=hl.k,
         t=1.0,
-        k_q={q: hl.k_q(q) for q in hl.queries},
+        k_q={q: len(hl.urls(q)) for q in hl.queries},
         t_q={q: 1.0 for q in hl.queries},
         budgets=(math.inf, 0.0, math.inf, 0.0),
     )
@@ -78,16 +79,30 @@ class TestBuildReportModel:
     def test_default_budget_wiring(self, default_params):
         hl = make_augmented_head_list(10, 3)
         model = build_report_model(default_params, hl)
-        assert model.budgets == pytest.approx((3.4, 8.5e-6, 0.6, 1.5e-6))
+        assert model.budgets == (3.4, 8.5e-06, 0.6000000000000001, 1.5000000000000009e-06)
         assert model.k == 10
         assert model.t == pytest.approx(0.76902, abs=5e-6)
         for q in hl.queries:
             kq = model.k_q[q]
-            assert kq == hl.k_q(q)
+            assert kq == len(hl.urls(q))
             if kq == 1:
                 assert model.t_q[q] == 1.0  # star query: forced truthful url
             else:
                 assert 1 / kq < model.t_q[q] <= 1.0
+
+    @pytest.mark.parametrize("epsilon, delta, f_C", [
+        (4.0, 1e-5, 0.85),
+        (0.8, 1e-6, 0.5),
+        # The largest epsilon PrivacyParams accepts at f_C = 0.05.
+        (math.nextafter(math.log(sys.float_info.max) / 0.95, 0), 1e-5, 0.05),
+    ])
+    def test_budget_split_is_exact(self, epsilon, delta, f_C):
+        params = PrivacyParams(epsilon=epsilon, delta=delta, f_C=f_C)
+        hl = make_augmented_head_list(10, 3)
+        model = build_report_model(params, hl)
+        eps_q, delta_q = f_C * epsilon, f_C * delta
+        assert model.budgets == (eps_q, delta_q, epsilon - eps_q, delta - delta_q)
+        assert model.t == _truth_probability(math.exp(eps_q), delta_q, hl.k)[0]
 
     def test_rejects_unaugmented_list(self, default_params):
         from conftest import make_final_head_list
@@ -162,7 +177,7 @@ class TestLocalPrivatize:
         model = ReportModel(
             k=hl.k,
             t=0.3,
-            k_q={q: hl.k_q(q) for q in hl.queries},
+            k_q={q: len(hl.urls(q)) for q in hl.queries},
             t_q={q: 0.3 for q in hl.queries},
             budgets=(1.0, 0.0, 1.0, 0.0),
         )
@@ -397,7 +412,8 @@ class TestRecordSlots:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_canonicalize(self, rows, entries):
-        table = parse_log("".join(f"u{user}\t{q}\t{u}\n" for user, q, u in rows)).record_table
+        log = "".join(f"u{user}\t{q}\t{u}\n" for user, q, u in rows)
+        table = parse_log(text_log(log)).record_table
         index = dict(zip(table, range(len(table))))
         # The entries cut to the records the table holds, as an admission
         # from the table lists them: such a list can carry its ids.
@@ -447,7 +463,7 @@ def _single_query_estimates(c, c_q, n, t, tq, k, kq):
     model = ReportModel(
         k=hl.k,
         t=t,
-        k_q={q: hl.k_q(q) for q in hl.queries},
+        k_q={q: len(hl.urls(q)) for q in hl.queries},
         t_q={q: tq for q in hl.queries},
         budgets=(1.0, 0.0, 1.0, 0.0),
     )

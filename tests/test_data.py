@@ -37,12 +37,14 @@ from hybridhh.data import (
 )
 from hybridhh.sampling import substream
 
+from conftest import text_log
+
 LOG = "u1\tgoogle\tgoogle.com\nu2\tyahoo\tyahoo.com\nu1\tgoogle\tmail.google.com\n"
 
 
 class TestParseLog:
     def test_groups_by_user_in_first_seen_order(self):
-        users = list(parse_log(LOG).users)
+        users = list(parse_log(text_log(LOG)).users)
         assert [u.user_id for u in users] == ["u1", "u2"]
         assert users[0].records == (
             Record("google", "google.com"),
@@ -50,33 +52,33 @@ class TestParseLog:
         )
 
     def test_comments_and_blank_lines_skipped(self):
-        ds = parse_log("# header\n\n" + LOG)
+        ds = parse_log(text_log("# header\n\n" + LOG))
         assert len(ds) == 2
         # Every whitespace character but the field separator, before a
         # comment and before a user.
         blanks = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace() and c != 9]
         text = "".join(f"{c}# comment\n{c}u{i}\tq\tu\n" for i, c in enumerate(blanks))
-        assert list(parse_log(text).users) == parse_log_reference(text)
+        assert list(parse_log(text_log(text)).users) == parse_log_reference(text_log(text))
 
     def test_star_is_decoded(self):
-        ds = parse_log("u1\t*\t*\n")
+        ds = parse_log(text_log("u1\t*\t*\n"))
         assert list(ds.users) == [("u1", (Record(STAR, STAR),))]
 
     def test_malformed_line_aborts_with_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_log("u1\tq\tu\nbadline\n")
+            parse_log(text_log("u1\tq\tu\nbadline\n"))
         with pytest.raises(ParseError, match="line 1"):
-            parse_log("u1\t\tu\n")
+            parse_log(text_log("u1\t\tu\n"))
 
     def test_round_trip(self):
-        ds = parse_log(LOG)
+        ds = parse_log(text_log(LOG))
         buf = io.StringIO()
         serialize_log(ds, buf)
-        again = parse_log(buf.getvalue())
+        again = parse_log(text_log(buf.getvalue()))
         assert list(again.users) == list(ds.users)
 
     def test_star_round_trips_as_ascii(self):
-        ds = parse_log("u1\t\u22c6\t\u22c6\n")
+        ds = parse_log(text_log("u1\t\u22c6\t\u22c6\n"))
         buf = io.StringIO()
         serialize_log(ds, buf)
         assert buf.getvalue() == "u1\t*\t*\n"
@@ -85,8 +87,6 @@ class TestParseLog:
 def parse_log_reference(stream):
     """The parser as first written: one new Record per line, grouped into
     `[(user_id, records)]` by user in first-seen order."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
     by_user = {}
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
@@ -138,8 +138,6 @@ BYTE_EDGE_LOGS = [
     "\xa0u\x85\t\x1cq\x0b\t\x85u\xa0\nu\tq\tu\n\x0bv\x1c\t\xa0*\t*\u3000\n",
     "u1\tq\tu\nu2\tq\tv",
 ]
-# A lone '\r' does not end a line of a str: it stays inside the field.
-CR_IN_FIELD_LOG = "u1\tq\ra\tu\nu2\tq\r\tu\r\n"
 
 
 LOG_ALPHABET = ["a", "\u00e9", STAR, "*", "#", " ", "\t", "\n", "\r", "\x00", "\u3000"]
@@ -159,13 +157,13 @@ class TestParseLogMatchesReference:
     @pytest.mark.parametrize(
         "text",
         [
-            LOG, EDGE_LOG, "# only a comment\n", "", *BYTE_EDGE_LOGS, CR_IN_FIELD_LOG,
+            LOG, EDGE_LOG, "# only a comment\n", "", *BYTE_EDGE_LOGS,
             pytest.param(interleaved_log(0), id="interleaved0"),
             pytest.param(interleaved_log(1), id="interleaved1"),
         ],
     )
     def test_same_dataset(self, text):
-        assert list(parse_log(text).users) == parse_log_reference(text)
+        assert list(parse_log(text_log(text)).users) == parse_log_reference(text_log(text))
 
     def test_same_dataset_from_a_file(self, tmp_path, monkeypatch):
         path = tmp_path / "log.tsv"
@@ -197,9 +195,9 @@ class TestParseLogMatchesReference:
     ])
     def test_same_error(self, text):
         with pytest.raises(ParseError) as want:
-            parse_log_reference(text)
+            parse_log_reference(text_log(text))
         with pytest.raises(ParseError, match=f"^{re.escape(str(want.value))}$"):
-            parse_log(text)
+            parse_log(text_log(text))
 
     @given(st.one_of(LOG_TEXT, LOG_LINES))
     @example("a\tq\tu\na\x00\tq\tu\x00\n")
@@ -218,10 +216,24 @@ class TestParseLogMatchesReference:
         path.write_bytes(text.encode("utf-8"))
         with open_input(str(path)) as a, open(path, newline="", encoding="utf-8") as b:
             assert parse_outcome(parse_log, a) == parse_outcome(parse_log_reference, b)
-        assert parse_outcome(parse_log, text) == parse_outcome(parse_log_reference, text)
+
+    @pytest.mark.parametrize("text", [
+        EDGE_LOG, *BYTE_EDGE_LOGS,
+        # CRLF and lone '\r' breaks; in the second log one cuts a field.
+        "u1\tq\tu\r\nu2\tq\tv\ru3\tq\tu\r\r\nu1\tq\tw\r",
+        "u1\tq\tu\r\nu2\tq\ra\tu\n",
+    ])
+    @pytest.mark.parametrize("block", [1 << 20, 3], ids=["one-block", "3-byte-blocks"])
+    def test_text_log_parses_as_the_file_does(self, tmp_path, monkeypatch, block, text):
+        # The tests pass logs through `text_log`; it must read as a file of the same bytes.
+        monkeypatch.setattr("hybridhh.data._BLOCK", block)
+        path = tmp_path / "log.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with open_input(str(path)) as fh:
+            assert parse_outcome(parse_log, text_log(text)) == parse_outcome(parse_log, fh)
 
     def test_equal_records_are_one_object(self):
-        ds = parse_log(EDGE_LOG + "\nu5\tq\tu\nu6\t\u22c6\t\u22c6\n")
+        ds = parse_log(text_log(EDGE_LOG + "\nu5\tq\tu\nu6\t\u22c6\t\u22c6\n"))
         by_value = {}
         for user in ds.users:
             for rec in user.records:
@@ -240,12 +252,12 @@ def parse_outcome(parse, source):
 
 class TestDataset:
     def test_truth_must_sum_to_one(self):
-        ds = parse_log("u\tq\tu\n")
+        ds = parse_log(text_log("u\tq\tu\n"))
         with pytest.raises(ParamError):
             replace(ds, true_distribution={Record("q", "u"): 0.5})
 
     def test_unsorted_table_is_rejected(self):
-        table = parse_log("a\tq1\tu\nb\tq1\tv\nc\tq2\tu\n").record_table
+        table = parse_log(text_log("a\tq1\tu\nb\tq1\tv\nc\tq2\tu\n")).record_table
         queries, urls, qids, uids = table.queries, table.urls, table.query_ids, table.url_ids
         for columns in (
             (queries, urls, qids[::-1], uids[::-1]),
@@ -258,9 +270,9 @@ class TestDataset:
                 RecordTable(*columns)
 
     def test_users_is_a_lazy_view(self):
-        ds = parse_log(LOG)
+        ds = parse_log(text_log(LOG))
         assert isinstance(ds.users, Iterator)
-        assert list(ds.users) == list(ds.users) == parse_log_reference(LOG)
+        assert list(ds.users) == list(ds.users) == parse_log_reference(text_log(LOG))
 
 
 def log_of(sizes, shared=False):
@@ -274,7 +286,7 @@ def log_of(sizes, shared=False):
 
 
 def dataset_of(sizes, shared=False):
-    return parse_log(log_of(sizes, shared))
+    return parse_log(text_log(log_of(sizes, shared)))
 
 
 def by_record(ds, counts):
@@ -286,9 +298,9 @@ def by_record(ds, counts):
 class TestSamplePerUser:
     def test_m1_is_uniform(self):
         recs = tuple(Record(f"q{i}", f"u{i}") for i in range(4))
-        ds = parse_log("".join(
+        ds = parse_log(text_log("".join(
             f"u{i}\t{rec.query}\t{rec.url}\n" for i in range(40_000) for rec in recs
-        ))
+        )))
         rng = substream(51, 0)
         hits = sample_per_user(ds, np.arange(40_000), rng)[ds.record_table.index(recs[0])]
         assert hits / 40_000 == pytest.approx(0.25, abs=0.01)
@@ -407,8 +419,8 @@ class TestSampleClients:
 class TestDatasetIndex:
     def test_index_reproduces_every_users_records(self):
         for text in (log_of([3, 1, 4, 1, 5], shared=True), interleaved_log(2)):
-            ds = parse_log(text)
-            want = parse_log_reference(text)
+            ds = parse_log(text_log(text))
+            want = parse_log_reference(text_log(text))
             assert ds.record_ids.dtype == np.int32
             assert len(set(ds.record_table)) == len(ds.record_table)
             assert ds.user_ids == tuple(uid for uid, _ in want)
@@ -417,7 +429,7 @@ class TestDatasetIndex:
                 assert tuple(ds.record_table[i] for i in ids) == records
 
     def test_table_is_in_sorted_order(self):
-        ds = parse_log("a\tq2\tu\nb\tq1\tu\na\tq1\tu\nc\tq2\tu\n")
+        ds = parse_log(text_log("a\tq2\tu\nb\tq1\tu\na\tq1\tu\nc\tq2\tu\n"))
         assert tuple(ds.record_table) == (Record("q1", "u"), Record("q2", "u"))
         # Each record's count is its id plus one.
         counts = RecordCounts(ds.record_table, np.arange(1, 3))
@@ -428,7 +440,7 @@ class TestDatasetIndex:
 
     def test_ids_miss_past_the_last_record_and_on_an_empty_table(self):
         # The table holds q2 and v, but (q2, v) sorts after its last record.
-        table = parse_log("a\tq1\tv\nb\tq2\tu\n").record_table
+        table = parse_log(text_log("a\tq1\tv\nb\tq2\tu\n")).record_table
         # Each record's count is its id plus one.
         counts = RecordCounts(table, np.arange(1, 3))
         by_id = dict(zip(table, counts.counts.tolist()))
@@ -442,9 +454,11 @@ class TestDatasetIndex:
             assert record_slots(empty.table, hl).tolist() == []
 
     @pytest.mark.parametrize("make", [
-        lambda: parse_log(log_of([3, 1, 4, 1, 5], shared=True)),
-        lambda: parse_log(interleaved_log(3)),
-        lambda: parse_log("u\tq10\tb\nu\tq1\ta\nv\t*\t*\nv\tq1\t*\nw\t\u00e9t\u00e9\tz\nw\tq2\ta\n"),
+        lambda: parse_log(text_log(log_of([3, 1, 4, 1, 5], shared=True))),
+        lambda: parse_log(text_log(interleaved_log(3))),
+        lambda: parse_log(text_log(
+            "u\tq10\tb\nu\tq1\ta\nv\t*\t*\nv\tq1\t*\nw\t\u00e9t\u00e9\tz\nw\tq2\ta\n"
+        )),
         lambda: synth_zipf(500, 12, 3, 1.0, substream(9, 0)),
     ], ids=["shared", "interleaved", "stars-and-non-ascii", "synth"])
     def test_constructors_yield_strictly_increasing_tables(self, make):
@@ -453,7 +467,7 @@ class TestDatasetIndex:
         assert all(a < b for a, b in zip(table, table[1:]))
 
     def test_parse_is_deterministic_and_index_stays_out_of_repr(self):
-        a, b = parse_log(LOG), parse_log(LOG)
+        a, b = parse_log(text_log(LOG)), parse_log(text_log(LOG))
         assert (a.user_ids, tuple(a.record_table)) == (b.user_ids, tuple(b.record_table))
         assert a.record_table.query_ids.tolist() == b.record_table.query_ids.tolist()
         assert a.record_table.url_ids.tolist() == b.record_table.url_ids.tolist()
@@ -464,7 +478,7 @@ class TestDatasetIndex:
 
 class TestPartitionUsers:
     def make_dataset(self, n):
-        return parse_log("".join(f"u{i}\tq\tu\n" for i in range(n)))
+        return parse_log(text_log("".join(f"u{i}\tq\tu\n" for i in range(n))))
 
     def test_frozen_sizes(self):
         # N=1000, optin 5%, f_O=0.95: |O|=50, |S|=round(47.5)=48, |T|=2.

@@ -20,7 +20,7 @@ from hybridhh.metrics import (
 )
 from hybridhh.sampling import substream
 
-from conftest import LOG_WORDS
+from conftest import LOG_WORDS, text_log
 
 
 def ranked(probs):
@@ -297,10 +297,10 @@ class TestScore:
         dataset = harness.load_dataset(config)
         if source == "tsv":
             # Two log lines per user, and no known truth.
-            dataset = data.parse_log("".join(
+            dataset = data.parse_log(text_log("".join(
                 f"u{i // 2}\t{user.records[0].query}\t{user.records[0].url}\n"
                 for i, user in enumerate(dataset.users)
-            ))
+            )))
         truths, picks = [], []
         real_score, real_sample = metrics.score, data.sample_per_user
         monkeypatch.setattr(

@@ -31,7 +31,7 @@ from hybridhh.optin import (
 )
 from hybridhh.sampling import laplace_samples, substream
 
-from conftest import LOG_WORDS
+from conftest import LOG_WORDS, text_log
 
 
 @contextmanager
@@ -378,9 +378,9 @@ class TestVectorDraws:
         s_records = [pool[d] for d in rng.choice(len(pool), size=3000, p=weights)]
         t_records = [pool[d] for d in rng.choice(len(pool), size=1500, p=weights)]
         # One record per user: S's users come first, then T's.
-        ds = parse_log("".join(
+        ds = parse_log(text_log("".join(
             f"u{i}\t{rec.query}\t{rec.url}\n" for i, rec in enumerate(s_records + t_records)
-        ))
+        )))
         s_view, t_view = (
             RecordCounts(ds.record_table, sample_per_user(ds, users, substream(32, 1)))
             for users in (np.arange(3000), np.arange(3000, 4500))
@@ -420,7 +420,8 @@ class TestCarriedIds:
     )
     @settings(max_examples=200, deadline=None)
     def test_carried_ids_name_their_records(self, rows, weights, M, seed):
-        table = parse_log("".join(f"u{i}\t{q}\t{u}\n" for i, (q, u) in enumerate(rows))).record_table
+        log = "".join(f"u{i}\t{q}\t{u}\n" for i, (q, u) in enumerate(rows))
+        table = parse_log(text_log(log)).record_table
         s_counts = np.array(weights[:len(table)], dtype=np.int64)
         # Every record held twice or more: T never falls below two records.
         t_counts = np.array(weights[::-1][:len(table)], dtype=np.int64) + 2

@@ -140,7 +140,7 @@ class TestVerifyDp:
         hl = make_augmented_head_list(3, 3)
         model = build_report_model(default_params, hl)
         violation = verify_dp(
-            model, hl, default_params.eps_prime, default_params.delta_prime
+            model, hl, default_params.epsilon, default_params.delta
         )
         assert violation <= 0.0
 
@@ -149,22 +149,22 @@ class TestVerifyDp:
         hl = make_augmented_head_list(3, 3)
         model = build_report_model(default_params, hl)
         violation = verify_dp(
-            model, hl, default_params.eps_prime / 2, default_params.delta_prime
+            model, hl, default_params.epsilon / 2, default_params.delta
         )
         assert violation > 0.0
 
     def test_tight_epsilon_budget(self, default_params):
         hl = make_augmented_head_list(4, 3)
         model = build_report_model(default_params, hl)
-        lo, hi = 0.0, default_params.eps_prime
+        lo, hi = 0.0, default_params.epsilon
         for _ in range(30):
             mid = (lo + hi) / 2
-            if verify_dp(model, hl, mid, default_params.delta_prime) <= 0:
+            if verify_dp(model, hl, mid, default_params.delta) <= 0:
                 hi = mid
             else:
                 lo = mid
         # The smallest passing epsilon is positive and within the budget.
-        assert 0.0 < hi <= default_params.eps_prime
+        assert 0.0 < hi <= default_params.epsilon
 
 
 def _pairwise_reference(model, hl, eps, delta):
@@ -196,9 +196,9 @@ def test_verify_dp_matches_pairwise_reference(k, kq):
     for eps, delta in ((1.0, 1e-5), (4.0, 1e-7)):
         params = PrivacyParams(epsilon=eps, delta=delta)
         model = build_report_model(params, hl)
-        for budget in (params.eps_prime, params.eps_prime / 2):
-            got = verify_dp(model, hl, budget, params.delta_prime)
-            assert got == _pairwise_reference(model, hl, budget, params.delta_prime)
+        for budget in (params.epsilon, params.epsilon / 2):
+            got = verify_dp(model, hl, budget, params.delta)
+            assert got == _pairwise_reference(model, hl, budget, params.delta)
             verdicts.add(got <= 0)
     assert verdicts == {True, False}   # budgets that pass and budgets that fail
 
@@ -245,9 +245,9 @@ class TestClosedForm:
         def check(lengths, params):
             hl = _mixed_head_list(lengths)
             model = build_report_model(params, hl)
-            for eps in (params.eps_prime, params.eps_prime / 2):
-                got = verify_dp_closed_form(model, eps, params.delta_prime)
-                assert got == verify_dp(model, hl, eps, params.delta_prime)
+            for eps in (params.epsilon, params.epsilon / 2):
+                got = verify_dp_closed_form(model, eps, params.delta)
+                assert got == verify_dp(model, hl, eps, params.delta)
                 verdicts.add(got <= 0)
 
         check()
@@ -261,8 +261,8 @@ class TestClosedForm:
         for params in (BUDGETS[1], BUDGETS[4]):
             model = build_report_model(params, hl)
             for eps in (-0.5, -2.0):
-                got = verify_dp_closed_form(model, eps, params.delta_prime)
-                assert got == verify_dp(model, hl, eps, params.delta_prime)
+                got = verify_dp_closed_form(model, eps, params.delta)
+                assert got == verify_dp(model, hl, eps, params.delta)
 
     def test_cli_never_enumerates(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
@@ -299,8 +299,8 @@ class TestClosedForm:
             model = build_report_model(params, hl)
             assert set(model.k_q.values()) == {1, 2, 3, 4, 5}
             start = time.perf_counter()
-            at_budget = verify_dp_closed_form(model, params.eps_prime, params.delta_prime)
-            at_half = verify_dp_closed_form(model, params.eps_prime / 2, params.delta_prime)
+            at_budget = verify_dp_closed_form(model, params.epsilon, params.delta)
+            at_half = verify_dp_closed_form(model, params.epsilon / 2, params.delta)
             elapsed = time.perf_counter() - start
             assert at_budget <= 0 < at_half
             assert elapsed < 2.0   # two certificates, 1 s each
@@ -334,7 +334,7 @@ class TestEveryAcceptedEpsilon:
         params = PrivacyParams(epsilon=eps, delta=1e-5, f_C=f_c)
         for lengths in self.SHAPES:
             model = build_report_model(params, _mixed_head_list(lengths))
-            assert verify_dp_closed_form(model, params.eps_prime, params.delta_prime) <= 0
+            assert verify_dp_closed_form(model, params.epsilon, params.delta) <= 0
 
     def test_the_limit_is_rejected(self):
         for f_c in (0.85, 0.5, 0.05):

@@ -1,6 +1,7 @@
 """Checks on the package's source text."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hybridhh"
@@ -51,3 +52,25 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} imports {name} unused")
     assert not unused
+
+
+def test_every_module_level_function_and_class_is_named_outside_its_definition():
+    # A helper no caller names is dead code. Besides the package, the
+    # acceptance criteria and the benchmark count as callers.
+    root = SRC.parent.parent
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    callers = [root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").rglob("*.py"))]
+    elsewhere = [path.read_text(encoding="utf-8") for path in callers]
+    unnamed = []
+    for path, text in sources.items():
+        lines = text.split("\n")
+        others = [t for p, t in sources.items() if p != path] + elsewhere
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            rest = "\n".join(lines[: first - 1] + lines[node.end_lineno :])
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(map(word.search, [rest, *others])):
+                unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unnamed

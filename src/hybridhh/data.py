@@ -370,10 +370,19 @@ def partition_users(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random split into (S, T, C): head-list, estimation, and client groups.
 
-    Each group is an array of positions in `dataset.user_ids`, cut from one
-    permutation. |O| = round(optin_fraction * N) and
-    |S| = round(f_O * |O|), with banker's rounding; the split is uniform
-    over users.
+    Each group is an array of positions in `dataset.user_ids`.
+    |O| = round(optin_fraction * N) and |S| = round(f_O * |O|), with
+    banker's rounding. The |O| opt-in users are one draw without
+    replacement: its first |S| entries are S, the rest T. C is every
+    other user, in index order.
+
+    A draw without replacement is a uniformly random ordered sample of
+    distinct users, so S, T and C are split as uniformly as by one
+    permutation of all N users, and S keeps a random order. C's order is
+    fixed before any pick is drawn, and each user's pick is uniform over
+    its own records whatever its place in the draw order, so the per-user
+    picks keep their law. The draw takes about |O| random numbers, where
+    a permutation takes N.
     """
     if not 0 < optin_fraction < 1 or not 0 < f_O < 1:
         raise ParamError("fractions must lie in (0, 1)")
@@ -386,8 +395,10 @@ def partition_users(
         raise ParamError(
             f"degenerate partition sizes (|S|={n_s}, |T|={n_t}, |C|={n_c}) for N={n}"
         )
-    perm = rng.permutation(n)
-    return perm[:n_s], perm[n_s:n_optin], perm[n_optin:]
+    optin = rng.choice(n, n_optin, replace=False)
+    clients = np.ones(n, dtype=bool)
+    clients[optin] = False
+    return optin[:n_s], optin[n_s:], np.flatnonzero(clients)
 
 
 def zipf_weights(n: int, exponent: float) -> np.ndarray:

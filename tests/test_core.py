@@ -228,7 +228,7 @@ def test_star_encoding_round_trips():
 
 
 class TestPrivacyParams:
-    def test_default_budget_split(self):
+    def test_per_record_aliases_are_the_budget(self):
         p = PrivacyParams()
         assert p.eps_prime == 4.0
         assert p.delta_prime == 1e-5

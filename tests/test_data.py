@@ -209,7 +209,7 @@ class TestParseLogMatchesReference:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @pytest.mark.parametrize("block", [1 << 20, 3], ids=["one-block", "3-byte-blocks"])
-    def test_matches_reference_from_str_and_file(self, tmp_path, monkeypatch, block, text):
+    def test_matches_reference_from_file(self, tmp_path, monkeypatch, block, text):
         # Small blocks cut the log at most of its line breaks.
         monkeypatch.setattr("hybridhh.data._BLOCK", block)
         path = tmp_path / "log.tsv"
@@ -494,11 +494,35 @@ class TestPartitionUsers:
         assert len(set(ids)) == 200
         assert sorted(indices) == list(range(200))
 
-    def test_groups_are_cut_from_one_permutation(self):
+    def test_optin_users_are_one_draw_and_clients_the_rest_in_order(self):
         s, t, c = partition_users(self.make_dataset(200), 0.2, 0.5, substream(1, 0))
-        perm = substream(1, 0).permutation(200)
-        assert np.concatenate([s, t, c]).tolist() == perm.tolist()
+        optin = substream(1, 0).choice(200, 40, replace=False)
+        assert np.concatenate([s, t]).tolist() == optin.tolist()
         assert (len(s), len(t)) == (20, 20)
+        assert c.tolist() == sorted(set(range(200)) - set(optin.tolist()))
+
+    def test_split_is_uniform_over_users_and_pairs(self):
+        # Fixed before the first run: 8 users, |S| = |T| = 2, |C| = 4, the
+        # draws of 20000 seeds, and a bound of 5 binomial standard errors
+        # on each frequency. A user lands in S or T with chance 1/4, in C
+        # with 1/2, and each of the 28 pairs lands in S with 1/28.
+        n, draws = 8, 20000
+        ds = self.make_dataset(n)
+        groups = np.zeros((3, n))
+        pairs = np.zeros((n, n))
+        for seed in range(draws):
+            s, t, c = partition_users(ds, 0.5, 0.5, substream(seed, 0))
+            for g, users in enumerate((s, t, c)):
+                groups[g, users] += 1
+            pairs[min(s), max(s)] += 1
+        upper = np.triu_indices(n, 1)
+        for freq, p in (
+            (groups[:2] / draws, 1 / 4),
+            (groups[2] / draws, 1 / 2),
+            (pairs[upper] / draws, 1 / 28),
+        ):
+            assert np.abs(freq - p).max() < 5 * np.sqrt(p * (1 - p) / draws)
+        assert pairs.sum() == pairs[upper].sum()
 
     def test_degenerate_sizes_rejected(self):
         with pytest.raises(ParamError):

@@ -41,7 +41,7 @@ class DegenerateChannelError(ParamError):
 def _truth_probability(e_eps, delta, k: int) -> tuple:
     """A stage's truth probability t over k choices given e^eps, and 1 - t without subtracting
     from 1, in the arguments' arithmetic: floats for the run, mpmath numbers for the oracle."""
-    if k == 1:
+    if k == 1:  # e_eps + k - 1 is formed as (e_eps + 1) - 1, which rounds: t would miss 1
         return 1.0, 0.0
     spread = e_eps + k - 1
     return (e_eps + (delta / 2.0) * (k - 1)) / spread, (k - 1) * (1 - delta / 2.0) / spread

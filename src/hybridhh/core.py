@@ -56,11 +56,10 @@ class RecordTable(Sequence[Record]):
 
     def __post_init__(self):
         # Consumers read ids in record order and each query's records as one id run.
-        query_step, url_step = np.diff(self.query_ids), np.diff(self.url_ids)
         if not (
             all(map(operator.lt, self.queries, self.queries[1:]))
             and all(map(operator.lt, self.urls, self.urls[1:]))
-            and np.all((query_step > 0) | ((query_step == 0) & (url_step > 0)))
+            and np.all(np.diff(_keys(self.query_ids, self.url_ids)) > 0)
         ):
             raise ParamError("record table is not strictly increasing")
 
@@ -70,13 +69,9 @@ class RecordTable(Sequence[Record]):
         array that maps each i to its record's id."""
         query_names, query_ids = _names(queries)
         url_names, url_ids = _names(urls)
-        order = np.lexsort((url_ids, query_ids))
-        query_ids, url_ids = query_ids[order], url_ids[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (np.diff(query_ids) != 0) | (np.diff(url_ids) != 0)
-        rank = np.empty(len(order), dtype=np.int32)
-        rank[order] = np.cumsum(new) - 1
-        return cls(query_names, url_names, query_ids[new], url_ids[new]), rank
+        keys, rank = np.unique(_keys(query_ids, url_ids), return_inverse=True)
+        columns = (keys >> 32).astype(np.int32), (keys & 0xFFFFFFFF).astype(np.int32)
+        return cls(query_names, url_names, *columns), rank.astype(np.int32)
 
     def __len__(self) -> int:
         return len(self.query_ids)
@@ -102,6 +97,11 @@ def _names(strings: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
     names = sorted(set(strings))
     index = dict(zip(names, range(len(names))))
     return tuple(names), np.fromiter(map(index.__getitem__, strings), np.int32, len(strings))
+
+
+def _keys(query_ids: np.ndarray, url_ids: np.ndarray) -> np.ndarray:
+    """Each record's (query id, url id) as one int64 key, which sorts as the pair does."""
+    return query_ids.astype(np.int64) << 32 | url_ids
 
 
 def _position(items: Sequence, item) -> int:
@@ -250,10 +250,7 @@ class HeadList:
 
     # -- serialization ---------------------------------------------------
     def to_tsv(self) -> str:
-        widths = map(len, self.entries.values())
-        queries = chain.from_iterable(map(repeat, map(encode_star, self.entries), widths))
-        urls = map(encode_star, chain.from_iterable(self.entries.values()))
-        return "".join(map("{}\t{}\n".format, queries, urls))
+        return "".join(f"{encode_star(q)}\t{encode_star(u)}\n" for q, u in self.records())
 
     @classmethod
     def from_tsv(cls, text: str, stage: Stage) -> "HeadList":

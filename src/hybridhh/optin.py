@@ -66,9 +66,10 @@ def create_head_list(
     follow the record table's order, which is the records' sorted order,
     so the sequence is reproducible. The threshold is one array
     comparison, and the admitted records are named from the table's id
-    columns. Records whose query or url is the star are never admitted:
-    their mass is already unlisted mass. The list carries the admitted
-    records' table ids, and -1 for the wildcard.
+    columns and grouped by query in id order. Records whose query or url
+    is the star are never admitted: their mass is already unlisted mass.
+    The list carries the admitted records' table ids, and -1 for the
+    wildcard.
     """
     b_s, tau = compute_threshold(params)
     counts = RecordCounts.of(s_records)
@@ -79,12 +80,9 @@ def create_head_list(
     star_q, star_u = table.star
     star_free = (table.query_ids[admitted] != star_q) & (table.url_ids[admitted] != star_u)
     admitted = admitted[star_free]
-    # Ids follow query order: each query's urls are one run of them.
-    query = table.query_ids[admitted]
-    first = np.flatnonzero(np.diff(query, prepend=-1)).tolist()
-    urls = list(map(table.urls.__getitem__, table.url_ids[admitted].tolist()))
-    runs = zip(query[first].tolist(), first, first[1:] + [len(urls)])
-    entries = {table.queries[q]: urls[start:stop] for q, start, stop in runs}
+    entries: dict[str, list[str]] = {}
+    for q, u in zip(table.query_ids[admitted].tolist(), table.url_ids[admitted].tolist()):
+        entries.setdefault(table.queries[q], []).append(table.urls[u])
     entries[STAR] = [STAR]
     return HeadList(entries, Stage.INITIAL, (table, np.append(admitted, -1)))
 

@@ -2,6 +2,7 @@ import math
 import sys
 from collections import Counter
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -67,6 +68,20 @@ class TestTruthProbability:
 
     def test_singleton_is_forced(self):
         assert _truth_probability(math.exp(1.0), 1e-6, 1) == (1.0, 0.0)
+        # The url-stage budgets of runs at these epsilons, and e^0.5, at
+        # which the general formula's spread e + 1 - 1 rounds and its t
+        # misses 1, in floats and in the oracle's 50 digits.
+        hl = make_augmented_head_list(3, 2)
+        budgets = [
+            build_report_model(PrivacyParams(epsilon=eps), hl).budgets[2:]
+            for eps in (0.76, 0.85, 0.87)
+        ]
+        with mp.workdps(50):
+            cases = [(math.exp(e), d) for e, d in budgets]
+            cases += [(mp.exp(mp.mpf(e)), mp.mpf(d)) for e, d in budgets + [(0.5, 1e-6)]]
+            for e_eps, delta in cases:
+                assert e_eps / (e_eps + 1 - 1) != 1
+                assert _truth_probability(e_eps, delta, 1) == (1.0, 0.0)
 
     def test_complement_survives_where_subtraction_rounds_to_zero(self):
         t, off = _truth_probability(math.exp(200.0), 1e-5, 3)

@@ -1,4 +1,5 @@
 import math
+from itertools import chain, repeat
 
 import numpy as np
 import pytest
@@ -13,13 +14,19 @@ from hybridhh.core import (
     ParamError,
     PrivacyParams,
     Record,
+    RecordTable,
     Stage,
     canonicalize,
     decode_star,
     encode_star,
 )
 
-from conftest import make_final_head_list
+from conftest import LOG_WORDS, make_final_head_list
+
+# Names a regular query or url may take: any but the star.
+REGULAR_NAMES = (st.sampled_from(LOG_WORDS) | st.text(min_size=1, max_size=3)).filter(
+    lambda s: s != STAR
+)
 
 
 @pytest.fixture
@@ -182,6 +189,25 @@ class TestHeadList:
         back = HeadList.from_tsv(hl.to_tsv(), stage)
         assert back.entries == hl.entries
 
+    @given(
+        regular=st.dictionaries(
+            REGULAR_NAMES, st.lists(REGULAR_NAMES, min_size=1, max_size=4, unique=True), max_size=6
+        ),
+        star_at=st.integers(0, 6),
+    )
+    def test_to_tsv_matches_the_chained_form(self, regular, star_at):
+        def chained(hl):
+            widths = map(len, hl.entries.values())
+            queries = chain.from_iterable(map(repeat, map(encode_star, hl.entries), widths))
+            urls = map(encode_star, chain.from_iterable(hl.entries.values()))
+            return "".join(map("{}\t{}\n".format, queries, urls))
+
+        items = list(regular.items())
+        listed = dict(items[:star_at] + [(STAR, [STAR])] + items[star_at:])
+        initial = HeadList(listed, Stage.INITIAL)
+        for hl in (initial, HeadList(listed, Stage.FINAL), initial.augment_for_clients()):
+            assert hl.to_tsv() == chained(hl)
+
     def test_from_tsv_bad_arity(self):
         with pytest.raises(HeadListError, match="line 1"):
             HeadList.from_tsv("justonefield\n", Stage.INITIAL)
@@ -189,6 +215,22 @@ class TestHeadList:
     def test_iteration_order_is_insertion_order(self):
         hl = make_final_head_list(3, 2)
         assert hl.queries == ("q0", "q1", "q2", STAR)
+
+
+class TestRecordTableOf:
+    @given(st.lists(st.tuples(st.sampled_from(LOG_WORDS), st.sampled_from(LOG_WORDS)), max_size=30))
+    @example([])
+    def test_matches_the_sorted_distinct_records(self, rows):
+        queries, urls = [q for q, _ in rows], [u for _, u in rows]
+        table, rank = RecordTable.of(queries, urls)
+        records = sorted(set(rows))
+        assert table.queries == tuple(sorted(set(queries)))
+        assert table.urls == tuple(sorted(set(urls)))
+        assert table.query_ids.tolist() == [table.queries.index(q) for q, _ in records]
+        assert table.url_ids.tolist() == [table.urls.index(u) for _, u in records]
+        assert rank.tolist() == [records.index(row) for row in rows]
+        assert table.query_ids.dtype == table.url_ids.dtype == rank.dtype == np.int32
+        assert list(table) == records
 
 
 class TestEstimateVector:

@@ -5,7 +5,8 @@ so acceptance criterion 8 compares only two cells. At 1M users every
 cell of the sweep below reaches the full M queries, and the trend is
 checked over all six. Beside the blend, each run's opt-in and client
 estimates are projected onto the simplex on their own and scored on the
-same truth and final list, and the medians are printed as a table.
+same truth and final list, and the medians are printed as a table,
+each beside its range over the seeds.
 """
 
 import statistics
@@ -65,6 +66,13 @@ def _median(pairs):
     return statistics.median(p[0] for p in pairs), statistics.median(p[1] for p in pairs)
 
 
+def _spread(pairs):
+    """Median L1 / NDCG over the seeds, each beside its min–max."""
+    return " / ".join(
+        f"{statistics.median(v):.4f} [{min(v):.4f}–{max(v):.4f}]" for v in zip(*pairs)
+    )
+
+
 def test_median_l1_falls_and_ndcg_rises_with_epsilon(sweep, capsys):
     by_eps = {eps: [(row, sides) for row, sides in sweep if row.epsilon == eps] for eps in EPSILONS}
     blend = {eps: _median((row.l1, row.ndcg) for row, _ in cell) for eps, cell in by_eps.items()}
@@ -72,9 +80,9 @@ def test_median_l1_falls_and_ndcg_rises_with_epsilon(sweep, capsys):
         print("\n| ε | blend | opt-in only | client only |\n|---|---|---|---|")
         for eps, cell in by_eps.items():
             scored = [sides for _, sides in cell if sides]
-            medians = [blend[eps]] + [_median(sides[i] for sides in scored) for i in (0, 1)]
-            cells = " | ".join(f"{l1:.4f} / {ndcg:.4f}" for l1, ndcg in medians)
-            print(f"| {eps:g} | {cells} |", flush=True)
+            columns = [[(row.l1, row.ndcg) for row, _ in cell]]
+            columns += [[sides[i] for sides in scored] for i in (0, 1)]
+            print(f"| {eps:g} | {' | '.join(map(_spread, columns))} |", flush=True)
     # Criterion 8's check, over every cell.
     assert all(
         blend[a][0] >= blend[b][0] - 1e-12 and blend[a][1] <= blend[b][1] + 1e-12

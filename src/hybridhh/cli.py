@@ -101,9 +101,7 @@ def _cmd_synth(args) -> int:
 def _cmd_verify_dp(args) -> int:
     from . import oracle  # the one subcommand that needs mpmath
 
-    params = PrivacyParams(
-        epsilon=args.epsilon, delta=args.delta, f_C=args.f_c
-    )
+    params = PrivacyParams(epsilon=args.epsilon, delta=args.delta, f_C=args.f_c)
     if args.kq < 1:
         raise ParamError("--kq must be at least 1 (the star url)")
     entries = {

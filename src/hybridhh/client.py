@@ -28,6 +28,7 @@ from .core import (
     Record,
     Stage,
     canonicalize,
+    estimate_variance,
 )
 
 # Guard against near-singular denoising denominators (t ~ 1/k).
@@ -226,12 +227,9 @@ def client_estimates_from_counts(
 
     Counts are keyed by members of the client-augmented head list, as
     `simulate_reports` returns them, and folded onto its slots by name.
-    With b = b_p / g_q a record's estimate is a * r_qu + b * r_q plus a
-    constant, and Cov(r_qu, r_q) = r_qu (1 - r_q) / n, so its variance is
-    that of a * [report on (q, u)] + b * [report on q], a variable taking
-    a + b, b and 0 with probabilities r_qu, r_q - r_qu and 1 - r_q. It is
-    summed pairwise, one non-negative term per pair of values, and so
-    never rounds below zero.
+    Each variance is `core.estimate_variance`'s: a query's estimate is
+    1/g_q per report on q, and with b = b_p / g_q a record's is a + b per
+    report on (q, u), b per report on q's other urls and 0 elsewhere.
     """
     if hl.stage is not Stage.CLIENT_AUGMENTED:
         raise ParamError("client estimation requires a client-augmented head list")
@@ -250,11 +248,10 @@ def client_estimates_from_counts(
     c_q = np.bincount(of_query, weights=c, minlength=len(queries))
     r_q, off_q = c_q / n, (n - c_q) / n
     p_q = (r_q - background) / g_q
-    var_q = (1.0 / g_q) ** 2 * r_q * off_q / (n - 1)
+    var_q = estimate_variance([1.0 / g_q], [r_q, off_q], n)
 
     a, b_p, c_p = a[of_query], b_p[of_query], c_p[of_query]
-    b = b_p / g_q[of_query]
     r_qu, r_other, off = c / n, (c_q[of_query] - c) / n, off_q[of_query]
     p = a * r_qu + b_p * p_q[of_query] + c_p
-    var = (a**2 * r_qu * r_other + (a + b) ** 2 * r_qu * off + b**2 * r_other * off) / (n - 1)
+    var = estimate_variance([a, b_p / g_q[of_query]], [r_qu, r_other, off], n)
     return EstimateVector(hl, p, var, p_q, var_q)

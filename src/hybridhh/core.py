@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, reduce
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from types import MappingProxyType
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -401,3 +401,15 @@ class EstimateVector:
     record_vars = cached_property(lambda self: keyed(self.head_list.records(), self.var))
     query_probs = cached_property(lambda self: keyed(self.head_list.queries, self.query_p))
     query_vars = cached_property(lambda self: keyed(self.head_list.queries, self.query_var))
+
+
+def estimate_variance(steps: Sequence, shares: Sequence, n: int, cells=0, b: float = 0.0):
+    """Bessel-corrected variance of a constant, plus the mean of n reports, plus `cells`
+    Laplace cells of scale b, elementwise. Report level i has share P_i = shares[i], and
+    c_i = steps[i] is the step to level i + 1 (differences of values would round): it is
+    sum over i < j of (c_i + ... + c_{j-1})^2 P_i P_j / (n-1), plus cells 2b^2 / (n(n-1))."""
+    if n < 2 or np.any(np.asarray(cells) > 0) and not b > 0:
+        raise ParamError("variance estimate needs n >= 2 and, with noise cells, a positive scale")
+    pairs = combinations(range(len(shares)), 2)  # (0, 1), (0, 2), ...: no term is negative
+    terms = (left_sum(steps[i:j]) ** 2 * shares[i] * shares[j] for i, j in pairs)
+    return left_sum(terms) / (n - 1) + cells * 2.0 * b**2 / (n * (n - 1))

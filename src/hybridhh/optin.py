@@ -24,6 +24,7 @@ from .core import (
     Record,
     RecordCounts,
     Stage,
+    estimate_variance,
     left_sum,
     record_slots,
 )
@@ -87,24 +88,13 @@ def create_head_list(
     return HeadList(entries, Stage.INITIAL, (table, np.append(admitted, -1)))
 
 
-def optin_variance(
-    p_hat: np.ndarray, n: int, b_t: float, cells: int | np.ndarray = 1
-) -> np.ndarray:
-    """Unbiased sample variances of Laplace-mechanism frequency estimates.
-
-    (n/(n-1)) * (p(1-p)/n + 2 c (b/n)^2), i.e. the Bernoulli sampling term
-    with Bessel's correction plus the Laplace noise of the c noisy cells
-    each estimate sums: one for a record, k_q for a query's marginal.
-    Noise can push an estimate outside [0,1]; the Bernoulli term is
-    evaluated at the clamped value so the variance stays non-negative
-    while the estimate itself is left unbiased.
-    """
-    if n < 2:
-        raise ParamError("variance estimate needs n >= 2")
-    if not b_t > 0:
-        raise ParamError("noise scale must be positive")
+def optin_variance(p_hat: np.ndarray, n: int, b_t: float, cells=1) -> np.ndarray:
+    """Unbiased sample variances of Laplace-mechanism frequency estimates by
+    `core.estimate_variance`: one step of 1, at the estimate clamped to [0, 1], as noise
+    can push it out, plus the noisy cells each estimate sums, one for a record and k_q
+    for a query's marginal. The estimate itself is left unclamped, so unbiased."""
     p_eff = np.clip(p_hat, 0.0, 1.0)
-    return (n / (n - 1.0)) * (p_eff * (1.0 - p_eff) / n + cells * 2.0 * (b_t / n) ** 2)
+    return estimate_variance([1.0], [p_eff, 1.0 - p_eff], n, cells, b_t)
 
 
 def estimate_optin_probabilities(
@@ -161,11 +151,10 @@ def estimate_optin_probabilities(
     hl_final = HeadList(entries, Stage.FINAL, carried)
     record_probs = p_hat[at]
     query_probs = np.array(marginal)[order]
-    # Reusing the record-level variance formula for the accumulated
-    # wildcard mass is known to be statistically loose; kept for
-    # faithfulness to the estimation procedure.
+    # A query's marginal sums one noisy cell per url. The wildcard, and so the star,
+    # counts one, although its mass holds the trimmed queries' cells: known to be
+    # statistically loose, kept for faithfulness to the estimation procedure.
     record_vars = optin_variance(record_probs, n, b_t)
-    # A query's marginal sums one noisy cell per url; the star's is its wildcard's.
     query_vars = optin_variance(query_probs, n, b_t, np.bincount(hl_final.of_query))
     estimates = EstimateVector(hl_final, record_probs, record_vars, query_probs, query_vars)
     return OptinOutput(hl_final, estimates)

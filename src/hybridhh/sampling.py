@@ -32,10 +32,14 @@ def client_stream_id(user_id: str) -> int:
 def laplace_samples(scale: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent draws from Lap(scale) centered at 0, via the inverse CDF.
 
-    Consumes exactly one uniform per draw, so draw i is the same whether
-    the draws are taken one at a time or as one vector.
+    One uniform per draw, so draw i is the same drawn alone or in a vector; but a
+    uniform of exactly 0 (chance 2^-53), which gives -inf, is drawn again after
+    the others, as numpy's own Laplace sampler does.
     """
     if not scale > 0:
         raise ValueError("laplace scale must be positive")
-    u = rng.random(n) - 0.5
+    u = rng.random(n)
+    while not np.all(u):
+        u[u == 0] = rng.random(n - np.count_nonzero(u))
+    u -= 0.5
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))

@@ -1,5 +1,5 @@
 import math
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from hybridhh.core import (
     canonicalize,
     decode_star,
     encode_star,
+    estimate_variance,
 )
 
 from conftest import LOG_WORDS, make_final_head_list
@@ -261,6 +262,55 @@ class TestEstimateVector:
         arrays[name][1] = bad
         with pytest.raises(ParamError, match="finite and non-negative"):
             EstimateVector(initial_hl, **arrays)
+
+
+def level_values(steps):
+    """Level i's value, steps[i] + ... + steps[L-2], the last level at 0."""
+    return np.append(np.cumsum(np.asarray(steps)[::-1])[::-1], 0.0)
+
+
+class TestEstimateVariance:
+    @given(
+        steps=st.lists(st.floats(-100, 100), min_size=1, max_size=4),
+        weights=st.lists(st.floats(0, 1), min_size=5, max_size=5),
+        n=st.integers(2, 10**6),
+        cells=st.integers(0, 5),
+        b=st.floats(0.01, 10),
+    )
+    def test_matches_the_multinomial_covariance_sum(self, steps, weights, n, cells, b):
+        shares = np.array(weights[: len(steps) + 1])
+        if not shares.sum() > 0:
+            shares[0] = 1.0
+        shares /= shares.sum()
+        c = level_values(steps)
+        noise = cells * 2 * b**2 / (n * (n - 1))
+        brute = c @ (np.diag(shares) - np.outer(shares, shares)) @ c / (n - 1) + noise
+        got = estimate_variance(steps, list(shares), n, cells, b)
+        assert got >= 0
+        # Tolerance fixed before the first run: 1e-12 of the second moment's scale.
+        assert abs(got - brute) <= 1e-12 * (shares @ c**2 / (n - 1) + noise)
+
+    @pytest.mark.parametrize("levels", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_is_unbiased_over_every_multinomial_outcome(self, levels, n):
+        # With no noise cells, the rule at the empirical shares is unbiased for
+        # the variance of the mean of n reports: Bessel's correction, exactly.
+        rng = np.random.default_rng(10 * n + levels)
+        steps, shares = rng.uniform(-3, 3, levels - 1), rng.dirichlet(np.ones(levels))
+        outcomes = np.array([k for k in product(range(n + 1), repeat=levels) if sum(k) == n])
+        ways = [math.factorial(n) / math.prod(map(math.factorial, k)) for k in outcomes.tolist()]
+        chance = np.array(ways) * np.prod(shares ** outcomes, axis=1)
+        rule = estimate_variance(list(steps), list((outcomes / n).T), n)
+        c = level_values(steps)
+        exact = (shares @ c**2 - (shares @ c) ** 2) / n
+        assert chance @ rule == pytest.approx(exact, rel=1e-12)
+
+    def test_rejects_bad_args(self):
+        with pytest.raises(ParamError, match="n >= 2"):
+            estimate_variance([1.0], [0.5, 0.5], 1)
+        with pytest.raises(ParamError, match="positive scale"):
+            estimate_variance([1.0], [0.5, 0.5], 10, np.array([0, 2]), 0.0)
+        assert estimate_variance([1.0], [0.5, 0.5], 10, 0, 0.0) == 0.25 / 9
 
 
 def test_star_encoding_round_trips():

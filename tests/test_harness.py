@@ -361,7 +361,7 @@ class TestSweep:
         assert len(rows) == 24
         assert sum(r.status == "failed:ParamError" for r in rows) == 9
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "d02418900060ab59060f9212dcee55d83bb35bb4cfdbd4dee1995639146ac045"
+            "17f8ae56968b118e2b2048a2d72b9b5cb007929d71804df6888b6807285e3ad6"
         )
 
     def test_distinct_seeds_per_repetition(self):
@@ -904,20 +904,20 @@ class TestGoldenArtifacts:
 
 SYNTH_DIGESTS = {
     "headlist.tsv": "f409894283e32cb41a1d3aa1243f1cbabfc154f770c0d63487641cef11191b86",
-    "optin_estimates.csv": "53a6b810c59b872ea638cde0b4c33290fcbc58b926362d56f16919fa19517db0",
-    "blended.csv": "2446c71cf460b6fe5f3fb05f6bde3fccb1fd19115e5307d57c795211863932aa",
+    "optin_estimates.csv": "e090b2a07b85bba10aa322c44e0dc20e5647cb4e98fb2b3560af68b01b8ab3b2",
+    "blended.csv": "b95997da56d36ab1a16ac98d15354de7c3470a5d6621592378f3cbfbe770f0bc",
     "metrics.csv": "5b7806e1288e7ef4392967f11082a1f12bb18021254a96108b1a85e79c74a2d4",
 }
 TSV_DIGESTS = {
     "headlist.tsv": "acef998abcdccc18c63cd645dedec5ac8faca83455fe5e7a99bbaa57aa3e64a6",
-    "optin_estimates.csv": "f48d7d88cfefb71b506c59de61208e7cb4131fee4e97c3ecc3f776d7dd34ac35",
-    "blended.csv": "4a028700a83aae60346ae57d586d3f690b232ece5b060c8accc5f9c9b197bdf7",
+    "optin_estimates.csv": "9e8dae1c8f8653ba23f3c4426d54b60ec770e5db43959a85772ca8dd328e42d3",
+    "blended.csv": "a6274e32a6d6612e21909700305458e2cc237373c9b4d7bfb6150fed740c17f4",
     "metrics.csv": "aed7827e3752c6a1b1bcf5475247fd3b2b258da05af2642a7a98c180394f9ae2",
 }
 INTERLEAVED_TSV_DIGESTS = {
     "headlist.tsv": "ee7d4b60a357c456edc2a32f8edf185b8959b438cb43f2ef32408dfe205d7761",
-    "optin_estimates.csv": "825c73ad67dbf849554716a0550ace86526b9d2974728ecf4864f93d821ecfdc",
-    "blended.csv": "5d5836ab9059d7c5ed131a3f0dd060ef8f9dcd37f2aa89f1c040bdff847f4a4a",
+    "optin_estimates.csv": "e5851d6591afab3543b6d8c3caff30a9486ccf30ddc9607a60e2e1a93951eeca",
+    "blended.csv": "0644209ea6435b2bf16cfed76dabbe9fa25af7ac815181628c2f9dbd62aa6ffa",
     "metrics.csv": "dbc44cd3dd478d387ca68fd4bcebffc7342e0e533b1601c30575ed36a74771f9",
 }
 SYNTH_COMMAND_DIGESTS = {

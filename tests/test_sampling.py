@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,23 @@ class TestLaplace:
             laplace_samples(0.0, 1, rng)
         with pytest.raises(ValueError):
             laplace_samples(-1.0, 10, rng)
+
+    def test_a_zero_uniform_is_drawn_again(self):
+        class Stub:
+            """Hands out the given uniform batches in turn."""
+
+            def __init__(self, *batches):
+                self.batches = list(batches)
+
+            def random(self, n):
+                batch = self.batches.pop(0)
+                assert len(batch) == n
+                return np.array(batch)
+
+        # A zero would give log1p(-1) = -inf; the redraws come after the others.
+        draws = laplace_samples(1.0, 3, Stub([0.0, 0.25, 0.0], [0.0, 0.75], [0.25]))
+        assert draws.tolist() == [-math.log(2), -math.log(2), math.log(2)]
+        assert laplace_samples(1.0, 3, Stub([0.5, 0.25, 0.75])).tolist() == [0.0, *draws[1:]]
 
     def test_mean_is_zero(self):
         draws = laplace_samples(0.5, N, substream(11, 0))

@@ -277,6 +277,9 @@ class TestEstimateVariance:
         cells=st.integers(0, 5),
         b=st.floats(0.01, 10),
     )
+    # A share of the smallest subnormal: the true variance, 1.9e-324, rounds to 0.0
+    # here and to 5e-324 through the matrix products.
+    @example(steps=[0.625], weights=[5e-324, 1.0, 0.0, 0.0, 0.0], n=2, cells=0, b=1.0)
     def test_matches_the_multinomial_covariance_sum(self, steps, weights, n, cells, b):
         shares = np.array(weights[: len(steps) + 1])
         if not shares.sum() > 0:
@@ -287,8 +290,11 @@ class TestEstimateVariance:
         brute = c @ (np.diag(shares) - np.outer(shares, shares)) @ c / (n - 1) + noise
         got = estimate_variance(steps, list(shares), n, cells, b)
         assert got >= 0
-        # Tolerance fixed before the first run: 1e-12 of the second moment's scale.
-        assert abs(got - brute) <= 1e-12 * (shares @ c**2 / (n - 1) + noise)
+        # 1e-12 of the second moment's scale, that scale taken no smaller than the
+        # smallest normal float: below it floats have a fixed absolute spacing, so
+        # two correct roundings can differ by all of a subnormal value.
+        scale = max(shares @ c**2 / (n - 1) + noise, np.finfo(float).tiny)
+        assert abs(got - brute) <= 1e-12 * scale
 
     @pytest.mark.parametrize("levels", [2, 3, 4])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

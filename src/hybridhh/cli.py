@@ -91,9 +91,8 @@ def _cmd_synth(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         data.serialize_log(dataset, fh)
-    truth = dataset.true_distribution
-    names = harness.name_columns(truth)
-    harness.write_record_table(truth_path, names, p=harness.cells(truth.values()))
+    p = harness.cells(dataset.true_distribution.tolist())
+    harness.write_record_table(truth_path, harness.name_columns(dataset.record_table), p=p)
     print(f"wrote {len(dataset)} users to {out} (truth: {truth_path})")
     return 0
 

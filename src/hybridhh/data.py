@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,8 +56,8 @@ class UserLog(NamedTuple):
 class Dataset:
     """Users in first-seen order and the table of distinct records; each
     user's records as int32 ids into the table, user-major, at `offsets`
-    for `lengths`. A parsed log holds its user ids as a tuple; a
-    synthetic one as `SynthUserIds`, which names each id when read.
+    for `lengths`; a synthetic log's truth, as probabilities by record
+    id. Parsed user ids are a tuple, synthetic ones `SynthUserIds`.
 
     Derived once from the index: which users hold `several` records, and
     the records the other users hold, counted by id (`single_counts`, of
@@ -67,7 +67,7 @@ class Dataset:
     record_table: RecordTable
     record_ids: np.ndarray = field(repr=False)
     lengths: np.ndarray = field(repr=False)
-    true_distribution: Optional[Mapping[Record, float]] = None
+    true_distribution: Optional[np.ndarray] = None
     offsets: np.ndarray = field(init=False, repr=False)
     several: np.ndarray = field(init=False, repr=False)
     single_counts: np.ndarray = field(init=False, repr=False)
@@ -75,9 +75,9 @@ class Dataset:
 
     def __post_init__(self):
         if self.true_distribution is not None:
-            total = sum(self.true_distribution.values())
-            if abs(total - 1.0) > 1e-9:
-                raise ParamError(f"true distribution sums to {total}, not 1")
+            total, n = float(self.true_distribution.sum()), len(self.true_distribution)
+            if n != len(self.record_table) or abs(total - 1.0) > 1e-9:
+                raise ParamError(f"truth has {n} ids, sum {total}; want one per record, sum 1")
         offsets = np.cumsum(self.lengths) - self.lengths
         several = self.lengths > 1
         held = self.record_ids[offsets[~several]]
@@ -419,8 +419,8 @@ def synth_zipf(
     Query marginals and per-query url conditionals are both Zipf with the
     given exponent. Urls live in per-query namespaces ("q{i}/u{j}") so
     lists never collide across queries. The draws follow the (i, j) grid
-    order, and so does the truth, a dict, which is the order `synth`
-    writes it in; the table holds the grid's records sorted, as columns.
+    order; the table holds the grid's records sorted, as columns, and the
+    truth holds each cell's joint probability at its record's id.
     User n is named `user{n:07d}` when its id is read (`SynthUserIds`).
     """
     if min(num_users, num_queries, urls_per_query) < 1:
@@ -434,8 +434,9 @@ def synth_zipf(
     queries = [q for q in names for _ in range(urls_per_query)]
     urls = [f"{q}/u{j}" for q in names for j in range(urls_per_query)]
     draws = rng.choice(len(urls), size=num_users, p=joint)
-    truth = {Record(q, u): float(p) for q, u, p in zip(queries, urls, joint)}
     table, rank = RecordTable.of(queries, urls)
+    truth = np.empty_like(joint)  # the grid's records are distinct: `rank` is a permutation
+    truth[rank] = joint
     return Dataset(
         SynthUserIds(num_users),
         table,
@@ -445,9 +446,9 @@ def synth_zipf(
     )
 
 
-def empirical_distribution(counts: Mapping[Record, int]) -> dict[Record, float]:
-    """Relative frequencies of record counts, read in place."""
-    total = sum(counts.values())
+def empirical_distribution(counts: np.ndarray) -> np.ndarray:
+    """Relative frequencies of record counts by id; below 2**53 each is correctly rounded."""
+    total = counts.sum()
     if total == 0:
         raise ParamError("no records to build a distribution from")
-    return {r: c / total for r, c in counts.items()}
+    return counts / total

@@ -192,13 +192,13 @@ def run_blender(
 
     truth = dataset.true_distribution
     if truth is None:
-        # The opt-in users' picks, folded onto the list's slots as the
-        # clients' are: the score reads only the star-free listed records.
-        on_list = np.bincount(slots, weights=s_picks + t_picks, minlength=hl_aug.num_records())
-        truth = data.empirical_distribution(
-            dict(zip(hl_aug.records(), on_list.astype(np.int64).tolist()))
-        )
-    l1, ndcg = metrics.score(blended.probs, truth)
+        truth = data.empirical_distribution(s_picks + t_picks)
+    # The score restricts the truth to the blend's star-free records, the
+    # final list's carried ids >= 0, so it is read there alone.
+    ids = hl_final.carried[1]
+    listed = ids >= 0
+    on_list = dict(zip(itertools.compress(hl_final.records(), listed), truth[ids[listed]].tolist()))
+    l1, ndcg = metrics.score(blended.probs, on_list)
 
     row = MetricsRow.for_params(
         params, run_seed, l1=l1, ndcg=ndcg, headlist_short=hl_final.k - 1 < params.M

@@ -254,7 +254,10 @@ class TestDataset:
     def test_truth_must_sum_to_one(self):
         ds = parse_log(text_log("u\tq\tu\n"))
         with pytest.raises(ParamError):
-            replace(ds, true_distribution={Record("q", "u"): 0.5})
+            replace(ds, true_distribution=np.array([0.5]))
+        with pytest.raises(ParamError):
+            replace(ds, true_distribution=np.array([0.5, 0.5]))  # not one entry per record
+        assert replace(ds, true_distribution=np.array([1.0])).true_distribution.tolist() == [1.0]
 
     def test_unsorted_table_is_rejected(self):
         table = parse_log(text_log("a\tq1\tu\nb\tq1\tv\nc\tq2\tu\n")).record_table
@@ -549,9 +552,22 @@ class TestSynthZipf:
         ds = synth_zipf(500, 10, 3, 1.0, substream(61, 0))
         assert len(ds) == 500
         assert all(len(u.records) == 1 for u in ds.users)
-        assert sum(ds.true_distribution.values()) == pytest.approx(1.0)
-        assert len(ds.true_distribution) == 30
-        assert Record("q0", "q0/u0") in ds.true_distribution
+        assert ds.true_distribution.sum() == pytest.approx(1.0)
+        assert len(ds.true_distribution) == len(ds.record_table) == 30
+        assert Record("q0", "q0/u0") in ds.record_table
+
+    def test_truth_by_record_id(self):
+        # More than ten queries, so that "q10" sorts between "q1" and "q2"
+        # and the table's order is not the grid's.
+        nq, nu, e = 12, 3, 0.8
+        ds = synth_zipf(100, nq, nu, e, substream(65, 0))
+        truth, table = ds.true_distribution, ds.record_table
+        assert truth.dtype == np.float64 and truth.shape == (len(table),)
+        id_of = {rec: i for i, rec in enumerate(table)}
+        grid = [id_of[Record(f"q{i}", f"q{i}/u{j}")] for i in range(nq) for j in range(nu)]
+        assert grid != sorted(grid)
+        joint = np.outer(zipf_weights(nq, e), zipf_weights(nu, e)).ravel()
+        assert [truth[i].hex() for i in grid] == [p.hex() for p in joint.tolist()]
 
     def test_deterministic(self):
         a = synth_zipf(200, 5, 2, 1.0, substream(62, 0))
@@ -598,9 +614,11 @@ class TestSynthZipf:
 
     def test_empirical_matches_truth_at_scale(self):
         ds = synth_zipf(200_000, 5, 2, 1.0, substream(63, 0))
-        emp = empirical_distribution(Counter(r for u in ds.users for r in u.records))
-        for rec, p in ds.true_distribution.items():
-            assert emp.get(rec, 0.0) == pytest.approx(p, abs=0.005)
+        id_of = {rec: i for i, rec in enumerate(ds.record_table)}
+        held = np.bincount([id_of[r] for u in ds.users for r in u.records], minlength=len(id_of))
+        emp = empirical_distribution(held)
+        for p_emp, p in zip(emp.tolist(), ds.true_distribution.tolist(), strict=True):
+            assert p_emp == pytest.approx(p, abs=0.005)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ParamError):
@@ -610,5 +628,6 @@ class TestSynthZipf:
 
 
 def test_empirical_distribution_rejects_empty():
-    with pytest.raises(ParamError):
-        empirical_distribution({})
+    for counts in (np.zeros(0, dtype=np.int64), np.zeros(3, dtype=np.int64)):
+        with pytest.raises(ParamError):
+            empirical_distribution(counts)

@@ -33,7 +33,7 @@ def sweep():
         sweep=harness.SweepAxes(epsilon=EPSILONS, seeds=SEEDS),
     )
     dataset = harness.load_dataset(config)
-    truth = dataset.true_distribution
+    truth = dict(zip(dataset.record_table, dataset.true_distribution.tolist()))
     results = []
     real_run = harness.run_blender
 

@@ -221,6 +221,33 @@ class TestRunBlender:
         assert a.blended.probs == b.blended.probs
         assert a.row == b.row
 
+    @pytest.mark.parametrize("source", ["synthetic", "tsv"])
+    def test_empirical_truth_only_without_a_known_one(self, source, tmp_path, monkeypatch):
+        """A TSV run builds its truth by one `empirical_distribution` call
+        on the S and T picks, by record id; a synthetic run, which knows
+        its truth, makes none."""
+        config = small_config()
+        if source == "tsv":
+            write_multi_record_log(tmp_path / "log.tsv")
+            config = replace(config, dataset_path=str(tmp_path / "log.tsv"))
+        dataset = load_dataset(config)
+        calls, picks = [], []
+        real_empirical, real_sample = data.empirical_distribution, data.sample_per_user
+        monkeypatch.setattr(
+            data, "empirical_distribution",
+            lambda counts: calls.append(counts.copy()) or real_empirical(counts),
+        )
+        monkeypatch.setattr(
+            data, "sample_per_user", lambda *args: picks.append(real_sample(*args)) or picks[-1]
+        )
+        run_blender(config, dataset)
+        if source == "tsv":
+            (counts,) = calls
+            assert counts.tolist() == (picks[0] + picks[1]).tolist()
+            assert len(counts) == len(dataset.record_table)
+        else:
+            assert calls == []
+
     def test_seed_changes_output(self):
         config = small_config()
         dataset = load_dataset(config)
@@ -922,5 +949,5 @@ INTERLEAVED_TSV_DIGESTS = {
 }
 SYNTH_COMMAND_DIGESTS = {
     "log.tsv": "684bd5f659ee8b119496d81f4d747d2241310d77c3f2020377ef321105411e86",
-    "log.tsv.truth.csv": "cb8dcd5c10f61df8e5065c764a4e4b7036e78f8579553ead14c48ed16ddd8030",
+    "log.tsv.truth.csv": "ab2bbb77b21826acbf8274e068f86ffbea7fcab4e0dcbed03cf95a8fda988b6c",
 }

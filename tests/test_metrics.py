@@ -290,7 +290,8 @@ class TestScore:
         """The truth over every record, that truth folded onto the final
         head list, and the truth the run hands `score` give the same
         floats. A TSV log's raw truth is rebuilt from the run's own S and
-        T picks, the first two `sample_per_user` results."""
+        T picks, the first two `sample_per_user` results; either raw truth
+        is read over every table record."""
         config = ExperimentConfig(
             params=PrivacyParams(M=10), synth=SynthSpec(users=3000, queries=40, urls=3), seed=5
         )
@@ -315,11 +316,11 @@ class TestScore:
         (passed,) = truths
         if source == "tsv":
             held = (picks[0] + picks[1]).tolist()
-            raw = data.empirical_distribution(
-                {rec: n for rec, n in zip(dataset.record_table, held) if n}
-            )
+            total = sum(held)
+            raw_p = [n / total for n in held]
         else:
-            raw = dataset.true_distribution
+            raw_p = dataset.true_distribution.tolist()
+        raw = dict(zip(dataset.record_table, raw_p, strict=True))
         hl = result.head_list
         assert any(rec not in hl for rec in raw), "the truth should reach past the list"
         folded = {r: 0.0 for r in hl.records()}
@@ -501,7 +502,8 @@ def test_scores_are_the_same_floats_under_a_compensated_sum(monkeypatch):
         harness.run_blender(config, dataset, seed=harness.derive_seed(1, i)).blended.probs
         for i in range(20)
     ]
-    want = [score(p, dataset.true_distribution) for p in probs]
+    truth = dict(zip(dataset.record_table, dataset.true_distribution.tolist()))
+    want = [score(p, truth) for p in probs]
     monkeypatch.setattr(metrics, "sum", _compensated_sum, raising=False)
-    got = [score(p, dataset.true_distribution) for p in probs]
+    got = [score(p, truth) for p in probs]
     assert [[x.hex() for x in s] for s in got] == [[x.hex() for x in s] for s in want]

@@ -91,8 +91,9 @@ def _cmd_synth(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         data.serialize_log(dataset, fh)
-    p = harness.cells(dataset.true_distribution.tolist())
-    harness.write_record_table(truth_path, harness.name_columns(dataset.record_table), p=p)
+    table, p = dataset.record_table, harness.cells(dataset.true_distribution.tolist())
+    names = harness.name_columns((table.queries, table.query_ids), (table.urls, table.url_ids))
+    harness.write_record_table(truth_path, names, p=p)
     print(f"wrote {len(dataset)} users to {out} (truth: {truth_path})")
     return 0
 

@@ -79,13 +79,6 @@ class RecordTable(Sequence[Record]):
     def __getitem__(self, i: int) -> Record:
         return Record(self.queries[self.query_ids[i]], self.urls[self.url_ids[i]])
 
-    def __iter__(self) -> Iterator[Record]:
-        return map(
-            Record,
-            map(self.queries.__getitem__, self.query_ids.tolist()),
-            map(self.urls.__getitem__, self.url_ids.tolist()),
-        )
-
     @cached_property
     def star(self) -> tuple[int, int]:
         """The star's position among the query names and among the url names, or -1."""

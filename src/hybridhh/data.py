@@ -15,8 +15,8 @@ sampling work on the integer arrays and return record counts by id.
 The records of the users who hold one record are counted once, with
 the index: those are their picks before any draw, so the clients'
 counts can be the population's less the opt-in users'.
-`Dataset.users` rebuilds the users one at a time from the index, for
-writing a log back out.
+`Dataset.users` rebuilds the users one at a time from the index;
+`serialize_log` writes a log from the index's columns.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -313,9 +314,15 @@ def _merge(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, np.ndarray,
 
 
 def serialize_log(dataset: Dataset, stream: IO[str]) -> None:
-    for user in dataset.users:
-        for rec in user.records:
-            stream.write(f"{user.user_id}\t{encode_star(rec.query)}\t{encode_star(rec.url)}\n")
+    """Write the log `parse_log` reads back, the star as "*", off the index:
+    each name is star-encoded once, each record's tail formatted once, and
+    each user id read once, in order."""
+    table = dataset.record_table
+    queries, urls = ([encode_star(s) for s in names] for names in (table.queries, table.urls))
+    ids = zip(table.query_ids.tolist(), table.url_ids.tolist())
+    tails = [f"\t{queries[q]}\t{urls[u]}\n" for q, u in ids]
+    users = chain.from_iterable(map(repeat, dataset.user_ids, dataset.lengths.tolist()))
+    stream.writelines(map(str.__add__, users, map(tails.__getitem__, dataset.record_ids.tolist())))
 
 
 def sample_per_user(

@@ -14,7 +14,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, get_args, get_origin, get_type_hints
 
@@ -26,7 +25,6 @@ from .core import (
     HeadList,
     ParamError,
     PrivacyParams,
-    Record,
     RecordCounts,
     encode_star,
     record_slots,
@@ -233,10 +231,11 @@ def cells(values: Iterable[float]) -> list[str]:
     return list(map(repr, values))
 
 
-def name_columns(records: Iterable[Record]) -> list[list[str]]:
-    """The records' queries, and their urls, as name cells."""
-    records = list(records)
-    return [list(map(name_cell, map(itemgetter(i), records))) for i in (0, 1)]
+def name_columns(*columns: tuple[Sequence[str], np.ndarray]) -> list[list[str]]:
+    """Each column, given as names and the ids that read them, as name
+    cells: each name goes through `name_cell` once."""
+    named = [(list(map(name_cell, names)), ids) for names, ids in columns]
+    return [list(map(by_id.__getitem__, ids.tolist())) for by_id, ids in named]
 
 
 def write_record_table(path: Path, names: list[list[str]], **columns: list[str]) -> None:
@@ -245,12 +244,12 @@ def write_record_table(path: Path, names: list[list[str]], **columns: list[str])
 
 
 def write_artifacts(result: RunResult, out_dir: Path) -> None:
+    hl, optin_est, client_est = result.head_list, result.optin_est, result.client_est
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "headlist.tsv").write_text(result.head_list.to_tsv(), encoding="utf-8")
-    records = result.head_list.records()
-    optin_est, client_est = result.optin_est, result.client_est
+    (out_dir / "headlist.tsv").write_text(hl.to_tsv(), encoding="utf-8")
     # Both tables carry the names and the opt-in estimates; each is formatted once.
-    names = name_columns(records)
+    urls = [url for _, url in hl.records()]
+    names = name_columns((hl.queries, hl.of_query), (urls, np.arange(len(urls))))
     p_optin, var_optin = cells(optin_est.p.tolist()), cells(optin_est.var.tolist())
     write_record_table(out_dir / "optin_estimates.csv", names, p_hat=p_optin, var_hat=var_optin)
     at = result.blended.client_slots

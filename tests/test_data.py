@@ -20,6 +20,7 @@ from hybridhh.core import (
     RecordTable,
     Stage,
     decode_star,
+    encode_star,
     record_slots,
 )
 from hybridhh.data import (
@@ -37,7 +38,7 @@ from hybridhh.data import (
 )
 from hybridhh.sampling import substream
 
-from conftest import text_log
+from conftest import LOG_WORDS, text_log
 
 LOG = "u1\tgoogle\tgoogle.com\nu2\tyahoo\tyahoo.com\nu1\tgoogle\tmail.google.com\n"
 
@@ -82,6 +83,32 @@ class TestParseLog:
         buf = io.StringIO()
         serialize_log(ds, buf)
         assert buf.getvalue() == "u1\t*\t*\n"
+
+
+def serialize_log_reference(dataset, stream):
+    """The writer as first written: one line per record of each user."""
+    for user in dataset.users:
+        for rec in user.records:
+            stream.write(f"{user.user_id}\t{encode_star(rec.query)}\t{encode_star(rec.url)}\n")
+
+
+# Logs of a few users whose lines interleave, each holding several
+# records, repeated ones among them, named from LOG_WORDS.
+WORD_LOGS = st.lists(
+    st.tuples(*(st.sampled_from(LOG_WORDS),) * 3).map("\t".join), max_size=30
+).map(lambda lines: parse_log(text_log("".join(line + "\n" for line in lines))))
+
+
+class TestSerializeLog:
+    @given(WORD_LOGS)
+    @example(synth_zipf(300, 12, 3, 1.0, substream(9, 0)))
+    @settings(max_examples=200, deadline=None)
+    def test_writes_the_reference_lines_and_parses_back(self, ds):
+        written, want = io.StringIO(), io.StringIO()
+        serialize_log(ds, written)
+        serialize_log_reference(ds, want)
+        assert written.getvalue().encode("utf-8") == want.getvalue().encode("utf-8")
+        assert list(parse_log(text_log(written.getvalue())).users) == list(ds.users)
 
 
 def parse_log_reference(stream):

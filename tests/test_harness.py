@@ -928,6 +928,28 @@ class TestGoldenArtifacts:
         }
         assert digests == SYNTH_COMMAND_DIGESTS
 
+    def test_synth_command_writes_from_the_columns(self, tmp_path, monkeypatch, capsys):
+        # The log and the truth file are read off the dataset's index: no
+        # user is rebuilt, no record is built, and each distinct name of
+        # the truth file goes through `name_cell` once.
+        def refuse(*args):
+            raise AssertionError("a user or record was built to write a file")
+
+        named, name_cell = [], harness.name_cell
+        monkeypatch.setattr(data.Dataset, "users", property(refuse))
+        monkeypatch.setattr(core.RecordTable, "__getitem__", refuse)
+        monkeypatch.setattr(harness, "name_cell", lambda name: named.append(name) or name_cell(name))
+        log = tmp_path / "log.tsv"
+        argv = ["synth", "--users", "500", "--queries", "12", "--urls", "3",
+                "--exponent", "1.2", "--seed", "9", "--out", str(log)]
+        assert cli.main(argv) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (log, Path(f"{log}.truth.csv"))
+        }
+        assert digests == SYNTH_COMMAND_DIGESTS
+        assert len(named) == 12 + 36
+
 
 SYNTH_DIGESTS = {
     "headlist.tsv": "f409894283e32cb41a1d3aa1243f1cbabfc154f770c0d63487641cef11191b86",

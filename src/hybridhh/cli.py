@@ -6,8 +6,9 @@ head-list shape, in closed form by class of input pair), metrics
 (score a blended output against a truth file). Exit codes: 0 success,
 1 config error, 2 runtime failure, 3 a verify-dp certificate that FAILs.
 
-Only verify-dp imports `oracle`, and with it mpmath: importing this
-module, or running any other subcommand, leaves mpmath unloaded.
+Only verify-dp imports `oracle`, and with it mpmath: importing this module
+or `harness` loads neither mpmath nor OpenSSL's `hashlib`, and no other
+subcommand loads mpmath. `main` parses every call with one parser per process.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import csv
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import client, data, harness, metrics
@@ -159,6 +161,7 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridhh",

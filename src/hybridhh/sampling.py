@@ -4,15 +4,13 @@ All randomness flows through numpy Generators derived from a single
 master seed via SeedSequence spawn keys, so every pipeline stage gets
 an independent, reproducible stream. The pipeline draws the client
 population's reports in aggregate from one stage stream and uses no
-per-client substreams: `client_stream_id` has no caller in the pipeline
-and stays only because the benchmark's tracer wraps it by name. Not
-cryptographically secure; a real deployment would need a CSPRNG on the
-client side.
+per-client substreams: `client_stream_id` has no caller in the pipeline,
+stays only because the benchmark's tracer wraps it by name, and imports
+`hashlib` only when it is called. Not cryptographically secure; a real
+deployment would need a CSPRNG on the client side.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -25,6 +23,8 @@ def substream(master_seed: int, stream_id: int) -> np.random.Generator:
 
 def client_stream_id(user_id: str) -> int:
     """Stable 64-bit stream id for a user, independent of iteration order."""
+    import hashlib  # here, so that importing this module leaves OpenSSL unloaded
+
     digest = hashlib.blake2b(user_id.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -639,9 +640,34 @@ class TestCli:
 
     def test_import_leaves_mpmath_unloaded(self):
         done = self.fresh_python(
-            "-c", "import sys, hybridhh.cli, hybridhh.harness; print('mpmath' in sys.modules)"
+            "-c",
+            "import sys, hybridhh.cli, hybridhh.harness; "
+            "print(*(m in sys.modules for m in ('mpmath', 'hashlib')))",
         )
-        assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr
+        assert (done.returncode, done.stdout.strip()) == (0, "False False"), done.stderr
+
+    def test_main_reuses_one_parser(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = ["run", "--config", str(self.write_config(tmp_path)), "--out", str(tmp_path / "out")]
+        assert cli.main(argv + ["--seed", "3"]) == 0
+        first = len(built)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--seed", "three"])
+        assert exc.value.code == 2
+        seeded = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert len(built) == first, "a later call built its own parser"
+        # The shared parser keeps nothing of an earlier call's options.
+        fresh = self.fresh_python("-m", "hybridhh.cli", *argv)
+        assert fresh.returncode == 0, fresh.stderr
+        assert capsys.readouterr().out == fresh.stdout != seeded
 
     def test_verify_dp_loads_the_oracle_when_run(self):
         done = self.fresh_python(
